@@ -297,7 +297,8 @@ def cmd_reproduce(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--tol", type=float, default=1e-8, help="numerical tolerance (default 1e-8)"
+        "--tol", type=float, default=FILE_VALIDATE_TOL,
+        help="numerical tolerance (default %(default)g)",
     )
     common.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")

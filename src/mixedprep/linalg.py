@@ -3,6 +3,27 @@
 Matrices are plain numpy arrays with complex entries.  Qubit 0 is always
 the most significant bit of a basis-state index, so the first tensor
 factor of a Kronecker product owns the leading block of the matrix.
+
+Density matrices are checked in one place, :func:`density_eigh`: shape,
+finite entries, Hermiticity and trace, then positivity read off the one
+``eigh`` it returns, so a caller that needs the spectrum never solves twice.
+
+Every threshold of the package is a constant here:
+
+==================  =====  ===================================================
+constant            value  reason
+==================  =====  ===================================================
+DEFAULT_TOL         1e-10  validation slack of library calls on computed data
+FILE_VALIDATE_TOL   1e-8   slack for matrices read from files and the CLI
+TIE_TOL             1e-12  eigenvalues this close form one degenerate group
+RANK_TOL            1e-12  eigenvalues above it get an eigenvector column
+CONC_RANK_TOL       1e-14  smaller eigenvalues are exact zeros in concurrence
+PURE_TOL            1e-12  a top eigenvalue this near 1 makes fidelity pure
+RENORM_TOL          1e-12  clamping that moves the eigenvalue sum more renorms
+GS_DROP_TOL         1e-8   Gram-Schmidt drops residuals shorter than this
+EIGVEC_ORTHO_TOL    1e-8   Gram deviation accepted of solver eigenvectors
+PROB_TOL            1e-12  rounding slack of family probabilities/eigenvalues
+==================  =====  ===================================================
 """
 from __future__ import annotations
 
@@ -20,17 +41,76 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-10
-
-# Eigenvalues closer than this are treated as one degenerate group when the
-# eigenvector basis is made deterministic.
+FILE_VALIDATE_TOL = 1e-8
 TIE_TOL = 1e-12
+RANK_TOL = 1e-12
+CONC_RANK_TOL = 1e-14
+PURE_TOL = 1e-12
+RENORM_TOL = 1e-12
+GS_DROP_TOL = 1e-8
+EIGVEC_ORTHO_TOL = 1e-8
+PROB_TOL = 1e-12
+
+
+def _require_hermitian(m, tol: float, error: type) -> np.ndarray:
+    """``m`` as a complex array once it is square, finite and Hermitian within ``tol``."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise error(f"expected a nonempty square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise error("matrix has NaN or infinite entries")
+    asym = float(np.abs(m - m.conj().T).max())
+    if asym > tol:
+        raise error(f"matrix is not Hermitian: max |m - m^dagger| = {asym:.3e} > {tol:g}")
+    return m
+
+
+def _eigh(m: np.ndarray) -> tuple:
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
+
+
+def density_eigh(m, tol: float = DEFAULT_TOL) -> tuple:
+    """Validate a density matrix; return ``(m, w, v)`` with ``w, v = eigh(m)``.
+
+    ``m`` comes back as a complex array, ``w`` ascending.  A failure raises
+    :class:`NotDensityMatrixError` naming the first violated invariant:
+    shape, finite entries, Hermiticity, trace, or positivity.
+    """
+    m = _require_hermitian(m, tol, NotDensityMatrixError)
+    dev = abs(complex(np.trace(m)) - 1.0)
+    if dev > tol:
+        raise NotDensityMatrixError(f"trace deviates from 1 by {dev:.3e} > {tol:g}")
+    w, v = _eigh(m)
+    if w[0] < -tol:
+        raise NotDensityMatrixError(
+            f"matrix is not positive semidefinite: minimum eigenvalue {w[0]:.3e} < -{tol:g}"
+        )
+    return m, w, v
+
+
+def require_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Return ``m`` as a complex array, raising as :func:`density_eigh` does."""
+    return density_eigh(m, tol)[0]
+
+
+def is_density(m, tol: float = DEFAULT_TOL) -> bool:
+    """Whether :func:`require_density` accepts ``m``."""
+    try:
+        density_eigh(m, tol)
+    except NotDensityMatrixError:
+        return False
+    return True
 
 
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    try:
+        _require_hermitian(m, tol, NotHermitianError)
+    except NotHermitianError:
         return False
-    return float(np.abs(m - m.conj().T).max()) <= tol
+    return True
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
@@ -41,41 +121,6 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     return float(np.abs(gram - np.eye(m.shape[0])).max()) <= tol
 
 
-def is_density(m, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian, unit trace, and positive semidefinite within ``tol``."""
-    m = np.asarray(m)
-    if not is_hermitian(m, tol):
-        return False
-    if abs(complex(np.trace(m)) - 1.0) > tol:
-        return False
-    return float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) >= -tol
-
-
-def require_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Return ``m`` as a complex array, raising if it is not a density matrix.
-
-    The error message names the first violated invariant (shape, Hermiticity,
-    trace, or positivity).
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotDensityMatrixError(f"expected a square matrix, got shape {m.shape}")
-    asym = float(np.abs(m - m.conj().T).max())
-    if asym > tol:
-        raise NotDensityMatrixError(
-            f"matrix is not Hermitian: max |m - m^dagger| = {asym:.3e} > {tol:g}"
-        )
-    dev = abs(complex(np.trace(m)) - 1.0)
-    if dev > tol:
-        raise NotDensityMatrixError(f"trace deviates from 1 by {dev:.3e} > {tol:g}")
-    lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-    if lo < -tol:
-        raise NotDensityMatrixError(
-            f"matrix is not positive semidefinite: minimum eigenvalue {lo:.3e} < -{tol:g}"
-        )
-    return m
-
-
 @dataclass
 class SpectralDecomposition:
     """Eigenvalues sorted descending with matching orthonormal eigenvector columns."""
@@ -83,34 +128,49 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray   # (d,) real, non-increasing
     eigenvectors: np.ndarray  # (d, d) complex, column j pairs with eigenvalues[j]
 
+    @classmethod
+    def from_eigh(cls, w: np.ndarray, v: np.ndarray) -> "SpectralDecomposition":
+        """Deterministic basis from an ascending ``np.linalg.eigh`` result.
+
+        Within any group of eigenvalues that agree to :data:`TIE_TOL`, the
+        eigenvectors are rebuilt by Gram-Schmidt on the projections of the
+        canonical basis vectors (taken in index order), and every
+        eigenvector's global phase is fixed so that its first nonzero
+        component is real positive.
+        """
+        w = np.ascontiguousarray(w[::-1].real)
+        v = np.ascontiguousarray(v[:, ::-1])
+        return cls(w, _canonical_eigenbasis(w, v))
+
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
+
+    def sqrt_psd(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Principal square root of the reconstructed matrix.
+
+        Eigenvalues in ``[-tol, 0)`` are clamped to 0; anything below
+        ``-tol`` raises :class:`NotPSDError`.
+        """
+        w = self.eigenvalues
+        lo = float(w.min())
+        if lo < -tol:
+            raise NotPSDError(f"matrix is not PSD: minimum eigenvalue {lo:.3e} < -{tol:g}")
+        root = np.sqrt(np.clip(w, 0.0, None))
+        v = self.eigenvectors
+        s = (v * root) @ v.conj().T
+        return (s + s.conj().T) / 2
 
 
 def eig_hermitian(m, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with a deterministic basis.
 
-    Eigenvalues come out non-increasing.  Within any group of eigenvalues
-    that agree to :data:`TIE_TOL`, the eigenvectors are rebuilt by
-    Gram-Schmidt on the projections of the canonical basis vectors (taken in
-    index order), and every eigenvector's global phase is fixed so that its
-    first nonzero component is real positive.  The result therefore depends
-    only on the input matrix, not on solver internals.
+    Eigenvalues come out non-increasing and eigenvectors are fixed as in
+    :meth:`SpectralDecomposition.from_eigh`, so the result depends only on
+    the input matrix, not on solver internals.
     """
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tol):
-        raise NotHermitianError(
-            f"matrix is not Hermitian within tol={tol:g}"
-        )
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    w = np.ascontiguousarray(w[::-1].real)
-    v = np.ascontiguousarray(v[:, ::-1])
-    v = _canonical_eigenbasis(w, v)
-    return SpectralDecomposition(w, v)
+    m = _require_hermitian(m, tol, NotHermitianError)
+    return SpectralDecomposition.from_eigh(*_eigh(m))
 
 
 def _canonical_eigenbasis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -121,43 +181,33 @@ def _canonical_eigenbasis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
         stop = start + 1
         while stop < d and w[stop - 1] - w[stop] <= TIE_TOL:
             stop += 1
-        if stop - start > 1:
-            out[:, start:stop] = _subspace_basis(v[:, start:stop])
+        if stop - start > 1:  # Gram-Schmidt on the projections of e_0, e_1, ... onto the group
+            proj = v[:, start:stop] @ v[:, start:stop].conj().T
+            candidates = (proj[:, j].copy() for j in range(d))
+            out[:, start:stop] = _gram_schmidt([], candidates, stop - start)
         start = stop
     for j in range(d):
         out[:, j] = _phase_fixed(out[:, j])
     return out
 
 
-def _subspace_basis(cols: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of span(cols).
+def _gram_schmidt(basis: list, candidates, size: int) -> np.ndarray:
+    """Extend orthonormal ``basis`` columns by ``candidates`` to ``size`` columns.
 
-    Gram-Schmidt over the projections of e_0, e_1, ... onto the subspace;
-    vectors that project to (numerically) nothing are skipped.
+    Each candidate is orthogonalized twice (the second pass restores
+    precision); residuals no longer than :data:`GS_DROP_TOL` are skipped.
     """
-    d, k = cols.shape
-    proj = cols @ cols.conj().T
-    basis: list[np.ndarray] = []
-    for j in range(d):
-        if len(basis) == k:
+    for vec in candidates:
+        if len(basis) == size:
             break
-        vec = proj[:, j].copy()
-        for _ in range(2):  # re-orthogonalize once for stability
+        for _ in range(2):
             for b in basis:
-                vec -= b * (b.conj() @ vec)
+                vec = vec - b * (b.conj() @ vec)
         nrm = float(np.linalg.norm(vec))
-        if nrm > 1e-8:
+        if nrm > GS_DROP_TOL:
             basis.append(vec / nrm)
-    if len(basis) < k:  # pragma: no cover - canonical vectors span C^d
-        for j in range(k):
-            vec = cols[:, j].copy()
-            for b in basis:
-                vec -= b * (b.conj() @ vec)
-            nrm = float(np.linalg.norm(vec))
-            if nrm > 1e-8:
-                basis.append(vec / nrm)
-            if len(basis) == k:
-                break
+    if len(basis) != size:  # pragma: no cover - the candidates span the space
+        raise NotOrthonormalError("failed to complete an orthonormal basis")
     return np.column_stack(basis)
 
 
@@ -170,20 +220,8 @@ def _phase_fixed(col: np.ndarray, zero_tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def matrix_sqrt_psd(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
-
-    Eigenvalues in ``[-tol, 0)`` are clamped to 0; anything below ``-tol``
-    raises :class:`NotPSDError`.
-    """
-    dec = eig_hermitian(m, tol)
-    w = dec.eigenvalues
-    lo = float(w.min())
-    if lo < -tol:
-        raise NotPSDError(f"matrix is not PSD: minimum eigenvalue {lo:.3e} < -{tol:g}")
-    root = np.sqrt(np.clip(w, 0.0, None))
-    v = dec.eigenvectors
-    s = (v * root) @ v.conj().T
-    return (s + s.conj().T) / 2
+    """Principal square root of a Hermitian PSD matrix (see SpectralDecomposition.sqrt_psd)."""
+    return eig_hermitian(m, tol).sqrt_psd(tol)
 
 
 def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
@@ -245,18 +283,5 @@ def orthonormal_completion(partial_cols, tol: float = DEFAULT_TOL) -> np.ndarray
             raise NotOrthonormalError(
                 f"columns are not orthonormal: max Gram deviation {err:.3e} > {tol:g}"
             )
-    cols = [q[:, j] for j in range(k)]
-    for j in range(d):
-        if len(cols) == d:
-            break
-        vec = np.zeros(d, dtype=complex)
-        vec[j] = 1.0
-        for _ in range(2):
-            for b in cols:
-                vec = vec - b * (b.conj() @ vec)
-        nrm = float(np.linalg.norm(vec))
-        if nrm > 1e-8:
-            cols.append(vec / nrm)
-    if len(cols) != d:  # pragma: no cover - canonical vectors always complete
-        raise NotOrthonormalError("failed to complete an orthonormal basis")
-    return np.column_stack(cols)
+    units = (np.eye(1, d, j, dtype=complex)[0] for j in range(d))  # e_0, e_1, ...
+    return _gram_schmidt([q[:, j] for j in range(k)], units, d)

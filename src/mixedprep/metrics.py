@@ -18,8 +18,11 @@ from .errors import (
     NotAProbabilityVectorError,
 )
 from .linalg import (
+    CONC_RANK_TOL,
     DEFAULT_TOL,
-    matrix_sqrt_psd,
+    PURE_TOL,
+    SpectralDecomposition,
+    density_eigh,
     partial_trace,
     require_density,
 )
@@ -75,17 +78,16 @@ def fidelity(rho, sigma, tol: float = DEFAULT_TOL) -> float:
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise DimensionMismatchError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
-    rho = require_density(rho, tol)
-    sigma = require_density(sigma, tol)
+    rho, w_rho, v_rho = density_eigh(rho, tol)
+    sigma, w_sigma, v_sigma = density_eigh(sigma, tol)
 
-    for pure_candidate, other in ((rho, sigma), (sigma, rho)):
-        w, v = np.linalg.eigh(pure_candidate)
-        if w[-1] >= 1.0 - 1e-12:
+    for w, v, other in ((w_rho, v_rho, sigma), (w_sigma, v_sigma, rho)):
+        if w[-1] >= 1.0 - PURE_TOL:
             psi = v[:, -1]
             val = float((psi.conj() @ other @ psi).real)
             return min(max(val, 0.0), 1.0)
 
-    rt = matrix_sqrt_psd(rho, tol)
+    rt = SpectralDecomposition.from_eigh(w_rho, v_rho).sqrt_psd(tol)
     inner = rt @ sigma @ rt
     w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
     f = float(np.sqrt(np.clip(w, 0.0, None)).sum() ** 2)
@@ -125,11 +127,6 @@ def _subsystem_qubit(subsystem) -> int:
 _YY = np.kron(PAULI_1Q["Y"], PAULI_1Q["Y"])
 
 
-# Eigenvalues of rho below this are treated as exact rank deficiency inside
-# concurrence(); keeps the spin-flip spectrum clean for singular states.
-_CONC_RANK_TOL = 1e-14
-
-
 def concurrence(rho, tol: float = DEFAULT_TOL) -> float:
     """Two-qubit entanglement: max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)).
 
@@ -142,9 +139,8 @@ def concurrence(rho, tol: float = DEFAULT_TOL) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 two-qubit matrix, got {rho.shape}")
-    rho = require_density(rho, tol)
-    w, v = np.linalg.eigh(rho)
-    w = np.where(w < _CONC_RANK_TOL, 0.0, w)
+    _, w, v = density_eigh(rho, tol)
+    w = np.where(w < CONC_RANK_TOL, 0.0, w)
     factor = v * np.sqrt(w)
     s = np.linalg.svd(factor.T @ _YY @ factor, compute_uv=False)
     val = float(s[0] - s[1:].sum())
@@ -184,21 +180,12 @@ def pauli_decompose_2q(rho, tol: float = DEFAULT_TOL) -> PauliDecomposition2Q:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 two-qubit matrix, got {rho.shape}")
-    rho = require_density(rho, tol)
-    letters = "XYZ"
-    a = np.array(
-        [float(np.trace(rho @ pauli_matrix(l + "I")).real) for l in letters]
+    e = exact_pauli_expectations(rho, tol)
+    return PauliDecomposition2Q(
+        a=np.array([e[l + "I"] for l in "XYZ"]),
+        b=np.array([e["I" + l] for l in "XYZ"]),
+        cross=np.array([[e[lj + lk] for lk in "XYZ"] for lj in "XYZ"]),
     )
-    b = np.array(
-        [float(np.trace(rho @ pauli_matrix("I" + l)).real) for l in letters]
-    )
-    cross = np.array(
-        [
-            [float(np.trace(rho @ pauli_matrix(lj + lk)).real) for lk in letters]
-            for lj in letters
-        ]
-    )
-    return PauliDecomposition2Q(a=a, b=b, cross=cross)
 
 
 def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:

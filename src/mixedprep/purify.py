@@ -23,10 +23,12 @@ from .circuits import Circuit, Cnot, UnitaryBlock
 from .errors import NotAProbabilityVectorError
 from .linalg import (
     DEFAULT_TOL,
+    EIGVEC_ORTHO_TOL,
+    RANK_TOL,
+    RENORM_TOL,
     SpectralDecomposition,
-    eig_hermitian,
+    density_eigh,
     orthonormal_completion,
-    require_density,
 )
 from .realamp import compile_real_state
 from .simulator import reduced_density, run
@@ -50,15 +52,24 @@ def pad_to_qubit_dimension(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     lands in the top-left block and the rest is zero, which only adds zero
     eigenvalues.
     """
-    rho = require_density(rho, tol)
-    d = rho.shape[0]
-    n = max(1, (d - 1).bit_length())
-    full = 2 ** n
-    if full == d:
-        return rho
-    out = np.zeros((full, full), dtype=complex)
-    out[:d, :d] = rho
-    return out
+    return _padded_density_eigh(rho, tol)[0]
+
+
+def _padded_density_eigh(rho, tol: float) -> tuple:
+    """Pad a square ``rho`` as above and validate it with one :func:`density_eigh`.
+
+    Zero padding neither makes nor breaks a density matrix, so checking the
+    padded matrix checks ``rho``.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim == 2 and rho.shape[0] == rho.shape[1]:
+        d = rho.shape[0]
+        full = 2 ** max(1, (d - 1).bit_length())
+        if full != d:
+            out = np.zeros((full, full), dtype=complex)
+            out[:d, :d] = rho
+            rho = out
+    return density_eigh(rho, tol)
 
 
 def eigenvalue_amplitudes(spectral: SpectralDecomposition, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -66,7 +77,7 @@ def eigenvalue_amplitudes(spectral: SpectralDecomposition, tol: float = DEFAULT_
 
     Eigenvalues in [-tol, 0) are clamped to zero; anything lower, or a sum
     away from 1 beyond tol, is rejected.  If clamping moved the sum by more
-    than 1e-12 the vector is renormalized.
+    than :data:`~mixedprep.linalg.RENORM_TOL` the vector is renormalized.
     """
     w = np.asarray(spectral.eigenvalues, dtype=float)
     if float(w.min()) < -tol:
@@ -79,17 +90,17 @@ def eigenvalue_amplitudes(spectral: SpectralDecomposition, tol: float = DEFAULT_
         )
     clamped = np.clip(w, 0.0, None)
     total = float(clamped.sum())
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > RENORM_TOL:
         clamped = clamped / total
     return np.sqrt(clamped)
 
 
 def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitBundle:
     """Compile a density matrix into its 2n-qubit purification circuit."""
-    padded = pad_to_qubit_dimension(rho, tol)
+    padded, w, v = _padded_density_eigh(rho, tol)
     d = padded.shape[0]
     n = d.bit_length() - 1
-    spectral = eig_hermitian(padded, tol)
+    spectral = SpectralDecomposition.from_eigh(w, v)
     amps = eigenvalue_amplitudes(spectral, tol)
 
     circuit = compile_real_state(amps)
@@ -108,9 +119,6 @@ def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitB
     )
 
 
-_RANK_TOL = 1e-12
-
-
 def _basis_change(spectral: SpectralDecomposition) -> np.ndarray:
     """Unitary whose column j is eigenvector j.
 
@@ -121,8 +129,8 @@ def _basis_change(spectral: SpectralDecomposition) -> np.ndarray:
     """
     w = spectral.eigenvalues
     v = spectral.eigenvectors
-    rank = int(np.sum(w > _RANK_TOL))
-    return orthonormal_completion(v[:, :rank], 1e-8)
+    rank = int(np.sum(w > RANK_TOL))
+    return orthonormal_completion(v[:, :rank], EIGVEC_ORTHO_TOL)
 
 
 def prepare_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -15,9 +15,7 @@ import numpy as np
 
 from .circuits import Circuit, Cnot, MultiControlledRy, Ry, UnitaryBlock
 from .errors import FormatError
-from .linalg import require_density
-
-FILE_VALIDATE_TOL = 1e-8
+from .linalg import FILE_VALIDATE_TOL, require_density
 
 
 def _matrix_to_parts(m: np.ndarray) -> tuple:
@@ -63,6 +61,18 @@ def density_from_dict(doc, validate_tol: float | None = FILE_VALIDATE_TOL) -> np
     return m
 
 
+def _read_json(path):
+    """Parse a JSON file, rejecting the non-standard NaN and Infinity literals."""
+    def reject(name):
+        raise FormatError(f"{path}: non-finite number {name} is not allowed")
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_constant=reject)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def write_density_file(path, rho) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(density_to_dict(rho), fh, indent=2)
@@ -70,12 +80,7 @@ def write_density_file(path, rho) -> None:
 
 
 def read_density_file(path, validate_tol: float | None = FILE_VALIDATE_TOL) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return density_from_dict(doc, validate_tol)
+    return density_from_dict(_read_json(path), validate_tol)
 
 
 def _gate_to_dict(gate) -> dict:
@@ -163,9 +168,4 @@ def write_circuit_file(path, circuit: Circuit, meta: dict | None = None) -> None
 
 
 def read_circuit_file(path) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return circuit_from_dict(doc)
+    return circuit_from_dict(_read_json(path))

@@ -14,8 +14,8 @@ from itertools import product
 import numpy as np
 
 from .circuits import Circuit, Cnot, Gate, MultiControlledRy, Ry, UnitaryBlock, validate_circuit
-from .errors import BadLabelError, IndexOutOfRangeError, NotUnitaryError, OutOfRangeError
-from .linalg import DEFAULT_TOL, is_unitary
+from .errors import BadLabelError, IndexOutOfRangeError, OutOfRangeError
+from .linalg import DEFAULT_TOL
 
 MAX_QUBITS = 24
 
@@ -55,12 +55,12 @@ def apply_gate(state: np.ndarray, gate: Gate, tol: float = DEFAULT_TOL) -> np.nd
     """Return gate(state) as a new array; the input is left untouched."""
     state = np.asarray(state, dtype=complex)
     n = num_qubits_of(state)
-    for q in _gate_wires(gate):
-        if not 0 <= q < n:
-            raise IndexOutOfRangeError(
-                f"{type(gate).__name__} touches qubit {q}, outside 0..{n - 1}"
-            )
+    validate_circuit(Circuit(n, [gate]), tol)
+    return _apply(state, n, gate)
 
+
+def _apply(state: np.ndarray, n: int, gate: Gate) -> np.ndarray:
+    """gate(state) for a gate already checked against the n-qubit register."""
     if isinstance(gate, Ry):
         return _apply_ry(state, n, gate.target, gate.theta, ())
     if isinstance(gate, MultiControlledRy):
@@ -73,23 +73,7 @@ def apply_gate(state: np.ndarray, gate: Gate, tol: float = DEFAULT_TOL) -> np.nd
         out[i01] = ten[i11]
         out[i11] = ten[i01]
         return out.reshape(-1)
-    if isinstance(gate, UnitaryBlock):
-        if not is_unitary(gate.matrix, tol):
-            raise NotUnitaryError(f"matrix block on qubits {gate.qubits} is not unitary")
-        return _apply_block(state, n, gate.qubits, gate.matrix)
-    raise TypeError(f"unknown gate type: {type(gate).__name__}")
-
-
-def _gate_wires(gate: Gate):
-    if isinstance(gate, Ry):
-        return (gate.target,)
-    if isinstance(gate, Cnot):
-        return (gate.control, gate.target)
-    if isinstance(gate, MultiControlledRy):
-        return tuple(q for q, _ in gate.controls) + (gate.target,)
-    if isinstance(gate, UnitaryBlock):
-        return gate.qubits
-    return ()
+    return _apply_block(state, n, gate.qubits, gate.matrix)
 
 
 def _index(n: int, fixed: dict) -> tuple:
@@ -126,14 +110,10 @@ def _apply_block(state, n, qubits, matrix) -> np.ndarray:
 
 def run(circuit: Circuit, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Apply the circuit's gates in order to |0...0>."""
-    if circuit.num_qubits > MAX_QUBITS:
-        raise OutOfRangeError(
-            f"circuit has {circuit.num_qubits} qubits, cap is {MAX_QUBITS}"
-        )
     validate_circuit(circuit, tol)
     state = zero_state(circuit.num_qubits)
     for gate in circuit.gates:
-        state = apply_gate(state, gate, tol)
+        state = _apply(state, circuit.num_qubits, gate)
     return state
 
 

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadProbabilitiesError, NotPSDError, OutOfRangeError
-from .linalg import DEFAULT_TOL
-
-PROB_TOL = 1e-12
+from .linalg import DEFAULT_TOL, PROB_TOL
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,7 @@ def c1_valid_range(samples: int = 4001) -> tuple:
     grid = np.linspace(-1.0, 1.0, samples)
     ok = []
     for c in grid:
-        if float(np.linalg.eigvalsh(_c1_matrix(c)).min()) >= -1e-12:
+        if float(np.linalg.eigvalsh(_c1_matrix(c)).min()) >= -PROB_TOL:
             ok.append(float(c))
     return (min(ok), max(ok))
 

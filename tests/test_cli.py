@@ -137,6 +137,16 @@ def test_no_validate_skips_file_gate(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0.000000000000"
 
 
+def test_nan_density_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({"dim": 2, "re": [[0.5, float("nan")], [float("nan"), 0.5]],
+                               "im": [[0.0, 0.0], [0.0, 0.0]]}))
+    assert run_cli("metrics", "--state", str(bad), "--metric", "coherence") == 2
+    assert run_cli("prepare", "--input", str(bad), "--out", str(tmp_path / "c.json")) == 2
+    err = capsys.readouterr()
+    assert err.out == "" and err.err.count("error:") == 2 and "NaN" in err.err
+
+
 def test_missing_file_exits_3(tmp_path, capsys):
     assert run_cli("prepare", "--input", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "c.json")) == 3

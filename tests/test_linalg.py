@@ -46,9 +46,58 @@ def test_predicates():
     assert not is_density(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[0.5, np.nan], [np.nan, 0.5]]),
+        np.array([[0.5, 0.0], [0.0, np.inf]]),
+        np.ones((2, 3)) / 2,
+        np.eye(2),                                   # trace 2
+        np.diag([1.5, -0.5]),                        # negative eigenvalue
+        np.array([[0.5, 0.5], [0.0, 0.5]]),          # not Hermitian
+        np.eye(2) / 2,                               # valid
+    ],
+    ids=["nan", "inf", "non-square", "trace-2", "negative", "non-hermitian", "valid"],
+)
+def test_is_density_agrees_with_require_density(m):
+    try:
+        require_density(m)
+        accepted = True
+    except NotDensityMatrixError:
+        accepted = False
+    assert is_density(m) == accepted
+    assert accepted == (m.shape == (2, 2) and np.allclose(m, np.eye(2) / 2))
+
+
+def test_one_hermitian_solve_per_density_matrix(monkeypatch):
+    from mixedprep import build_preparation_circuit, concurrence, fidelity
+
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def solves(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    rho, sigma = random_density(4, 1), random_density(4, 2)
+    assert solves(build_preparation_circuit, rho) == 1
+    assert solves(fidelity, rho, sigma) == 3
+    assert solves(concurrence, rho) == 1
+
+
 def test_require_density_messages():
     with pytest.raises(NotDensityMatrixError, match="square"):
         require_density(np.ones((2, 3)))
+    with pytest.raises(NotDensityMatrixError, match="NaN or infinite"):
+        require_density(np.full((2, 2), np.nan))
     with pytest.raises(NotDensityMatrixError, match="Hermitian"):
         require_density(np.array([[0.5, 1.0], [0.0, 0.5]]))
     with pytest.raises(NotDensityMatrixError, match="trace"):

@@ -69,6 +69,20 @@ def test_density_bad_json(tmp_path):
         read_density_file(path)
 
 
+def test_non_finite_literals_rejected(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "num_qubits": 1,
+        "gates": [{"kind": "ry", "target": 0, "theta": float("nan")}],
+    }))
+    with pytest.raises(FormatError, match="NaN"):
+        read_circuit_file(path)
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        path.write_text(f'{{"dim": 1, "re": [[{literal}]], "im": [[0.0]]}}')
+        with pytest.raises(FormatError, match=literal):
+            read_density_file(path, validate_tol=None)
+
+
 def sample_circuit():
     rng = np.random.default_rng(3)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
