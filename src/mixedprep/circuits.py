@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, NotUnitaryError
+from .errors import IndexOutOfRangeError, NotUnitaryError, OutOfRangeError
 from .linalg import DEFAULT_TOL, is_unitary
 
 
@@ -100,7 +100,7 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
 
 
 def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
-    """Check wire indices, control-bit values, and unitarity of matrix blocks."""
+    """Check wire indices, control-bit values, finite angles, and unitarity of matrix blocks."""
     n = circuit.num_qubits
     if n < 1:
         raise IndexOutOfRangeError(f"circuit needs at least 1 qubit, got {n}")
@@ -122,6 +122,8 @@ def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
                     raise IndexOutOfRangeError(
                         f"gate {pos} control on qubit {q} has bit {b}, expected 0 or 1"
                     )
+        if isinstance(gate, (Ry, MultiControlledRy)) and not np.isfinite(gate.theta):
+            raise OutOfRangeError(f"gate {pos} angle {gate.theta!r} is not finite")
         if isinstance(gate, UnitaryBlock) and not is_unitary(gate.matrix, tol):
             raise NotUnitaryError(
                 f"gate {pos} matrix block is not unitary within tol={tol:g}"

@@ -30,7 +30,7 @@ from .metrics import (
     local_l1_coherence,
     tomography_reconstruct,
 )
-from .purify import build_preparation_circuit
+from .purify import build_preparation_circuit, prepare_density
 from .serialize import (
     FILE_VALIDATE_TOL,
     read_circuit_file,
@@ -196,10 +196,10 @@ def _parse_shots(text: str):
 
 def _pipeline_density(target, args, shots, seed) -> np.ndarray:
     """prepare -> simulate -> trace; with finite shots, tomography instead of trace."""
+    if shots is None:
+        return prepare_density(target, args.tol)
     bundle = build_preparation_circuit(target, args.tol)
     state = run(bundle.circuit)
-    if shots is None:
-        return reduced_density(state, bundle.system_qubits)
     expectations = sample_pauli_expectations(state, bundle.system_qubits, shots, seed)
     return tomography_reconstruct(expectations, len(bundle.system_qubits))
 

@@ -8,6 +8,10 @@ Density matrices are checked in one place, :func:`density_eigh`: shape,
 finite entries, Hermiticity and trace, then positivity read off the one
 ``eigh`` it returns, so a caller that needs the spectrum never solves twice.
 
+The canonical eigenbasis is built, by :func:`canonical_eigenvectors`, only
+where a basis leaves the library: :func:`eig_hermitian` and the support
+columns of the compiled basis-change block.  Square roots read the raw ``eigh``.
+
 Every threshold of the package is a constant here:
 
 ==================  =====  ===================================================
@@ -128,67 +132,50 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray   # (d,) real, non-increasing
     eigenvectors: np.ndarray  # (d, d) complex, column j pairs with eigenvalues[j]
 
-    @classmethod
-    def from_eigh(cls, w: np.ndarray, v: np.ndarray) -> "SpectralDecomposition":
-        """Deterministic basis from an ascending ``np.linalg.eigh`` result.
-
-        Within any group of eigenvalues that agree to :data:`TIE_TOL`, the
-        eigenvectors are rebuilt by Gram-Schmidt on the projections of the
-        canonical basis vectors (taken in index order), and every
-        eigenvector's global phase is fixed so that its first nonzero
-        component is real positive.
-        """
-        w = np.ascontiguousarray(w[::-1].real)
-        v = np.ascontiguousarray(v[:, ::-1])
-        return cls(w, _canonical_eigenbasis(w, v))
-
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
-
-    def sqrt_psd(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Principal square root of the reconstructed matrix.
-
-        Eigenvalues in ``[-tol, 0)`` are clamped to 0; anything below
-        ``-tol`` raises :class:`NotPSDError`.
-        """
-        w = self.eigenvalues
-        lo = float(w.min())
-        if lo < -tol:
-            raise NotPSDError(f"matrix is not PSD: minimum eigenvalue {lo:.3e} < -{tol:g}")
-        root = np.sqrt(np.clip(w, 0.0, None))
-        v = self.eigenvectors
-        s = (v * root) @ v.conj().T
-        return (s + s.conj().T) / 2
 
 
 def eig_hermitian(m, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with a deterministic basis.
 
     Eigenvalues come out non-increasing and eigenvectors are fixed as in
-    :meth:`SpectralDecomposition.from_eigh`, so the result depends only on
-    the input matrix, not on solver internals.
+    :func:`canonical_eigenvectors`, so the result depends only on the input
+    matrix, not on solver internals.
     """
     m = _require_hermitian(m, tol, NotHermitianError)
-    return SpectralDecomposition.from_eigh(*_eigh(m))
+    return SpectralDecomposition(*canonical_eigenvectors(*_eigh(m), m.shape[0]))
 
 
-def _canonical_eigenbasis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+def canonical_eigenvectors(w: np.ndarray, v: np.ndarray, count: int) -> tuple:
+    """Deterministic basis from an ascending ``np.linalg.eigh`` result ``(w, v)``.
+
+    Returns the eigenvalues in non-increasing order and the first ``count``
+    matching eigenvector columns.  Within any group of eigenvalues that
+    agree to :data:`TIE_TOL`, the eigenvectors are rebuilt by Gram-Schmidt
+    on the projections of the canonical basis vectors (taken in index
+    order), and every eigenvector's global phase is fixed so that its first
+    nonzero component is real positive.  Groups that start at or past
+    column ``count`` are never built; a column does not depend on ``count``.
+    """
+    w = np.ascontiguousarray(w[::-1].real)
+    v = np.ascontiguousarray(v[:, ::-1])
     d = w.shape[0]
-    out = v.copy()
+    out = v[:, :count].copy()
     start = 0
-    while start < d:
+    while start < count:
         stop = start + 1
         while stop < d and w[stop - 1] - w[stop] <= TIE_TOL:
             stop += 1
         if stop - start > 1:  # Gram-Schmidt on the projections of e_0, e_1, ... onto the group
             proj = v[:, start:stop] @ v[:, start:stop].conj().T
             candidates = (proj[:, j].copy() for j in range(d))
-            out[:, start:stop] = _gram_schmidt([], candidates, stop - start)
+            out[:, start:stop] = _gram_schmidt([], candidates, min(stop, count) - start)
         start = stop
-    for j in range(d):
+    for j in range(count):
         out[:, j] = _phase_fixed(out[:, j])
-    return out
+    return w, out
 
 
 def _gram_schmidt(basis: list, candidates, size: int) -> np.ndarray:
@@ -220,8 +207,17 @@ def _phase_fixed(col: np.ndarray, zero_tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def matrix_sqrt_psd(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix (see SpectralDecomposition.sqrt_psd)."""
-    return eig_hermitian(m, tol).sqrt_psd(tol)
+    """Principal square root of a Hermitian PSD matrix, from the raw ``eigh``.
+
+    Eigenvalues in ``[-tol, 0)`` are clamped to 0; anything below ``-tol``
+    raises :class:`NotPSDError`.
+    """
+    m = _require_hermitian(m, tol, NotHermitianError)
+    w, v = _eigh(m)
+    if w[0] < -tol:
+        raise NotPSDError(f"matrix is not PSD: minimum eigenvalue {w[0]:.3e} < -{tol:g}")
+    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return (s + s.conj().T) / 2
 
 
 def partial_trace(state, keep, total_qubits: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from .linalg import (
     CONC_RANK_TOL,
     DEFAULT_TOL,
     PURE_TOL,
-    SpectralDecomposition,
     density_eigh,
     partial_trace,
     require_density,
@@ -72,7 +71,10 @@ def fidelity(rho, sigma, tol: float = DEFAULT_TOL) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2, clipped to [0, 1].
 
     When either argument is numerically pure the quadratic form <psi|other|psi>
-    is used instead of the matrix square roots.
+    is used.  Otherwise the trace is the sum of the singular values of
+    sqrt(rho) sqrt(sigma), i.e. of diag(sqrt w_rho) V_rho^dagger V_sigma
+    diag(sqrt w_sigma): the SVD resolves small ones at absolute precision,
+    where rooting eigenvalues of sqrt(rho) sigma sqrt(rho) loses half the digits.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
@@ -87,11 +89,9 @@ def fidelity(rho, sigma, tol: float = DEFAULT_TOL) -> float:
             val = float((psi.conj() @ other @ psi).real)
             return min(max(val, 0.0), 1.0)
 
-    rt = SpectralDecomposition.from_eigh(w_rho, v_rho).sqrt_psd(tol)
-    inner = rt @ sigma @ rt
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    f = float(np.sqrt(np.clip(w, 0.0, None)).sum() ** 2)
-    return min(max(f, 0.0), 1.0)
+    m = np.sqrt(np.clip(w_rho, 0.0, None))[:, None] * (v_rho.conj().T @ v_sigma)
+    s = np.linalg.svd(m * np.sqrt(np.clip(w_sigma, 0.0, None)), compute_uv=False)
+    return min(float(s.sum() ** 2), 1.0)
 
 
 def l1_coherence(rho, tol: float = DEFAULT_TOL) -> float:

@@ -27,6 +27,7 @@ from .linalg import (
     RANK_TOL,
     RENORM_TOL,
     SpectralDecomposition,
+    canonical_eigenvectors,
     density_eigh,
     orthonormal_completion,
 )
@@ -36,7 +37,11 @@ from .simulator import reduced_density, run
 
 @dataclass
 class PreparedCircuitBundle:
-    """A 2n-qubit preparation circuit plus the data it was compiled from."""
+    """A 2n-qubit preparation circuit plus the data it was compiled from.
+
+    ``spectral.eigenvectors`` is the basis-change block: canonical support
+    eigenvectors, then orthonormal completion columns spanning the null space.
+    """
 
     circuit: Circuit
     system_qubits: tuple
@@ -96,11 +101,17 @@ def eigenvalue_amplitudes(spectral: SpectralDecomposition, tol: float = DEFAULT_
 
 
 def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitBundle:
-    """Compile a density matrix into its 2n-qubit purification circuit."""
+    """Compile a density matrix into its 2n-qubit purification circuit.
+
+    Eigenvalues at or below ``RANK_TOL`` carry no weight, so only the support
+    columns get the canonical basis; completion makes the block unitary.
+    """
     padded, w, v = _padded_density_eigh(rho, tol)
     d = padded.shape[0]
     n = d.bit_length() - 1
-    spectral = SpectralDecomposition.from_eigh(w, v)
+    rank = int(np.sum(w > RANK_TOL))
+    w, support = canonical_eigenvectors(w, v, rank)
+    spectral = SpectralDecomposition(w, orthonormal_completion(support, EIGVEC_ORTHO_TOL))
     amps = eigenvalue_amplitudes(spectral, tol)
 
     circuit = compile_real_state(amps)
@@ -108,7 +119,7 @@ def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitB
     circuit.label = f"mixed-state preparation ({d}x{d} target)"
     for s in range(n):
         circuit.gates.append(Cnot(control=s, target=s + n))
-    circuit.gates.append(UnitaryBlock(range(n), _basis_change(spectral)))
+    circuit.gates.append(UnitaryBlock(range(n), spectral.eigenvectors))
 
     return PreparedCircuitBundle(
         circuit=circuit,
@@ -117,20 +128,6 @@ def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitB
         spectral=spectral,
         target=padded,
     )
-
-
-def _basis_change(spectral: SpectralDecomposition) -> np.ndarray:
-    """Unitary whose column j is eigenvector j.
-
-    Columns for (numerically) zero eigenvalues get rebuilt by orthonormal
-    completion: their branch amplitudes are zero, so any orthonormal filler
-    yields the same traced state, but the circuit gate must be a genuine
-    unitary.
-    """
-    w = spectral.eigenvalues
-    v = spectral.eigenvectors
-    rank = int(np.sum(w > RANK_TOL))
-    return orthonormal_completion(v[:, :rank], EIGVEC_ORTHO_TOL)
 
 
 def prepare_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -28,7 +28,7 @@ def _parts_to_matrix(re, im, what: str) -> np.ndarray:
     try:
         re = np.asarray(re, dtype=float)
         im = np.asarray(im, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{what}: re/im are not numeric arrays: {exc}") from exc
     if re.ndim != 2 or re.shape[0] != re.shape[1]:
         raise FormatError(f"{what}: re must be a square 2-d array, got shape {re.shape}")
@@ -128,7 +128,7 @@ def _gate_from_dict(doc, pos: int):
             return UnitaryBlock(qubits=[int(q) for q in doc["qubits"]], matrix=matrix)
     except KeyError as exc:
         raise FormatError(f"gate {pos} ({kind}): missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"gate {pos} ({kind}): bad field value: {exc}") from exc
     raise FormatError(f"gate {pos}: unknown kind {kind!r}")
 

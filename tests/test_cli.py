@@ -160,6 +160,23 @@ def test_malformed_circuit_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "gate",
+    [
+        '{"kind": "ry", "target": 0, "theta": 1e999}',
+        '{"kind": "ry", "target": 0, "theta": 1' + "0" * 400 + "}",
+        '{"kind": "ry", "target": 1e999, "theta": 0.5}',
+    ],
+    ids=["theta-inf", "theta-huge-int", "target-inf"],
+)
+def test_overflowing_circuit_numbers_exit_2(tmp_path, capsys, gate):
+    path = tmp_path / "c.json"
+    path.write_text('{"num_qubits": 2, "gates": [' + gate + "]}")
+    assert run_cli("simulate", "--circuit", str(path), "--out", str(tmp_path / "o.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_odd_register_trace_exits_2(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({

@@ -89,8 +89,34 @@ def test_one_hermitian_solve_per_density_matrix(monkeypatch):
 
     rho, sigma = random_density(4, 1), random_density(4, 2)
     assert solves(build_preparation_circuit, rho) == 1
-    assert solves(fidelity, rho, sigma) == 3
+    assert solves(fidelity, rho, sigma) == 2  # plus one SVD, not a Hermitian solve
     assert solves(concurrence, rho) == 1
+
+
+def test_canonical_basis_built_only_for_the_compile_block(monkeypatch):
+    from mixedprep import build_preparation_circuit, fidelity, linalg
+
+    calls = []
+    real = linalg._gram_schmidt
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_gram_schmidt", counted)
+
+    def rank2(seed):  # distinct eigenvalues 0.7, 0.3 and a six-fold zero
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))[0]
+        m = (q * [0.7, 0.3]) @ q.conj().T
+        return (m + m.conj().T) / 2
+
+    rho, sigma = rank2(1), rank2(2)
+    build_preparation_circuit(rho)
+    assert len(calls) == 1  # the completion of the null space, nothing else
+    calls.clear()
+    fidelity(rho, sigma)
+    assert len(calls) == 0
 
 
 def test_require_density_messages():

@@ -83,6 +83,20 @@ def test_fidelity_pure_shortcut_consistent():
     npt.assert_allclose(f_shortcut, f_general, atol=1e-4)
 
 
+@pytest.mark.parametrize("eps", [1e-9, 3e-9, 1e-8])
+def test_fidelity_near_pure_self_overlap_is_one(eps):
+    # The eps branch enters as sqrt(eps**2); rounding it away would read as a
+    # loss of 2 * eps, beyond the 1e-9 verification bound.
+    worst = 0.0
+    for d in (2, 4, 8):
+        for seed in range(10):
+            u = haar_unitary(d, 31 * d + seed)
+            rho = (u * ([1.0 - eps, eps] + [0.0] * (d - 2))) @ u.conj().T
+            rho = (rho + rho.conj().T) / 2
+            worst = max(worst, 1.0 - fidelity(rho, rho))
+    assert worst <= 1e-12
+
+
 def test_fidelity_multiplicative_under_tensor():
     for seed in range(5):
         a1, b1 = ginibre_density(2, seed), ginibre_density(2, 50 + seed)

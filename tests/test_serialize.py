@@ -154,3 +154,17 @@ def test_float_precision_survives():
     c = Circuit(1, [Ry(0, v) for v in values])
     back = circuit_from_dict(json.loads(json.dumps(circuit_to_dict(c))))
     assert [g.theta for g in back.gates] == values
+
+
+def test_integers_too_large_for_a_float_are_format_errors():
+    huge = 10 ** 400
+    gates = [
+        {"kind": "ry", "target": 0, "theta": huge},
+        {"kind": "mcry", "controls": [float("inf")], "bits": [1], "target": 1, "theta": 0.1},
+        {"kind": "unitary", "qubits": [0], "re": [[huge, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    ]
+    for gate in gates:
+        with pytest.raises(FormatError, match="gate 0"):
+            circuit_from_dict({"num_qubits": 2, "gates": [gate]})
+    with pytest.raises(FormatError):
+        density_from_dict({"dim": 1, "re": [[huge]], "im": [[0]]})

@@ -159,6 +159,14 @@ def test_run_validates():
         zero_state(0)
 
 
+@pytest.mark.parametrize("theta", [float("inf"), float("-inf"), float("nan")])
+def test_run_rejects_non_finite_angle(theta):
+    with pytest.raises(OutOfRangeError, match="not finite"):
+        run(Circuit(1, [Ry(0, theta)]))
+    with pytest.raises(OutOfRangeError, match="not finite"):
+        run(Circuit(2, [MultiControlledRy(((0, 1),), 1, theta)]))
+
+
 def test_reduced_density_bell():
     npt.assert_allclose(reduced_density(bell_state(), {0}), np.eye(2) / 2, atol=1e-15)
 
