@@ -7,6 +7,7 @@ and serialized without ceremony.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -100,7 +101,7 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
 
 
 def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
-    """Check wire indices, control-bit values, finite angles, and unitarity of matrix blocks."""
+    """Check wire indices, control-bit values, finite real angles, and unitarity of matrix blocks."""
     n = circuit.num_qubits
     if n < 1:
         raise IndexOutOfRangeError(f"circuit needs at least 1 qubit, got {n}")
@@ -122,9 +123,19 @@ def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
                     raise IndexOutOfRangeError(
                         f"gate {pos} control on qubit {q} has bit {b}, expected 0 or 1"
                     )
-        if isinstance(gate, (Ry, MultiControlledRy)) and not np.isfinite(gate.theta):
-            raise OutOfRangeError(f"gate {pos} angle {gate.theta!r} is not finite")
+        if isinstance(gate, (Ry, MultiControlledRy)) and not _is_finite_real(gate.theta):
+            raise OutOfRangeError(
+                f"gate {pos} angle {gate.theta!r:.40} is not finite or not a real number"
+            )
         if isinstance(gate, UnitaryBlock) and not is_unitary(gate.matrix, tol):
             raise NotUnitaryError(
                 f"gate {pos} matrix block is not unitary within tol={tol:g}"
             )
+
+
+def _is_finite_real(theta) -> bool:
+    """True for a real number that converts to a finite float (not an overflowing int)."""
+    try:
+        return math.isfinite(theta)
+    except (TypeError, OverflowError):
+        return False

@@ -2,11 +2,14 @@
 
 Spectra are rank-deficient, exactly degenerate, straddle RANK_TOL or
 TIE_TOL, or are near-pure, on padded (3, 5, 6, 7) and power-of-two
-dimensions.  Examples are derandomized, so every run checks the same ones.
+dimensions; others put the smallest eigenvalue just inside or just outside
+the validation tolerance.  Examples are derandomized, so every run checks
+the same ones.
 """
 import json
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -14,16 +17,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedprep import (
+    DEFAULT_TOL,
+    NotDensityMatrixError,
     build_preparation_circuit,
     circuit_to_dict,
     eig_hermitian,
+    eigenvalue_amplitudes,
     fidelity,
     orthonormal_completion,
     reduced_density,
     run,
     validate_circuit,
+    write_density_file,
 )
-from mixedprep.linalg import EIGVEC_ORTHO_TOL, RANK_TOL, TIE_TOL
+from mixedprep.cli import main
+from mixedprep.linalg import EIGVEC_ORTHO_TOL, FILE_VALIDATE_TOL, RANK_TOL, TIE_TOL
 
 DIMS = (2, 3, 4, 5, 6, 7, 8)
 TOL_MULTIPLES = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0)
@@ -66,9 +74,19 @@ def density_with_spectrum(w, seed):
     return (m + m.conj().T) / 2
 
 
+def density_below_zero(d, depth, seed):
+    """A d x d target whose smallest eigenvalue is -depth and whose trace is 1."""
+    w = np.random.default_rng(seed).uniform(0.05, 1.0, d)
+    w[-1] = 0.0
+    w *= (1.0 + depth) / w.sum()
+    w[-1] = -depth
+    return density_with_spectrum(w, seed)
+
+
 def compile_and_trace(rho):
     bundle = build_preparation_circuit(rho)
-    return bundle, reduced_density(run(bundle.circuit), bundle.system_qubits)
+    state = run(bundle.circuit)
+    return bundle, state, reduced_density(state, bundle.system_qubits)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -76,12 +94,17 @@ def compile_and_trace(rho):
 def test_generated_spectra_compile_exactly_and_deterministically(case):
     _, w, seed = case
     rho = density_with_spectrum(w, seed)
-    bundle, prepared = compile_and_trace(rho)
+    bundle, state, prepared = compile_and_trace(rho)
 
     assert 1.0 - fidelity(prepared, bundle.target) <= 1e-9
     validate_circuit(bundle.circuit)
 
-    again, prepared_again = compile_and_trace(rho.copy())
+    # Closed form of the purification: amplitude (s, a) is V[s, a] * sqrt(lambda_a).
+    d = bundle.target.shape[0]
+    closed_form = bundle.spectral.eigenvectors * eigenvalue_amplitudes(bundle.spectral)
+    npt.assert_allclose(state.reshape(d, d), closed_form, rtol=0, atol=1e-12)
+
+    again, _, prepared_again = compile_and_trace(rho.copy())
     assert json.dumps(circuit_to_dict(again.circuit)) == json.dumps(circuit_to_dict(bundle.circuit))
     assert prepared_again.tobytes() == prepared.tobytes()
 
@@ -94,3 +117,20 @@ def test_generated_spectra_compile_exactly_and_deterministically(case):
     assert np.array_equal(block, oracle)
     assert np.array_equal(bundle.spectral.eigenvectors, block)
 
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(DIMS), st.integers(0, 2 ** 32 - 1))
+def test_negative_eigenvalue_edge_at_library_tol(d, seed):
+    bundle, _, prepared = compile_and_trace(density_below_zero(d, 0.99 * DEFAULT_TOL, seed))
+    assert 1.0 - fidelity(prepared, bundle.target) <= 1e-9
+    with pytest.raises(NotDensityMatrixError, match="positive semidefinite"):
+        build_preparation_circuit(density_below_zero(d, 1.01 * DEFAULT_TOL, seed))
+
+
+@pytest.mark.parametrize("factor, code", [(0.99, 0), (1.01, 2)])
+def test_negative_eigenvalue_edge_at_file_tol(tmp_path, capsys, factor, code):
+    path = tmp_path / "rho.json"
+    write_density_file(path, density_below_zero(4, factor * FILE_VALIDATE_TOL, 3))
+    out = tmp_path / "c.json"
+    assert main(["prepare", "--input", str(path), "--out", str(out), "--quiet"]) == code
+    assert ("positive semidefinite" in capsys.readouterr().err) == bool(code)

@@ -133,8 +133,11 @@ def test_norm_preserved():
         UnitaryBlock((3,), H),
     ]
     for g in gates:
-        psi = apply_gate(psi, g)
-        npt.assert_allclose(np.linalg.norm(psi), 1.0, atol=1e-12)
+        before = psi.copy()
+        out = apply_gate(psi, g)
+        npt.assert_array_equal(psi, before)  # the input is left untouched
+        npt.assert_allclose(np.linalg.norm(out), 1.0, atol=1e-12)
+        psi = out
 
 
 def test_run_empty_circuit():
@@ -159,7 +162,10 @@ def test_run_validates():
         zero_state(0)
 
 
-@pytest.mark.parametrize("theta", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize(
+    "theta",
+    [float("inf"), float("-inf"), float("nan"), pytest.param(10 ** 400, id="int-beyond-float")],
+)
 def test_run_rejects_non_finite_angle(theta):
     with pytest.raises(OutOfRangeError, match="not finite"):
         run(Circuit(1, [Ry(0, theta)]))
@@ -238,6 +244,22 @@ def test_sample_label_validation():
         sample_pauli(bell_state(), "X", 10, 0)  # wrong length
     with pytest.raises(OutOfRangeError):
         sample_pauli(bell_state(), "XX", 0, 0)
+
+
+@pytest.mark.parametrize("shots", [2.5, "10"], ids=["float", "str"])
+def test_sample_rejects_non_integer_shots(shots):
+    with pytest.raises(OutOfRangeError, match="integer"):
+        sample_pauli(bell_state(), "ZZ", shots, 1)
+
+
+@pytest.mark.parametrize(
+    "qubits",
+    [(0, 5), (0, -1), (0, 0), ()],
+    ids=["out-of-range", "negative", "repeated", "empty"],
+)
+def test_sample_expectations_rejects_bad_qubits(qubits):
+    with pytest.raises(IndexOutOfRangeError):
+        sample_pauli_expectations(bell_state(), qubits, 100, 0)
 
 
 def test_sample_expectations_table():
