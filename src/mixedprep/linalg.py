@@ -10,7 +10,8 @@ finite entries, Hermiticity and trace, then positivity read off the one
 
 The canonical eigenbasis is built, by :func:`canonical_eigenvectors`, only
 where a basis leaves the library: :func:`eig_hermitian` and the support
-columns of the compiled basis-change block.  Square roots read the raw ``eigh``.
+columns of the compiled block, which :func:`orthonormal_completion` fills up
+from one complete Householder QR.  Square roots read the raw ``eigh``.
 
 Every threshold of the package is a constant here:
 
@@ -170,20 +171,20 @@ def canonical_eigenvectors(w: np.ndarray, v: np.ndarray, count: int) -> tuple:
             stop += 1
         if stop - start > 1:  # Gram-Schmidt on the projections of e_0, e_1, ... onto the group
             proj = v[:, start:stop] @ v[:, start:stop].conj().T
-            candidates = (proj[:, j].copy() for j in range(d))
-            out[:, start:stop] = _gram_schmidt([], candidates, min(stop, count) - start)
+            out[:, start:stop] = _gram_schmidt(proj.T.copy(), min(stop, count) - start)
         start = stop
     for j in range(count):
         out[:, j] = _phase_fixed(out[:, j])
     return w, out
 
 
-def _gram_schmidt(basis: list, candidates, size: int) -> np.ndarray:
-    """Extend orthonormal ``basis`` columns by ``candidates`` to ``size`` columns.
+def _gram_schmidt(candidates, size: int) -> np.ndarray:
+    """Orthonormalize the ``candidates`` in order until there are ``size`` columns.
 
     Each candidate is orthogonalized twice (the second pass restores
     precision); residuals no longer than :data:`GS_DROP_TOL` are skipped.
     """
+    basis = []
     for vec in candidates:
         if len(basis) == size:
             break
@@ -241,12 +242,8 @@ def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
         )
     dropped = [q for q in range(total_qubits) if q not in kept]
     t = m.reshape([2] * (2 * total_qubits))
-    perm = (
-        kept
-        + dropped
-        + [total_qubits + q for q in kept]
-        + [total_qubits + q for q in dropped]
-    )
+    order = kept + dropped
+    perm = order + [total_qubits + q for q in order]
     dk = 2 ** len(kept)
     dd = 2 ** len(dropped)
     t = t.transpose(perm).reshape(dk, dd, dk, dd)
@@ -262,9 +259,9 @@ def orthonormal_completion(partial_cols, tol: float = DEFAULT_TOL) -> np.ndarray
     """Extend orthonormal columns to a full unitary.
 
     The input columns are kept verbatim as the leading columns; the missing
-    ones are produced by Gram-Schmidt against the canonical basis vectors in
-    index order, which makes the completion deterministic.  An empty
-    ``(d, 0)`` input yields the identity.
+    ones are the trailing columns of a complete Householder QR of the input,
+    deterministic for a given LAPACK.  An empty ``(d, 0)`` input yields the
+    identity; NaN or infinite entries raise :class:`NotOrthonormalError`.
     """
     q = np.asarray(partial_cols, dtype=complex)
     if q.ndim != 2:
@@ -272,12 +269,13 @@ def orthonormal_completion(partial_cols, tol: float = DEFAULT_TOL) -> np.ndarray
     d, k = q.shape
     if k > d:
         raise DimensionMismatchError(f"cannot fit {k} orthonormal columns in dimension {d}")
-    if k:
-        gram = q.conj().T @ q
-        err = float(np.abs(gram - np.eye(k)).max())
-        if err > tol:
-            raise NotOrthonormalError(
-                f"columns are not orthonormal: max Gram deviation {err:.3e} > {tol:g}"
-            )
-    units = (np.eye(1, d, j, dtype=complex)[0] for j in range(d))  # e_0, e_1, ...
-    return _gram_schmidt([q[:, j] for j in range(k)], units, d)
+    if not np.isfinite(q).all():
+        raise NotOrthonormalError("columns have NaN or infinite entries")
+    err = float(np.abs(q.conj().T @ q - np.eye(k)).max(initial=0.0))
+    if not err <= tol:
+        raise NotOrthonormalError(
+            f"columns are not orthonormal: max Gram deviation {err:.3e} > {tol:g}"
+        )
+    if k == d:
+        return q.copy()
+    return np.hstack([q, np.linalg.qr(q, mode="complete")[0][:, k:]])

@@ -75,7 +75,13 @@ def _apply(ten: np.ndarray, gate: Gate) -> None:
         controls = gate.controls if isinstance(gate, MultiControlledRy) else ()
         a0, a1 = _pair(ten, gate.target, controls)
         c, s = math.cos(gate.theta / 2.0), math.sin(gate.theta / 2.0)
-        a0[...], a1[...] = c * a0 - s * a1, s * a0 + c * a1
+        # a0, a1 = c*a0 - s*a1, c*a1 + s*a0 in place: addition commutes, so the
+        # rounding is that of s*a0 + c*a1, and only s*a0 and s*a1 are temporaries
+        tmp = s * a0
+        a0 *= c
+        a0 -= s * a1
+        a1 *= c
+        a1 += tmp
 
 
 def _pair(ten: np.ndarray, target: int, controls) -> tuple:

@@ -105,18 +105,22 @@ def test_canonical_basis_built_only_for_the_compile_block(monkeypatch):
 
     monkeypatch.setattr(linalg, "_gram_schmidt", counted)
 
-    def rank2(seed):  # distinct eigenvalues 0.7, 0.3 and a six-fold zero
+    def rank2(seed, weights):  # two support eigenvalues and a six-fold zero
         rng = np.random.default_rng(seed)
         q = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))[0]
-        m = (q * [0.7, 0.3]) @ q.conj().T
+        m = (q * weights) @ q.conj().T
         return (m + m.conj().T) / 2
 
-    rho, sigma = rank2(1), rank2(2)
-    build_preparation_circuit(rho)
-    assert len(calls) == 1  # the completion of the null space, nothing else
-    calls.clear()
-    fidelity(rho, sigma)
-    assert len(calls) == 0
+    # distinct eigenvalues: the null space is completed by QR, not Gram-Schmidt
+    # tied eigenvalues: one Gram-Schmidt, for the tie group of the support
+    for weights, compile_calls in (([0.7, 0.3], 0), ([0.5, 0.5], 1)):
+        rho, sigma = rank2(1, weights), rank2(2, weights)
+        calls.clear()
+        build_preparation_circuit(rho)
+        assert len(calls) == compile_calls
+        calls.clear()
+        fidelity(rho, sigma)
+        assert len(calls) == 0
 
 
 def test_require_density_messages():
@@ -241,17 +245,31 @@ def test_partial_trace_errors():
 
 
 def test_orthonormal_completion():
-    # empty input completes to the identity
-    npt.assert_allclose(orthonormal_completion(np.zeros((4, 0))), np.eye(4), atol=0)
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        q = np.linalg.qr(g)[0]
-        u = orthonormal_completion(q)
-        npt.assert_array_equal(u[:, :3], q)  # kept verbatim
-        npt.assert_allclose(u.conj().T @ u, np.eye(6), atol=1e-12)
-        # deterministic
-        npt.assert_array_equal(u, orthonormal_completion(q))
+    for d in (2, 8, 64, 256):
+        # empty input completes to exactly the identity
+        npt.assert_array_equal(orthonormal_completion(np.zeros((d, 0))), np.eye(d))
+        for k in sorted({1, d // 2, d - 1, d}):
+            rng = np.random.default_rng(1000 * d + k)
+            g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+            q = np.linalg.qr(g)[0]
+            u = orthonormal_completion(q)
+            assert u.shape == (d, d)
+            npt.assert_array_equal(u[:, :k], q)  # kept verbatim
+            assert np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-12
+            npt.assert_array_equal(u, orthonormal_completion(q))  # deterministic
+            if k == d:  # a new array: writing to it leaves the input alone
+                kept = q.copy()
+                u[0, 0] += 1.0
+                npt.assert_array_equal(q, kept)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("k", [1, 3])
+def test_orthonormal_completion_rejects_non_finite(bad, k):
+    q = np.eye(3, dtype=complex)[:, :k]
+    q[0, 0] = bad
+    with pytest.raises(NotOrthonormalError, match="NaN or infinite"):
+        orthonormal_completion(q)
 
 
 def test_orthonormal_completion_errors():
