@@ -4,9 +4,11 @@ Matrices are plain numpy arrays with complex entries.  Qubit 0 is always
 the most significant bit of a basis-state index, so the first tensor
 factor of a Kronecker product owns the leading block of the matrix.
 
-Density matrices are checked in one place, :func:`density_eigh`: shape,
-finite entries, Hermiticity and trace, then positivity read off the one
-``eigh`` it returns, so a caller that needs the spectrum never solves twice.
+Density matrices are checked in one place: shape, finite entries,
+Hermiticity and trace, then positivity.  :func:`density_eigh` reads
+positivity off the one ``eigh`` it returns, so a caller that needs the
+spectrum never solves twice; :func:`density_factor` reads it off a Cholesky
+factorization and solves only when that fails.
 
 The canonical eigenbasis is built, by :func:`canonical_eigenvectors`, only
 where a basis leaves the library: :func:`eig_hermitian` and the support
@@ -23,12 +25,14 @@ FILE_VALIDATE_TOL   1e-8   slack for matrices read from files and the CLI
 TIE_TOL             1e-12  eigenvalues this close form one degenerate group
 RANK_TOL            1e-12  eigenvalues above it get an eigenvector column
 CONC_RANK_TOL       1e-14  smaller eigenvalues are exact zeros in concurrence
-PURE_TOL            1e-12  a top eigenvalue this near 1 makes fidelity pure
 RENORM_TOL          1e-12  clamping that moves the eigenvalue sum more renorms
 GS_DROP_TOL         1e-8   Gram-Schmidt drops residuals shorter than this
 EIGVEC_ORTHO_TOL    1e-8   Gram deviation accepted of solver eigenvectors
 PROB_TOL            1e-12  rounding slack of family probabilities/eigenvalues
 ==================  =====  ===================================================
+
+The floor of :func:`density_factor` is not in the table: it is d * eps, the
+rounding level of a trace-1 matrix, so it scales with the dimension.
 """
 from __future__ import annotations
 
@@ -50,7 +54,6 @@ FILE_VALIDATE_TOL = 1e-8
 TIE_TOL = 1e-12
 RANK_TOL = 1e-12
 CONC_RANK_TOL = 1e-14
-PURE_TOL = 1e-12
 RENORM_TOL = 1e-12
 GS_DROP_TOL = 1e-8
 EIGVEC_ORTHO_TOL = 1e-8
@@ -77,6 +80,24 @@ def _eigh(m: np.ndarray) -> tuple:
         raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
 
+def _require_unit_trace(m, tol: float) -> np.ndarray:
+    """``m`` as a complex array once it is square, finite, Hermitian and of trace 1."""
+    m = _require_hermitian(m, tol, NotDensityMatrixError)
+    dev = abs(complex(np.trace(m)) - 1.0)
+    if dev > tol:
+        raise NotDensityMatrixError(f"trace deviates from 1 by {dev:.3e} > {tol:g}")
+    return m
+
+
+def _positive_eigh(m: np.ndarray, tol: float) -> tuple:
+    w, v = _eigh(m)
+    if w[0] < -tol:
+        raise NotDensityMatrixError(
+            f"matrix is not positive semidefinite: minimum eigenvalue {w[0]:.3e} < -{tol:g}"
+        )
+    return w, v
+
+
 def density_eigh(m, tol: float = DEFAULT_TOL) -> tuple:
     """Validate a density matrix; return ``(m, w, v)`` with ``w, v = eigh(m)``.
 
@@ -84,16 +105,32 @@ def density_eigh(m, tol: float = DEFAULT_TOL) -> tuple:
     :class:`NotDensityMatrixError` naming the first violated invariant:
     shape, finite entries, Hermiticity, trace, or positivity.
     """
-    m = _require_hermitian(m, tol, NotDensityMatrixError)
-    dev = abs(complex(np.trace(m)) - 1.0)
-    if dev > tol:
-        raise NotDensityMatrixError(f"trace deviates from 1 by {dev:.3e} > {tol:g}")
-    w, v = _eigh(m)
-    if w[0] < -tol:
-        raise NotDensityMatrixError(
-            f"matrix is not positive semidefinite: minimum eigenvalue {w[0]:.3e} < -{tol:g}"
-        )
-    return m, w, v
+    m = _require_unit_trace(m, tol)
+    return (m, *_positive_eigh(m, tol))
+
+
+def density_factor(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Validate a density matrix as :func:`density_eigh` does; return ``a`` with ``m = a a^dagger``.
+
+    ``a`` is the Cholesky factor when its pivots all exceed the floor d * eps:
+    no eigensolve, and a completed Cholesky of a trace-1 matrix certifies
+    eigenvalues >= -(d + 1) * eps (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 10), far inside any tolerance.  Otherwise the
+    matrix is indefinite or numerically singular: positivity is read off
+    ``eigh`` and ``a`` is the support columns ``v * sqrt(w)``, ``w`` above
+    the floor, one column for a pure state.
+    """
+    m = _require_unit_trace(m, tol)
+    floor = m.shape[0] * np.finfo(float).eps
+    try:
+        a = np.linalg.cholesky(m)
+        if np.diagonal(a).real.min() ** 2 > floor:
+            return a
+    except np.linalg.LinAlgError:
+        pass
+    w, v = _positive_eigh(m, tol)
+    keep = w > floor
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def require_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -123,7 +160,8 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     gram = m.conj().T @ m
-    return float(np.abs(gram - np.eye(m.shape[0])).max()) <= tol
+    gram.reshape(-1)[:: m.shape[0] + 1] -= 1  # U^dagger U - I without an identity array
+    return float(np.abs(gram).max()) <= tol
 
 
 @dataclass

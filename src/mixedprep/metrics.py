@@ -20,8 +20,8 @@ from .errors import (
 from .linalg import (
     CONC_RANK_TOL,
     DEFAULT_TOL,
-    PURE_TOL,
     density_eigh,
+    density_factor,
     partial_trace,
     require_density,
 )
@@ -70,27 +70,23 @@ def purity(rho) -> float:
 def fidelity(rho, sigma, tol: float = DEFAULT_TOL) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2, clipped to [0, 1].
 
-    When either argument is numerically pure the quadratic form <psi|other|psi>
-    is used.  Otherwise the trace is the sum of the singular values of
-    sqrt(rho) sqrt(sigma), i.e. of diag(sqrt w_rho) V_rho^dagger V_sigma
-    diag(sqrt w_sigma): the SVD resolves small ones at absolute precision,
-    where rooting eigenvalues of sqrt(rho) sigma sqrt(rho) loses half the digits.
+    For factors rho = A A^dagger and sigma = B B^dagger from
+    :func:`~mixedprep.linalg.density_factor` the trace is the sum of the
+    singular values of A^dagger B (Uhlmann, Rep. Math. Phys. 9, 273 (1976);
+    Jozsa, J. Mod. Opt. 41, 2315 (1994)), which the SVD resolves at absolute
+    precision.  A pure state is a one-column factor.
+
+    Limit: an eigenvalue at the rounding level d * eps of a float matrix, a
+    zero included, is noise; where the other state has weight on its
+    eigenvector it moves F by about sqrt(d * eps) for any method (4.5e-9
+    against a 50-digit reference at d <= 8).
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise DimensionMismatchError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
-    rho, w_rho, v_rho = density_eigh(rho, tol)
-    sigma, w_sigma, v_sigma = density_eigh(sigma, tol)
-
-    for w, v, other in ((w_rho, v_rho, sigma), (w_sigma, v_sigma, rho)):
-        if w[-1] >= 1.0 - PURE_TOL:
-            psi = v[:, -1]
-            val = float((psi.conj() @ other @ psi).real)
-            return min(max(val, 0.0), 1.0)
-
-    m = np.sqrt(np.clip(w_rho, 0.0, None))[:, None] * (v_rho.conj().T @ v_sigma)
-    s = np.linalg.svd(m * np.sqrt(np.clip(w_sigma, 0.0, None)), compute_uv=False)
+    a, b = density_factor(rho, tol), density_factor(sigma, tol)
+    s = np.linalg.svd(a.conj().T @ b, compute_uv=False)
     return min(float(s.sum() ** 2), 1.0)
 
 

@@ -20,6 +20,7 @@ from mixedprep import (
     partial_trace,
     require_density,
 )
+from mixedprep.linalg import density_factor
 from mixedprep.states import ginibre_density
 
 
@@ -44,6 +45,45 @@ def test_predicates():
     assert is_density(np.eye(2) / 2)
     assert not is_density(np.eye(2))          # trace 2
     assert not is_density(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def haar_unitary(d, seed):
+    q, r = np.linalg.qr(random_hermitian(d, seed) + 1j * random_hermitian(d, seed + 1))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@pytest.mark.parametrize("d", [2, 8, 64])
+def test_is_unitary_tolerance_edge(d):
+    tol = 1e-10
+
+    def stretched(dev):  # column 0 scaled so that (U^dagger U)[0, 0] = 1 + dev
+        u = haar_unitary(d, d)
+        u[:, 0] *= np.sqrt(1.0 + dev)
+        return u
+
+    assert is_unitary(stretched(0.5 * tol), tol)
+    assert not is_unitary(stretched(2.0 * tol), tol)
+    nan_entry = haar_unitary(d, d)
+    nan_entry[d - 1, 0] = np.nan
+    assert not is_unitary(nan_entry, tol)
+    assert not is_unitary(haar_unitary(d, d)[:, :-1], tol)
+
+
+def test_density_factor_reproduces_the_matrix():
+    def padded(seed, rank):  # a Haar-rotated rank-deficient density matrix
+        u = haar_unitary(8, seed)
+        w = np.concatenate([np.random.default_rng(seed).dirichlet(np.ones(rank)), np.zeros(8 - rank)])
+        m = (u * w) @ u.conj().T
+        return (m + m.conj().T) / 2
+
+    for m, cols in [(random_density(8, 3), 8), (padded(4, 3), 3), (padded(5, 1), 1)]:
+        a = density_factor(m)
+        assert a.shape == (8, cols)
+        npt.assert_allclose(a @ a.conj().T, m, atol=1e-14)
+    with pytest.raises(NotDensityMatrixError, match="positive semidefinite"):
+        density_factor(np.diag([1.5, -0.5]))
+    with pytest.raises(NotDensityMatrixError, match="trace"):
+        density_factor(np.eye(2))
 
 
 @pytest.mark.parametrize(
@@ -89,8 +129,19 @@ def test_one_hermitian_solve_per_density_matrix(monkeypatch):
 
     rho, sigma = random_density(4, 1), random_density(4, 2)
     assert solves(build_preparation_circuit, rho) == 1
-    assert solves(fidelity, rho, sigma) == 2  # plus one SVD, not a Hermitian solve
+    assert solves(fidelity, rho, sigma) == 0  # two Cholesky factors and one SVD
     assert solves(concurrence, rho) == 1
+
+    # a zero row and column stop the Cholesky, so a rank-deficient argument
+    # pays one eigh for its support columns
+    def rank_deficient(seed):
+        m = np.zeros((4, 4), dtype=complex)
+        m[:2, :2] = random_density(2, seed)
+        return m
+
+    assert solves(fidelity, rank_deficient(1), sigma) == 1
+    assert solves(fidelity, rho, rank_deficient(2)) == 1
+    assert solves(fidelity, rank_deficient(1), rank_deficient(2)) == 2
 
 
 def test_canonical_basis_built_only_for_the_compile_block(monkeypatch):

@@ -7,6 +7,7 @@ from mixedprep import (
     BadLabelError,
     DimensionMismatchError,
     MissingExpectationError,
+    NotDensityMatrixError,
     build_preparation_circuit,
     c1_state,
     concurrence,
@@ -72,8 +73,8 @@ def test_fidelity_symmetric():
 
 
 def test_fidelity_pure_shortcut_consistent():
-    # near-pure state through both code paths; fidelity shifts like
-    # sqrt(mixing weight), so eta = 1e-10 keeps the gap below ~2e-5
+    # a pure state (a one-column factor) against a near-pure one; fidelity
+    # shifts like sqrt(mixing weight), so eta = 1e-10 keeps the gap below ~2e-5
     eta = 1e-10
     psi = proj([1, 1j, 0.5, 0])
     rho = ginibre_density(4, 3)
@@ -121,6 +122,113 @@ def test_fidelity_iff_equal():
     b = ginibre_density(4, 8)
     assert fidelity(a, a) >= 1 - 1e-10
     assert fidelity(a, b) < 1 - 1e-5
+
+
+def with_spectrum(p, u):
+    m = (u * np.asarray(p, dtype=float)) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+def oracle_spectra(d, rng):
+    """Spectrum pairs (p, q) for commuting states, and whether a rotation keeps them exact."""
+    def mixed():
+        return rng.dirichlet(np.ones(d))
+
+    zeros = [0.0] * (d - 2)
+    support = np.concatenate([np.ones(d // 2), np.zeros(d - d // 2)])
+    pairs = [(mixed(), mixed(), True)]
+    # both sides of the 1e-12 top-weight threshold of the former pure-state shortcut
+    for eps in (1e-14, 1e-13, 9e-13, 1.1e-12, 1e-11, 1e-9):
+        pairs.append(([1.0 - eps, eps] + zeros, mixed(), False))
+        pairs.append(([1.0 - eps, eps] + zeros, [eps, 1.0 - eps] + zeros, False))
+    pairs.append(([1.0, 0.0] + zeros, mixed(), False))
+    # rank-deficient pairs: on one support, and on overlapping supports
+    p, q = mixed() * support, mixed() * support
+    pairs.append((p / p.sum(), q / q.sum(), True))
+    q = mixed() * support[::-1]
+    pairs.append((p / p.sum(), q / q.sum(), False))
+    return pairs
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_fidelity_commuting_pairs_match_closed_form(d):
+    # rho = U diag(p) U^dagger and sigma = U diag(q) U^dagger have
+    # F = (sum_i sqrt(p_i q_i))**2.  With U = I the float matrices hold p and q
+    # exactly.  A Haar U rounds every entry by ~eps, which moves a weight eps'
+    # of the spectrum by ~eps and so F by ~eps / sqrt(eps') (1e-10 at
+    # eps' = 1e-12) for any method; rotated cases therefore keep every weight
+    # either well above rounding or zero on both sides.
+    rng = np.random.default_rng(d)
+    for p, q, rotate in oracle_spectra(d, rng):
+        exact = float(np.sum(np.sqrt(np.multiply(p, q))) ** 2)
+        for u in [np.eye(d), haar_unitary(d, 70 + d)] if rotate else [np.eye(d)]:
+            rho, sigma = with_spectrum(p, u), with_spectrum(q, u)
+            assert abs(fidelity(rho, sigma) - exact) <= 1e-12, (p, q)
+            assert abs(fidelity(sigma, rho) - exact) <= 1e-12, (p, q)
+    # the former shortcut read this as <psi|sigma|psi> = 0.5
+    eps = 9e-13
+    npt.assert_allclose(
+        fidelity(np.diag([1.0 - eps, eps]), np.eye(2) / 2),
+        0.5 + np.sqrt(eps * (1.0 - eps)), rtol=0, atol=1e-15,
+    )
+
+
+def mp_fidelity(rho, sigma):
+    """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2 of the float matrices in mpmath."""
+    import mpmath
+
+    def mat(m):
+        return mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in m.tolist()])
+
+    w, v = mpmath.eighe(mat(rho))
+    root = v * mpmath.diag([mpmath.sqrt(x) if x > 0 else 0 for x in w]) * v.H
+    m = root * mat(sigma) * root
+    w = mpmath.eighe((m + m.H) / 2, eigvals_only=True)
+    return sum(mpmath.sqrt(x) for x in w if x > 0) ** 2
+
+
+def test_fidelity_against_50_digit_reference():
+    mpmath = pytest.importorskip("mpmath")
+    worst = {"near-pure": 0.0, "ginibre": 0.0, "rank-deficient": 0.0}
+    with mpmath.workdps(50):
+        for i in range(20):
+            d = (2, 4, 8)[i % 3]
+            rng = np.random.default_rng(i)
+            eps = 10.0 ** rng.uniform(-13, -8)  # smallest weight >= 7e-15, above rounding
+            tail = rng.uniform(1.0, 2.0, d - 1)
+            near_pure = np.concatenate([[1.0 - eps], tail * eps / tail.sum()])
+            k = int(rng.integers(1, d))
+            deficient = np.concatenate([rng.dirichlet(np.ones(k)), np.zeros(d - k)])
+            cases = [
+                ("near-pure", with_spectrum(near_pure, haar_unitary(d, i)), ginibre_density(d, 100 + i)),
+                ("ginibre", ginibre_density(d, 200 + i), ginibre_density(d, 300 + i)),
+                ("rank-deficient", with_spectrum(deficient, haar_unitary(d, 400 + i)),
+                 ginibre_density(d, 500 + i)),
+            ]
+            for kind, rho, sigma in cases:
+                err = abs(fidelity(rho, sigma) - float(mp_fidelity(rho, sigma)))
+                worst[kind] = max(worst[kind], err)
+    assert worst["near-pure"] <= 1e-9  # measured 1.3e-11
+    assert worst["ginibre"] <= 1e-9  # measured 5.6e-16
+    # A zero eigenvalue is stored as rounding noise of ~d * eps, and sigma has
+    # weight on its eigenvector: F moves by up to ~sqrt(d * eps) = 4.2e-8 at
+    # d = 8, for every method.
+    assert worst["rank-deficient"] <= 1e-8  # measured 4.5e-9
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (np.array([[0.5, np.nan], [np.nan, 0.5]]), "NaN or infinite"),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
+        (np.eye(2), "trace"),
+    ],
+    ids=["nan", "non-hermitian", "trace-2"],
+)
+def test_fidelity_rejects_invalid_arguments(bad, match):
+    for args in ((bad, np.eye(2) / 2), (np.eye(2) / 2, bad)):
+        with pytest.raises(NotDensityMatrixError, match=match):
+            fidelity(*args)
 
 
 def test_l1_coherence():
