@@ -60,43 +60,37 @@ def make_family_state(text: str, default_seed: int) -> np.ndarray:
         kv[key.strip()] = val.strip()
 
     if name == "ginibre":
-        d = _int_param(kv, "d", text)
-        seed = _int_param(kv, "seed", text, default=default_seed)
+        d = _param(kv, "d", text, int)
+        seed = _param(kv, "seed", text, int, default=default_seed)
         _reject_extras(kv, {"d", "seed"}, text)
         return ginibre_density(d, seed)
     if name == "xstate":
-        theta = _float_param(kv, "theta", text, default=math.pi / 8)
-        phi = _float_param(kv, "phi", text, default=math.pi / 8)
-        p00 = _float_param(kv, "p00", text, default=0.5)
+        theta = _param(kv, "theta", text, float, default=math.pi / 8)
+        phi = _param(kv, "phi", text, float, default=math.pi / 8)
+        p00 = _param(kv, "p00", text, float, default=0.5)
         _reject_extras(kv, {"theta", "phi", "p00"}, text)
         return p00_family(p00, theta, phi)
     if name == "c1":
-        c1 = _float_param(kv, "c1", text)
+        c1 = _param(kv, "c1", text, float)
         _reject_extras(kv, {"c1"}, text)
         return c1_state(c1)
     raise FormatError(f"unknown family {name!r} (expected ginibre, xstate, or c1)")
 
 
-def _int_param(kv, key, text, default=None):
+def _param(kv, key, text, kind, default=None):
+    """``kv[key]`` parsed as ``kind`` (int, or float and finite), else ``default``."""
     if key not in kv:
         if default is None:
             raise FormatError(f"family spec {text!r}: missing required key {key!r}")
         return default
     try:
-        return int(kv[key])
+        value = kind(kv[key])
     except ValueError:
-        raise FormatError(f"family spec {text!r}: {key} must be an integer") from None
-
-
-def _float_param(kv, key, text, default=None):
-    if key not in kv:
-        if default is None:
-            raise FormatError(f"family spec {text!r}: missing required key {key!r}")
-        return default
-    try:
-        return float(kv[key])
-    except ValueError:
-        raise FormatError(f"family spec {text!r}: {key} must be a number") from None
+        value = None
+    if value is None or (kind is float and not math.isfinite(value)):
+        what = "an integer" if kind is int else "a finite number"
+        raise FormatError(f"family spec {text!r}: {key} must be {what}")
+    return value
 
 
 def _reject_extras(kv, allowed, text):
@@ -105,9 +99,9 @@ def _reject_extras(kv, allowed, text):
         raise FormatError(f"family spec {text!r}: unknown key {extras[0]!r}")
 
 
-def _load_density(path, args) -> np.ndarray:
-    gate = None if getattr(args, "no_validate", False) else FILE_VALIDATE_TOL
-    return read_density_file(path, gate)
+def _load_density(path) -> np.ndarray:
+    """Read a density file unchecked: its consumer validates it once, at ``--tol``."""
+    return read_density_file(path, validate_tol=None)
 
 
 def _file_digest(path) -> str:
@@ -117,7 +111,7 @@ def _file_digest(path) -> str:
 
 def cmd_prepare(args) -> int:
     if args.input:
-        rho = _load_density(args.input, args)
+        rho = _load_density(args.input)
         source = f"sha256:{_file_digest(args.input)}"
     else:
         rho = make_family_state(args.family, args.seed)
@@ -156,11 +150,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    rho = _load_density(args.state, args)
+    rho = _load_density(args.state)
     if args.metric == "fidelity":
         if not args.target:
             raise FormatError("--metric fidelity requires --target")
-        sigma = _load_density(args.target, args)
+        sigma = _load_density(args.target)
         value = fidelity(rho, sigma, args.tol)
     elif args.metric == "coherence":
         value = l1_coherence(rho, args.tol)
@@ -295,13 +289,14 @@ def cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # one parent per shared flag, so that each subcommand takes only the flags it reads
+    tol, seed, quiet = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    tol.add_argument(
         "--tol", type=float, default=FILE_VALIDATE_TOL,
         help="numerical tolerance (default %(default)g)",
     )
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
-    common.add_argument("--quiet", action="store_true", help="suppress progress output")
+    seed.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+    quiet.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     parser = argparse.ArgumentParser(
         prog="mixedprep",
@@ -314,19 +309,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "prepare",
-        parents=[common],
+        parents=[tol, seed, quiet],
         help="compile a density matrix into a preparation circuit file",
     )
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", metavar="DENSITY_FILE", help="density-matrix JSON file")
     src.add_argument("--family", metavar="SPEC", help=_FAMILY_HELP)
     p.add_argument("--out", required=True, metavar="CIRCUIT_FILE")
-    p.add_argument(
-        "--no-validate", action="store_true", help="skip the density check on file input"
-    )
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("simulate", parents=[common], help="run a circuit file exactly")
+    p = sub.add_parser("simulate", parents=[tol, quiet], help="run a circuit file exactly")
     p.add_argument("--circuit", required=True, metavar="CIRCUIT_FILE")
     p.add_argument(
         "--trace-ancillas",
@@ -336,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="DENSITY_FILE")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("metrics", parents=[common], help="print a metric of a state file")
+    p = sub.add_parser("metrics", parents=[tol], help="print a metric of a state file")
     p.add_argument("--state", required=True, metavar="DENSITY_FILE")
     p.add_argument("--target", metavar="DENSITY_FILE", help="second state for fidelity")
     p.add_argument(
@@ -345,13 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["fidelity", "coherence", "local-coherence", "concurrence"],
     )
     p.add_argument("--subsystem", choices=["A", "B"], default="A")
-    p.add_argument(
-        "--no-validate", action="store_true", help="skip the density check on file input"
-    )
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser(
-        "reproduce", parents=[common], help="regenerate a benchmark sweep as CSV"
+        "reproduce", parents=[tol, seed, quiet], help="regenerate a benchmark sweep as CSV"
     )
     p.add_argument("--figure", required=True, metavar="ID", help="2 or 3")
     p.add_argument("--out", required=True, metavar="CSV_FILE")
@@ -363,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("gen", parents=[common], help="write a family state to a file")
+    p = sub.add_parser("gen", parents=[seed, quiet], help="write a family state to a file")
     p.add_argument("--family", required=True, metavar="SPEC", help=_FAMILY_HELP)
     p.add_argument("--out", required=True, metavar="DENSITY_FILE")
     p.set_defaults(func=cmd_gen)

@@ -5,10 +5,11 @@ the most significant bit of a basis-state index, so the first tensor
 factor of a Kronecker product owns the leading block of the matrix.
 
 Density matrices are checked in one place: shape, finite entries,
-Hermiticity and trace, then positivity.  :func:`density_eigh` reads
-positivity off the one ``eigh`` it returns, so a caller that needs the
-spectrum never solves twice; :func:`density_factor` reads it off a Cholesky
-factorization and solves only when that fails.
+Hermiticity and trace, then positivity.  :func:`density_factor` reads
+positivity off a Cholesky factorization and solves only when that fails;
+it is the check of every caller that does not need the spectrum.
+:func:`density_eigh` reads positivity off the one ``eigh`` it returns, so
+compile, the one caller that needs the spectrum, never solves twice.
 
 The canonical eigenbasis is built, by :func:`canonical_eigenvectors`, only
 where a basis leaves the library: :func:`eig_hermitian` and the support
@@ -24,7 +25,6 @@ DEFAULT_TOL         1e-10  validation slack of library calls on computed data
 FILE_VALIDATE_TOL   1e-8   slack for matrices read from files and the CLI
 TIE_TOL             1e-12  eigenvalues this close form one degenerate group
 RANK_TOL            1e-12  eigenvalues above it get an eigenvector column
-CONC_RANK_TOL       1e-14  smaller eigenvalues are exact zeros in concurrence
 RENORM_TOL          1e-12  clamping that moves the eigenvalue sum more renorms
 GS_DROP_TOL         1e-8   Gram-Schmidt drops residuals shorter than this
 EIGVEC_ORTHO_TOL    1e-8   Gram deviation accepted of solver eigenvectors
@@ -53,7 +53,6 @@ DEFAULT_TOL = 1e-10
 FILE_VALIDATE_TOL = 1e-8
 TIE_TOL = 1e-12
 RANK_TOL = 1e-12
-CONC_RANK_TOL = 1e-14
 RENORM_TOL = 1e-12
 GS_DROP_TOL = 1e-8
 EIGVEC_ORTHO_TOL = 1e-8
@@ -109,8 +108,8 @@ def density_eigh(m, tol: float = DEFAULT_TOL) -> tuple:
     return (m, *_positive_eigh(m, tol))
 
 
-def density_factor(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate a density matrix as :func:`density_eigh` does; return ``a`` with ``m = a a^dagger``.
+def density_factor(m, tol: float = DEFAULT_TOL) -> tuple:
+    """Validate ``m`` as :func:`density_eigh` does; return ``(m, a)`` with ``m = a a^dagger``.
 
     ``a`` is the Cholesky factor when its pivots all exceed the floor d * eps:
     no eigensolve, and a completed Cholesky of a trace-1 matrix certifies
@@ -125,23 +124,23 @@ def density_factor(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     try:
         a = np.linalg.cholesky(m)
         if np.diagonal(a).real.min() ** 2 > floor:
-            return a
+            return m, a
     except np.linalg.LinAlgError:
         pass
     w, v = _positive_eigh(m, tol)
     keep = w > floor
-    return v[:, keep] * np.sqrt(w[keep])
+    return m, v[:, keep] * np.sqrt(w[keep])
 
 
 def require_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Return ``m`` as a complex array, raising as :func:`density_eigh` does."""
-    return density_eigh(m, tol)[0]
+    """Return ``m`` as a complex array, raising as :func:`density_factor` does."""
+    return density_factor(m, tol)[0]
 
 
 def is_density(m, tol: float = DEFAULT_TOL) -> bool:
     """Whether :func:`require_density` accepts ``m``."""
     try:
-        density_eigh(m, tol)
+        density_factor(m, tol)
     except NotDensityMatrixError:
         return False
     return True
@@ -157,11 +156,14 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    gram = m.conj().T @ m
-    gram.reshape(-1)[:: m.shape[0] + 1] -= 1  # U^dagger U - I without an identity array
-    return float(np.abs(gram).max()) <= tol
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and _gram_deviation(m) <= tol
+
+
+def _gram_deviation(q: np.ndarray) -> float:
+    """max |Q^dagger Q - I| over the columns of ``q``: 0 for none, NaN for a NaN entry."""
+    gram = q.conj().T @ q
+    gram.reshape(-1)[:: q.shape[1] + 1] -= 1  # without an identity array
+    return float(np.abs(gram).max(initial=0.0))
 
 
 @dataclass
@@ -309,7 +311,7 @@ def orthonormal_completion(partial_cols, tol: float = DEFAULT_TOL) -> np.ndarray
         raise DimensionMismatchError(f"cannot fit {k} orthonormal columns in dimension {d}")
     if not np.isfinite(q).all():
         raise NotOrthonormalError("columns have NaN or infinite entries")
-    err = float(np.abs(q.conj().T @ q - np.eye(k)).max(initial=0.0))
+    err = _gram_deviation(q)
     if not err <= tol:
         raise NotOrthonormalError(
             f"columns are not orthonormal: max Gram deviation {err:.3e} > {tol:g}"

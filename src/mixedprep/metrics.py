@@ -6,6 +6,7 @@ is the most significant bit of the basis index.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -16,15 +17,9 @@ from .errors import (
     DimensionMismatchError,
     MissingExpectationError,
     NotAProbabilityVectorError,
+    OutOfRangeError,
 )
-from .linalg import (
-    CONC_RANK_TOL,
-    DEFAULT_TOL,
-    density_eigh,
-    density_factor,
-    partial_trace,
-    require_density,
-)
+from .linalg import DEFAULT_TOL, _eigh, density_factor, partial_trace, require_density
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -85,7 +80,7 @@ def fidelity(rho, sigma, tol: float = DEFAULT_TOL) -> float:
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise DimensionMismatchError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
-    a, b = density_factor(rho, tol), density_factor(sigma, tol)
+    (_, a), (_, b) = density_factor(rho, tol), density_factor(sigma, tol)
     s = np.linalg.svd(a.conj().T @ b, compute_uv=False)
     return min(float(s.sum() ** 2), 1.0)
 
@@ -127,17 +122,17 @@ def concurrence(rho, tol: float = DEFAULT_TOL) -> float:
     """Two-qubit entanglement: max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)).
 
     The l's are the descending eigenvalues of rho * spin-flipped(rho).
-    Factoring rho = L L^dagger and cycling the product shows their square
-    roots equal the singular values of L^T (Y x Y) L, which is how they are
-    computed: the SVD resolves the small ones at absolute precision, where
-    rooting a near-zero eigenvalue would lose half the digits.
+    For any factor rho = L L^dagger, cycling the product shows their square
+    roots equal the singular values of L^T (Y x Y) L (Wootters, PRL 80, 2245
+    (1998)), which is how they are computed, with L from
+    :func:`~mixedprep.linalg.density_factor`: the SVD resolves the small ones
+    at absolute precision, where rooting a near-zero eigenvalue would lose
+    half the digits.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 two-qubit matrix, got {rho.shape}")
-    _, w, v = density_eigh(rho, tol)
-    w = np.where(w < CONC_RANK_TOL, 0.0, w)
-    factor = v * np.sqrt(w)
+    _, factor = density_factor(rho, tol)
     s = np.linalg.svd(factor.T @ _YY @ factor, compute_uv=False)
     val = float(s[0] - s[1:].sum())
     return min(max(val, 0.0), 1.0)
@@ -187,10 +182,10 @@ def pauli_decompose_2q(rho, tol: float = DEFAULT_TOL) -> PauliDecomposition2Q:
 def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     """Linear-inversion estimate projected back onto the density-matrix set.
 
-    ``expectations`` maps Pauli strings of length ``n`` to real estimates;
-    the all-identity entry may be omitted (implied 1).  The raw estimate
-    2**-n * sum(<P> P) is Hermitized, negative eigenvalues are clamped to
-    zero, and the trace is rescaled to 1.
+    ``expectations`` maps Pauli strings of length ``n`` to finite real
+    estimates; the all-identity entry may be omitted (implied 1).  The raw
+    estimate 2**-n * sum(<P> P) is Hermitized, negative eigenvalues are
+    clamped to zero, and the trace is rescaled to 1.
     """
     if n < 1:
         raise DimensionMismatchError(f"qubit count must be >= 1, got {n}")
@@ -201,10 +196,14 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     for label in pauli_labels(n):
         if label not in table:
             raise MissingExpectationError(f"no expectation value for pauli string {label!r}")
+        if not math.isfinite(table[label]):
+            raise OutOfRangeError(
+                f"expectation value for pauli string {label!r} is {table[label]}, not finite"
+            )
         raw += table[label] * pauli_matrix(label)
     raw /= dim
     raw = (raw + raw.conj().T) / 2
-    w, v = np.linalg.eigh(raw)
+    w, v = _eigh(raw)
     w = np.clip(w, 0.0, None)
     total = float(w.sum())
     if total <= 0.0:

@@ -89,7 +89,7 @@ def eigenvalue_amplitudes(spectral: SpectralDecomposition, tol: float = DEFAULT_
         raise NotAProbabilityVectorError(
             f"eigenvalue {w.min():.3e} is negative beyond tol={tol:g}"
         )
-    if abs(float(w.sum()) - 1.0) > tol:
+    if not abs(float(w.sum()) - 1.0) <= tol:
         raise NotAProbabilityVectorError(
             f"eigenvalues sum to {w.sum()!r}, expected 1 within {tol:g}"
         )

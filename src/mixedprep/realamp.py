@@ -60,7 +60,7 @@ def compile_real_state(amps, tol: float = DEFAULT_TOL) -> Circuit:
         )
     amps = np.clip(amps, 0.0, None)
     nrm = float(np.linalg.norm(amps))
-    if abs(nrm - 1.0) > tol:
+    if not abs(nrm - 1.0) <= tol:
         raise NotNormalizedError(f"amplitude norm {nrm!r} deviates from 1 beyond tol={tol:g}")
 
     circuit = Circuit(num_qubits=n, label="real-amplitude loader")

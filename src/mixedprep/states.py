@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadProbabilitiesError, NotPSDError, OutOfRangeError
-from .linalg import DEFAULT_TOL, PROB_TOL
+from .linalg import DEFAULT_TOL, PROB_TOL, _eigh
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,11 @@ def x_state_eigenvectors(theta: float, phi: float) -> np.ndarray:
 
     Column order: (cos t, 0, 0, sin t), (0, sin f, cos f, 0),
     (0, cos f, -sin f, 0), (-sin t, 0, 0, cos t).  At t = f = pi/4 this is
-    the Bell basis up to column order.
+    the Bell basis up to column order.  Non-finite angles raise
+    :class:`OutOfRangeError`.
     """
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise OutOfRangeError(f"angles must be finite, got theta={theta}, phi={phi}")
     ct, st = math.cos(theta), math.sin(theta)
     cf, sf = math.cos(phi), math.sin(phi)
     return np.array(
@@ -96,11 +99,14 @@ def c1_state(c1: float, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     All three diagonal correlators and the first local coefficients on both
     qubits equal c1; everything else vanishes.  Positivity bounds c1, so
-    out-of-range values raise :class:`NotPSDError`.  Separable for
-    c1 >= -0.2612 or so; concurrence grows toward the negative PSD edge.
+    out-of-range values raise :class:`NotPSDError`, and non-finite ones
+    :class:`OutOfRangeError`.  Separable for c1 >= -0.2612 or so;
+    concurrence grows toward the negative PSD edge.
     """
+    if not math.isfinite(c1):
+        raise OutOfRangeError(f"c1 must be finite, got {c1}")
     rho = _c1_matrix(c1)
-    lo = float(np.linalg.eigvalsh(rho).min())
+    lo = float(_eigh(rho)[0][0])
     if lo < -tol:
         raise NotPSDError(
             f"c1={c1} gives minimum eigenvalue {lo:.3e}; outside the physical range"
@@ -117,7 +123,7 @@ def c1_valid_range(samples: int = 4001) -> tuple:
     grid = np.linspace(-1.0, 1.0, samples)
     ok = []
     for c in grid:
-        if float(np.linalg.eigvalsh(_c1_matrix(c)).min()) >= -PROB_TOL:
+        if float(_eigh(_c1_matrix(c))[0][0]) >= -PROB_TOL:
             ok.append(float(c))
     return (min(ok), max(ok))
 

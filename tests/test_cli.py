@@ -12,7 +12,7 @@ from mixedprep import (
     purity,
     read_density_file,
 )
-from mixedprep.cli import main, make_family_state
+from mixedprep.cli import build_parser, main, make_family_state
 from mixedprep.errors import FormatError
 
 
@@ -37,6 +37,10 @@ def test_family_parser():
         "ginibre:d=2,extra=1",
         "c1",
         "ginibre:d",
+        "c1:c1=nan",
+        "c1:c1=inf",
+        "xstate:theta=inf",
+        "xstate:theta=nan",
     ):
         with pytest.raises(FormatError):
             make_family_state(bad, 0)
@@ -123,18 +127,86 @@ def test_invalid_density_file_exits_2(tmp_path, capsys):
 
 
 def test_no_validate_skips_file_gate(tmp_path, capsys):
-    # trace 0.9: the file gate fires unless --no-validate, and the metric
-    # itself still enforces its own (loosened) tolerance afterwards
+    # trace 0.9: a file is checked once, by the metric, at --tol
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dim": 1, "re": [[0.9]], "im": [[0.0]]}))
     assert run_cli("metrics", "--state", str(bad), "--metric", "coherence") == 2
-    capsys.readouterr()
+    assert "trace" in capsys.readouterr().err
     assert run_cli("metrics", "--state", str(bad), "--metric", "coherence",
-                   "--no-validate") == 2
-    capsys.readouterr()
+                   "--tol", "0.05") == 2
+    assert "trace" in capsys.readouterr().err
     assert run_cli("metrics", "--state", str(bad), "--metric", "coherence",
-                   "--no-validate", "--tol", "0.2") == 0
+                   "--tol", "0.2") == 0
     assert capsys.readouterr().out.strip() == "0.000000000000"
+
+
+def test_hermitian_solves_per_cli_input(tmp_path, capsys, hermitian_solves):
+    # the file is not checked on reading, only by the command that consumes it
+    rho, sigma = tmp_path / "rho.json", tmp_path / "sigma.json"
+    run_cli("gen", "--family", "ginibre:d=4,seed=1", "--out", str(rho), "--quiet")
+    run_cli("gen", "--family", "ginibre:d=4,seed=2", "--out", str(sigma), "--quiet")
+    hermitian_solves.clear()
+    assert run_cli("prepare", "--input", str(rho), "--out", str(tmp_path / "c.json"),
+                   "--quiet") == 0
+    assert len(hermitian_solves) == 1  # the compile eigh
+    hermitian_solves.clear()
+    assert run_cli("metrics", "--state", str(rho), "--target", str(sigma),
+                   "--metric", "fidelity") == 0
+    assert len(hermitian_solves) == 0  # two Cholesky factors
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec", ["c1:c1=nan", "c1:c1=inf", "xstate:theta=inf",
+                                  "xstate:theta=nan", "xstate:phi=-inf"])
+@pytest.mark.parametrize("command", ["gen", "prepare"])
+def test_non_finite_family_parameter_exits_2(tmp_path, capsys, spec, command):
+    out = tmp_path / "out.json"
+    assert run_cli(command, "--family", spec, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert not out.exists()
+
+
+class _ReadRecorder:
+    """Stands in for the parsed arguments and records which ones a command reads."""
+
+    def __init__(self, args):
+        self.args = args
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.args, name)
+
+
+def test_every_option_is_read(tmp_path, capsys):
+    rho = tmp_path / "rho.json"
+    circuit = tmp_path / "c.json"
+    out = str(tmp_path / "out")
+    run_cli("gen", "--family", "ginibre:d=4,seed=1", "--out", str(rho), "--quiet")
+    run_cli("prepare", "--input", str(rho), "--out", str(circuit), "--quiet")
+    runs = {
+        "prepare": [["--family", "c1:c1=0.2", "--out", out]],
+        "simulate": [["--circuit", str(circuit), "--out", out]],
+        "metrics": [
+            ["--state", str(rho), "--target", str(rho), "--metric", "fidelity"],
+            ["--state", str(rho), "--metric", "local-coherence", "--subsystem", "B"],
+        ],
+        "reproduce": [["--figure", "3", "--out", out]],
+        "gen": [["--family", "xstate:p00=0.3", "--out", out]],
+    }
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(subparsers) == set(runs)
+    for command, argvs in runs.items():
+        read = set()
+        for argv in argvs:
+            recorder = _ReadRecorder(parser.parse_args([command, *argv]))
+            assert recorder.args.func(recorder) == 0
+            read |= recorder.read
+        options = {a.dest for a in subparsers[command]._actions if a.option_strings} - {"help"}
+        assert options <= read, (command, sorted(options - read))
+    capsys.readouterr()
 
 
 def test_nan_density_file_exits_2(tmp_path, capsys):

@@ -67,6 +67,7 @@ def test_is_unitary_tolerance_edge(d):
     nan_entry[d - 1, 0] = np.nan
     assert not is_unitary(nan_entry, tol)
     assert not is_unitary(haar_unitary(d, d)[:, :-1], tol)
+    assert is_unitary(np.zeros((0, 0)), tol) is True
 
 
 def test_density_factor_reproduces_the_matrix():
@@ -77,7 +78,8 @@ def test_density_factor_reproduces_the_matrix():
         return (m + m.conj().T) / 2
 
     for m, cols in [(random_density(8, 3), 8), (padded(4, 3), 3), (padded(5, 1), 1)]:
-        a = density_factor(m)
+        m_out, a = density_factor(m)
+        npt.assert_array_equal(m_out, m)
         assert a.shape == (8, cols)
         npt.assert_allclose(a @ a.conj().T, m, atol=1e-14)
     with pytest.raises(NotDensityMatrixError, match="positive semidefinite"):
@@ -109,28 +111,21 @@ def test_is_density_agrees_with_require_density(m):
     assert accepted == (m.shape == (2, 2) and np.allclose(m, np.eye(2) / 2))
 
 
-def test_one_hermitian_solve_per_density_matrix(monkeypatch):
-    from mixedprep import build_preparation_circuit, concurrence, fidelity
-
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
-
-        def counted(*args, _real=real, **kwargs):
-            calls.append(1)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+def test_one_hermitian_solve_per_density_matrix(hermitian_solves):
+    from mixedprep import build_preparation_circuit, concurrence, fidelity, l1_coherence
 
     def solves(fn, *args):
-        calls.clear()
+        hermitian_solves.clear()
         fn(*args)
-        return len(calls)
+        return len(hermitian_solves)
 
     rho, sigma = random_density(4, 1), random_density(4, 2)
     assert solves(build_preparation_circuit, rho) == 1
     assert solves(fidelity, rho, sigma) == 0  # two Cholesky factors and one SVD
-    assert solves(concurrence, rho) == 1
+    assert solves(concurrence, rho) == 0  # one Cholesky factor and one SVD
+    assert solves(require_density, rho) == 0
+    assert solves(is_density, rho) == 0
+    assert solves(l1_coherence, rho) == 0
 
     # a zero row and column stop the Cholesky, so a rank-deficient argument
     # pays one eigh for its support columns

@@ -7,7 +7,9 @@ from mixedprep import (
     BadLabelError,
     DimensionMismatchError,
     MissingExpectationError,
+    NoConvergenceError,
     NotDensityMatrixError,
+    OutOfRangeError,
     build_preparation_circuit,
     c1_state,
     concurrence,
@@ -17,6 +19,7 @@ from mixedprep import (
     kron,
     l1_coherence,
     local_l1_coherence,
+    p00_family,
     pauli_decompose_2q,
     pauli_labels,
     pauli_matrix,
@@ -264,6 +267,17 @@ def test_concurrence_landmarks():
         concurrence(np.eye(2) / 2)
 
 
+def test_concurrence_x_state_closed_form():
+    # X-states: C = 2 max(0, |r14| - sqrt(r22 r33), |r23| - sqrt(r11 r44)),
+    # with the rank-2 endpoints p00 = 0 and 1 among them
+    for p00 in np.linspace(0.0, 1.0, 21):
+        for theta in (np.pi / 8, 0.3, np.pi / 4):
+            rho = p00_family(float(p00), theta, np.pi / 2 - theta).real
+            expected = 2 * max(0.0, abs(rho[0, 3]) - np.sqrt(rho[1, 1] * rho[2, 2]),
+                               abs(rho[1, 2]) - np.sqrt(rho[0, 0] * rho[3, 3]))
+            npt.assert_allclose(concurrence(rho), expected, rtol=0, atol=1e-14)
+
+
 def test_concurrence_local_unitary_invariant():
     for seed in range(10):
         rho = ginibre_density(4, 300 + seed)
@@ -317,6 +331,27 @@ def test_tomography_missing_entry():
     del est["XY"]
     with pytest.raises(MissingExpectationError):
         tomography_reconstruct(est, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("label", ["X", "ZZ"])
+def test_tomography_rejects_non_finite(bad, label):
+    n = len(label)
+    est = {lab: 0.0 for lab in pauli_labels(n)}
+    est[label] = bad
+    with pytest.raises(OutOfRangeError, match=repr(label)):
+        tomography_reconstruct(est, n)
+
+
+def test_unconverged_solve_raises_typed_error(monkeypatch):
+    def unconverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", unconverged)
+    with pytest.raises(NoConvergenceError):
+        tomography_reconstruct({"X": 0.0, "Y": 0.0, "Z": 0.0}, 1)
+    with pytest.raises(NoConvergenceError):
+        c1_state(0.2)
 
 
 def test_tomography_finite_shots():

@@ -85,6 +85,9 @@ def test_eigenvalue_amplitudes_rejects():
     bad = SpectralDecomposition(np.array([0.6, 0.6]), np.eye(2, dtype=complex))
     with pytest.raises(NotAProbabilityVectorError):
         eigenvalue_amplitudes(bad)
+    bad = SpectralDecomposition(np.array([np.nan, 0.5]), np.eye(2, dtype=complex))
+    with pytest.raises(NotAProbabilityVectorError):
+        eigenvalue_amplitudes(bad)
 
 
 def test_bundle_structure():

@@ -124,6 +124,18 @@ def test_c1_physical_range():
     assert is_density(c1_state(-0.33))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_rejected(bad):
+    with pytest.raises(OutOfRangeError):
+        c1_state(bad)
+    with pytest.raises(OutOfRangeError):
+        x_state_eigenvectors(bad, 0.3)
+    with pytest.raises(OutOfRangeError):
+        x_state_eigenvectors(0.3, bad)
+    with pytest.raises(OutOfRangeError):
+        p00_family(0.5, bad)
+
+
 def test_ginibre_basic_properties():
     for seed in (0, 1, 42):
         rho = ginibre_density(2, seed)
