@@ -1,8 +1,10 @@
 """Exception types raised by validation and contract checks.
 
 Everything derives from :class:`StatePrepError` (itself a ``ValueError``)
-so callers can catch the whole family at once.
+so callers can catch the whole family at once.  :func:`_require_int` is the
+one check of integer arguments (shot counts and RNG seeds).
 """
+import numbers
 
 
 class StatePrepError(ValueError):
@@ -59,6 +61,12 @@ class LevelOutOfRangeError(StatePrepError):
 
 class OutOfRangeError(StatePrepError):
     pass
+
+
+def _require_int(value, name: str, minimum: int) -> None:
+    """Raise unless ``value`` is an integer >= ``minimum``; a ``bool`` is not one here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise OutOfRangeError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 # -- circuits and simulation -------------------------------------------------

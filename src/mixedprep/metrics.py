@@ -36,7 +36,9 @@ def pauli_matrix(label: str) -> np.ndarray:
         raise BadLabelError(f"pauli label {label!r} must be a nonempty string over I, X, Y, Z")
     out = PAULI_1Q[label[0]]
     for ch in label[1:]:
-        out = np.kron(out, PAULI_1Q[ch])
+        # the products np.kron(out, b) forms, without its per-call shape handling
+        b = PAULI_1Q[ch]
+        out = (out[:, None, :, None] * b[None, :, None, :]).reshape(2 * len(out), -1)
     return out
 
 

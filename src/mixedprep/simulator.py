@@ -7,18 +7,24 @@ with k controls touches only the 2**(n-k) amplitudes it changes, so the
 2**m - 1 loader rotations of a 2m-qubit purification circuit cost
 O(m * 4**m) in all.  The public functions never mutate their input:
 ``apply_gate`` and ``sample_pauli`` work on one copy.
+
+Finite-shot readout rotates a copy of the state into one measurement
+setting's Z basis and draws a multinomial histogram; a Pauli estimate is
+the histogram's parity balance.  ``sample_pauli_expectations`` computes
+each of the 3**k settings' distributions once for its 4**k - 1 strings.
+Shot counts and seeds are checked as integers (``bool`` excluded), so a
+bad one is an ``OutOfRangeError``, not a numpy traceback.
 """
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .circuits import Circuit, Cnot, Gate, MultiControlledRy, UnitaryBlock, validate_circuit
-from .errors import BadLabelError, IndexOutOfRangeError, OutOfRangeError
+from .errors import BadLabelError, IndexOutOfRangeError, OutOfRangeError, _require_int
 from .linalg import DEFAULT_TOL
 
 MAX_QUBITS = 24
@@ -134,39 +140,24 @@ def sample_pauli(state: np.ndarray, pauli_string: str, shots: int, seed: int):
 
     Returns ``(ShotResult, estimate)``.  Each qubit is rotated so its label's
     eigenbasis becomes the Z basis, the full register is sampled from the
-    resulting Z-basis distribution, and the estimate is the shot-weighted
-    parity over the non-identity positions.
+    resulting Z-basis distribution with ``default_rng(seed)``, and the
+    estimate is (even-parity counts - odd-parity counts) / shots, the parity
+    taken over the non-identity positions.  ``shots`` must be an integer
+    >= 1 and ``seed`` an integer >= 0.
     """
-    rotated = np.array(state, dtype=complex)
-    n = num_qubits_of(rotated)
+    state = np.asarray(state, dtype=complex)
+    n = num_qubits_of(state)
     label = pauli_string.upper()
     if len(label) != n or any(ch not in "IXYZ" for ch in label):
         raise BadLabelError(
             f"pauli string {pauli_string!r} is not {n} characters over I, X, Y, Z"
         )
-    if not isinstance(shots, numbers.Integral) or shots < 1:
-        raise OutOfRangeError(f"shots must be an integer >= 1, got {shots!r}")
-
-    ten = rotated.reshape((2,) * n)
-    for q, ch in enumerate(label):
-        if ch in "XY":
-            _apply_block(ten, (q,), _H if ch == "X" else _Y_TO_Z)
-
-    probs = np.abs(rotated) ** 2
-    probs /= probs.sum()
-    rng = np.random.default_rng(seed)
-    hist = rng.multinomial(shots, probs)
-
-    mask = 0
-    for q, ch in enumerate(label):
-        if ch != "I":
-            mask |= 1 << (n - 1 - q)
-    total = 0
-    for idx in np.flatnonzero(hist):
-        sign = -1 if (int(idx) & mask).bit_count() & 1 else 1
-        total += sign * int(hist[idx])
+    _require_int(shots, "shots", 1)
+    _require_int(seed, "seed", 0)
+    hist = np.random.default_rng(seed).multinomial(shots, _setting_probabilities(state, label))
+    est = _parity_estimate(hist, _odd_parity(n, _z_mask(label)), shots)
     counts = {format(int(i), f"0{n}b"): int(hist[i]) for i in np.flatnonzero(hist)}
-    return ShotResult(counts=counts, shots=shots, seed=seed), total / shots
+    return ShotResult(counts=counts, shots=shots, seed=seed), est
 
 
 def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) -> dict:
@@ -174,8 +165,14 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
 
     Labels in the result run over the given qubits in order; all other
     qubits are measured as identity.  String number i uses seed ``seed + i``
-    so individual estimates are reproducible in isolation.  The all-identity
-    string is pinned to exactly 1.0 without sampling.
+    so individual estimates are reproducible in isolation: each equals
+    ``sample_pauli(state, full_label, shots, seed + i)[1]``.  The
+    all-identity string is pinned to exactly 1.0 without sampling.
+
+    The 4**k - 1 strings need only 3**k Z-basis distributions, one per
+    measurement setting (the full label with I read as Z).  The strings are
+    drawn grouped by setting, so each distribution is computed once and only
+    one is held at a time; each parity mask is built once per call.
     """
     state = np.asarray(state, dtype=complex)
     n = num_qubits_of(state)
@@ -184,15 +181,63 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
         raise IndexOutOfRangeError(
             f"qubits {qubits} must be distinct indices in 0..{n - 1}, at least one"
         )
-    out = {}
-    for i, combo in enumerate(product("IXYZ", repeat=len(qubits))):
-        label = "".join(combo)
-        if set(label) == {"I"}:
-            out[label] = 1.0
-            continue
+    _require_int(shots, "shots", 1)
+    _require_int(seed, "seed", 0)
+    labels = ["".join(combo) for combo in product("IXYZ", repeat=len(qubits))]
+    out, odd, setting = dict.fromkeys(labels), {}, None
+    out[labels[0]] = 1.0
+    for i in sorted(range(1, len(labels)), key=lambda j: labels[j].replace("I", "Z")):
         full = ["I"] * n
-        for q, ch in zip(qubits, combo):
+        for q, ch in zip(qubits, labels[i]):
             full[q] = ch
-        _, est = sample_pauli(state, "".join(full), shots, seed + i)
-        out[label] = est
+        full = "".join(full)
+        key = full.replace("I", "Z")
+        if key != setting:
+            setting, probs = key, _setting_probabilities(state, key)
+        mask = _z_mask(full)
+        if mask not in odd:
+            odd[mask] = _odd_parity(n, mask)
+        hist = np.random.default_rng(seed + i).multinomial(shots, probs)
+        out[labels[i]] = _parity_estimate(hist, odd[mask], shots)
     return out
+
+
+def _setting_probabilities(state: np.ndarray, label: str) -> np.ndarray:
+    """Z-basis distribution after rotating each X or Y qubit of ``label`` onto Z."""
+    rotated = state.copy()
+    ten = rotated.reshape((2,) * len(label))
+    for q, ch in enumerate(label):
+        if ch in "XY":
+            _apply_block(ten, (q,), _H if ch == "X" else _Y_TO_Z)
+    probs = np.abs(rotated) ** 2
+    probs /= probs.sum()
+    return probs
+
+
+def _z_mask(label: str) -> int:
+    """Basis-index bits of the non-identity positions (qubit 0 = most significant)."""
+    n = len(label)
+    return sum(1 << (n - 1 - q) for q, ch in enumerate(label) if ch != "I")
+
+
+def _odd_parity(n: int, mask: int) -> np.ndarray:
+    """Boolean vector over the 2**n basis indices: True where ``i & mask`` has odd weight.
+
+    XOR-folding halves the width each pass, so bit 0 ends up holding the
+    parity of every bit (no ``np.bitwise_count``, which needs numpy >= 2).
+    The indices take the narrowest unsigned type that holds them.
+    """
+    bits = np.arange(2 ** n, dtype=np.min_scalar_type(2 ** n - 1)) & mask
+    shift = 1
+    while shift < n:
+        bits ^= bits >> shift
+        shift *= 2
+    return (bits & 1).astype(bool)
+
+
+def _parity_estimate(hist: np.ndarray, odd: np.ndarray, shots: int) -> float:
+    """(even-parity counts - odd-parity counts) / shots, summed as Python ints.
+
+    The counts add up to ``shots``, so even - odd = shots - 2 * odd.
+    """
+    return (int(shots) - 2 * int(hist[odd].sum())) / shots

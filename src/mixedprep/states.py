@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadProbabilitiesError, NotPSDError, OutOfRangeError
+from .errors import BadProbabilitiesError, NotPSDError, OutOfRangeError, _require_int
 from .linalg import DEFAULT_TOL, PROB_TOL, _eigh
 
 
@@ -133,9 +133,11 @@ def ginibre_density(d: int, seed: int) -> np.ndarray:
 
     Entries of G are (g1 + i*g2)/sqrt(2) with g1, g2 drawn as standard
     normals from ``default_rng(seed)``; fixed seed means fixed matrix.
+    ``seed`` must be an integer >= 0.
     """
     if d < 2:
         raise OutOfRangeError(f"dimension must be >= 2, got {d}")
+    _require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((2, d, d))
     G = (g[0] + 1j * g[1]) / math.sqrt(2.0)

@@ -1,4 +1,5 @@
 """Command-line interface: commands, exit codes, file outputs, determinism."""
+import hashlib
 import json
 
 import numpy.testing as npt
@@ -270,6 +271,35 @@ def test_reproduce_bad_shots(tmp_path, capsys):
     assert run_cli("reproduce", "--figure", "3", "--shots", "many",
                    "--out", str(tmp_path / "x.csv")) == 2
     assert "shots" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--family", "ginibre:d=4,seed=-1"),
+        ("reproduce", "--figure", "3", "--shots", "100", "--seed", "-100000"),
+    ],
+    ids=["gen", "reproduce"],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+
+# sha256 of the 1000-shot CSVs (numpy 2.4, OpenBLAS): a change to the draws,
+# the estimates or the tomography shows here
+SHOT_CSV_SHA256 = {
+    "2": "69c676f7f5101e51055e3e97722e65876d02e33f810992305fde137ee21d97fa",
+    "3": "b75b6143bc1a06d82a832aabfaa9b378b835a692aa838d1ff11fe2eaa7961dd3",
+}
+
+
+@pytest.mark.parametrize("figure", sorted(SHOT_CSV_SHA256))
+def test_reproduce_shot_csv_bytes(tmp_path, capsys, figure):
+    out = tmp_path / "shots.csv"
+    assert run_cli("reproduce", "--figure", figure, "--shots", "1000", "--seed", "5",
+                   "--out", str(out), "--quiet") == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SHOT_CSV_SHA256[figure]
 
 
 def test_reproduce_figure3_exact(tmp_path, capsys):

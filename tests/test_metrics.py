@@ -1,4 +1,6 @@
 """Metrics: fidelity, coherence, concurrence, Pauli decomposition, tomography."""
+from functools import reduce
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -27,6 +29,7 @@ from mixedprep import (
     sample_pauli_expectations,
     tomography_reconstruct,
 )
+from mixedprep.metrics import PAULI_1Q
 
 
 def bell_rho():
@@ -58,6 +61,13 @@ def test_pauli_matrix():
     with pytest.raises(BadLabelError):
         pauli_matrix("")
     assert len(pauli_labels(2)) == 16
+
+
+def test_pauli_matrix_bytes_equal_kron_fold():
+    for n in range(1, 5):
+        for label in pauli_labels(n):
+            ref = reduce(np.kron, [PAULI_1Q[ch] for ch in label])
+            assert pauli_matrix(label).tobytes() == ref.tobytes(), label
 
 
 def test_fidelity_identity_cases():

@@ -3,6 +3,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mixedprep import simulator
 from mixedprep import (
     BadLabelError,
     Circuit,
@@ -14,9 +15,12 @@ from mixedprep import (
     Ry,
     UnitaryBlock,
     apply_gate,
+    build_preparation_circuit,
     compile_real_state,
+    ginibre_density,
     kron,
     partial_trace,
+    pauli_labels,
     reduced_density,
     run,
     sample_pauli,
@@ -250,6 +254,67 @@ def test_sample_label_validation():
 def test_sample_rejects_non_integer_shots(shots):
     with pytest.raises(OutOfRangeError, match="integer"):
         sample_pauli(bell_state(), "ZZ", shots, 1)
+
+
+@pytest.mark.parametrize(
+    "shots, seed, name",
+    [(True, 1, "shots"), (0, 1, "shots"), (2.0, 1, "shots"), (10, -1, "seed"),
+     (10, 2.0, "seed"), (10, True, "seed"), (10, None, "seed")],
+    ids=["bool-shots", "zero-shots", "float-shots", "negative-seed", "float-seed",
+         "bool-seed", "none-seed"],
+)
+def test_sampling_rejects_bad_shots_and_seeds(shots, seed, name):
+    with pytest.raises(OutOfRangeError, match=f"{name} must be an integer"):
+        sample_pauli(bell_state(), "ZZ", shots, seed)
+    with pytest.raises(OutOfRangeError, match=f"{name} must be an integer"):
+        sample_pauli_expectations(bell_state(), (0, 1), shots, seed)
+
+
+def purification_state(d, seed):
+    bundle = build_preparation_circuit(ginibre_density(d, seed))
+    return run(bundle.circuit), bundle.system_qubits
+
+
+@pytest.mark.parametrize(
+    "d, qubits", [(2, None), (4, None), (8, None), (8, (2, 0))],
+    ids=["k1", "k2", "k3", "non-ascending"],
+)
+def test_expectations_equal_sample_pauli_bit_for_bit(d, qubits):
+    state, system = purification_state(d, 17)
+    qubits = system if qubits is None else qubits
+    n = int(state.size).bit_length() - 1
+    labels = pauli_labels(len(qubits))
+    table = sample_pauli_expectations(state, qubits, 300, 41)
+    assert list(table) == labels and table[labels[0]] == 1.0
+    for i, label in enumerate(labels[1:], start=1):
+        full = ["I"] * n
+        for q, ch in zip(qubits, label):
+            full[q] = ch
+        assert table[label] == sample_pauli(state, "".join(full), 300, 41 + i)[1], label
+
+
+def test_odd_parity_matches_bit_count():
+    for n in range(1, 7):
+        for mask in range(2 ** n):
+            odd = simulator._odd_parity(n, mask)
+            assert odd.dtype == bool
+            assert odd.tolist() == [bin(i & mask).count("1") & 1 == 1 for i in range(2 ** n)]
+
+
+def test_expectations_rotate_once_per_setting(monkeypatch):
+    # k = 3: one rotation per string is 96 block applications, one distribution
+    # per measurement setting 54 (27 settings, two of three letters rotate)
+    state, system = purification_state(8, 3)
+    calls = []
+    real = simulator._apply_block
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(simulator, "_apply_block", counted)
+    sample_pauli_expectations(state, system, 100, 0)
+    assert len(calls) <= 54
 
 
 @pytest.mark.parametrize(

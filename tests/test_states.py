@@ -145,6 +145,12 @@ def test_ginibre_basic_properties():
         ginibre_density(1, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None], ids=["negative", "float", "bool", "none"])
+def test_ginibre_rejects_non_integer_seed(seed):
+    with pytest.raises(OutOfRangeError, match="seed must be an integer >= 0"):
+        ginibre_density(4, seed)
+
+
 def test_ginibre_deterministic_and_distinct():
     a = ginibre_density(4, 42)
     b = ginibre_density(4, 42)
