@@ -14,7 +14,9 @@ compile, the one caller that needs the spectrum, never solves twice.
 The canonical eigenbasis is built, by :func:`canonical_eigenvectors`, only
 where a basis leaves the library: :func:`eig_hermitian` and the support
 columns of the compiled block, which :func:`orthonormal_completion` fills up
-from one complete Householder QR.  Square roots read the raw ``eigh``.
+from one complete Householder QR.  It is whole-array work but for the
+Gram-Schmidt of tied groups: one comparison finds the groups and one product
+fixes every column's phase.  Square roots read the raw ``eigh``.
 
 Every threshold of the package is a constant here:
 
@@ -197,25 +199,26 @@ def canonical_eigenvectors(w: np.ndarray, v: np.ndarray, count: int) -> tuple:
     agree to :data:`TIE_TOL`, the eigenvectors are rebuilt by Gram-Schmidt
     on the projections of the canonical basis vectors (taken in index
     order), and every eigenvector's global phase is fixed so that its first
-    nonzero component is real positive.  Groups that start at or past
-    column ``count`` are never built; a column does not depend on ``count``.
+    component above :data:`DEFAULT_TOL` in modulus is real positive.  Groups
+    that start at or past column ``count`` are never built; a column does
+    not depend on ``count``.
     """
     w = np.ascontiguousarray(w[::-1].real)
     v = np.ascontiguousarray(v[:, ::-1])
-    d = w.shape[0]
     out = v[:, :count].copy()
-    start = 0
-    while start < count:
-        stop = start + 1
-        while stop < d and w[stop - 1] - w[stop] <= TIE_TOL:
-            stop += 1
+    edges = [0, *(np.flatnonzero(w[:-1] - w[1:] > TIE_TOL) + 1).tolist(), w.shape[0]]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        if start >= count:
+            break
         if stop - start > 1:  # Gram-Schmidt on the projections of e_0, e_1, ... onto the group
             proj = v[:, start:stop] @ v[:, start:stop].conj().T
             out[:, start:stop] = _gram_schmidt(proj.T.copy(), min(stop, count) - start)
-        start = stop
-    for j in range(count):
-        out[:, j] = _phase_fixed(out[:, j])
-    return w, out
+    # A unit column has an entry of modulus >= 1/sqrt(d) > DEFAULT_TOL, so every
+    # column has a lead.  hypot gives the bits of abs() on a complex scalar, and
+    # the 2-d phase row the bits of a per-column product (numpy rounds a 1x1
+    # array times a 1-vector differently).
+    lead = out[(np.abs(out) > DEFAULT_TOL).argmax(axis=0), np.arange(count)]
+    return w, out * (lead.conj() / np.hypot(lead.real, lead.imag))[None, :]
 
 
 def _gram_schmidt(candidates, size: int) -> np.ndarray:
@@ -237,14 +240,6 @@ def _gram_schmidt(candidates, size: int) -> np.ndarray:
     if len(basis) != size:  # pragma: no cover - the candidates span the space
         raise NotOrthonormalError("failed to complete an orthonormal basis")
     return np.column_stack(basis)
-
-
-def _phase_fixed(col: np.ndarray, zero_tol: float = DEFAULT_TOL) -> np.ndarray:
-    idx = np.flatnonzero(np.abs(col) > zero_tol)
-    if idx.size == 0:
-        return col
-    lead = col[idx[0]]
-    return col * (lead.conjugate() / abs(lead))
 
 
 def matrix_sqrt_psd(m, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -34,7 +34,7 @@ def pauli_matrix(label: str) -> np.ndarray:
     label = label.upper()
     if not label or any(ch not in PAULI_1Q for ch in label):
         raise BadLabelError(f"pauli label {label!r} must be a nonempty string over I, X, Y, Z")
-    out = PAULI_1Q[label[0]]
+    out = PAULI_1Q[label[0]].copy()  # never hand out the shared table entry
     for ch in label[1:]:
         # the products np.kron(out, b) forms, without its per-call shape handling
         b = PAULI_1Q[ch]

@@ -30,6 +30,7 @@ from .linalg import (
     canonical_eigenvectors,
     density_eigh,
     orthonormal_completion,
+    require_density,
 )
 from .realamp import compile_real_state
 from .simulator import reduced_density, run
@@ -53,11 +54,12 @@ class PreparedCircuitBundle:
 def pad_to_qubit_dimension(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Embed a density matrix in the next power-of-two dimension (minimum 2).
 
-    Already power-of-two inputs pass through unchanged; otherwise the matrix
-    lands in the top-left block and the rest is zero, which only adds zero
-    eigenvalues.
+    ``rho`` is validated by :func:`~mixedprep.linalg.require_density` before
+    padding, so a full-rank input needs no eigensolve.  Already power-of-two
+    inputs pass through unchanged; otherwise the matrix lands in the top-left
+    block and the rest is zero, which only adds zero eigenvalues.
     """
-    return _padded_density_eigh(rho, tol)[0]
+    return _padded(require_density(rho, tol))
 
 
 def _padded_density_eigh(rho, tol: float) -> tuple:
@@ -66,15 +68,19 @@ def _padded_density_eigh(rho, tol: float) -> tuple:
     Zero padding neither makes nor breaks a density matrix, so checking the
     padded matrix checks ``rho``.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 2 and rho.shape[0] == rho.shape[1]:
+    return density_eigh(_padded(np.asarray(rho, dtype=complex)), tol)
+
+
+def _padded(rho: np.ndarray) -> np.ndarray:
+    """A nonempty square ``rho`` zero-padded to the next power of two; other shapes as given."""
+    if rho.ndim == 2 and 0 < rho.shape[0] == rho.shape[1]:
         d = rho.shape[0]
         full = 2 ** max(1, (d - 1).bit_length())
         if full != d:
             out = np.zeros((full, full), dtype=complex)
             out[:d, :d] = rho
-            rho = out
-    return density_eigh(rho, tol)
+            return out
+    return rho
 
 
 def eigenvalue_amplitudes(spectral: SpectralDecomposition, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -114,18 +114,14 @@ def c1_state(c1: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     return rho
 
 
-def c1_valid_range(samples: int = 4001) -> tuple:
-    """Numerically locate the closed PSD-valid interval of c1.
+def c1_valid_range() -> tuple:
+    """The closed interval of c1 on which :func:`c1_state` is a density matrix.
 
-    Scans a symmetric grid and returns the widest (lo, hi) whose endpoints
-    still produce PSD matrices.
+    The state is (I + c1 M) / 4 with M = XX + YY + ZZ + XI + IX, whose
+    eigenvalues are -3, -1, 1 and 3, so it is positive semidefinite exactly
+    when |c1| <= 1/3.
     """
-    grid = np.linspace(-1.0, 1.0, samples)
-    ok = []
-    for c in grid:
-        if float(_eigh(_c1_matrix(c))[0][0]) >= -PROB_TOL:
-            ok.append(float(c))
-    return (min(ok), max(ok))
+    return (-1 / 3, 1 / 3)
 
 
 def ginibre_density(d: int, seed: int) -> np.ndarray:
@@ -133,10 +129,9 @@ def ginibre_density(d: int, seed: int) -> np.ndarray:
 
     Entries of G are (g1 + i*g2)/sqrt(2) with g1, g2 drawn as standard
     normals from ``default_rng(seed)``; fixed seed means fixed matrix.
-    ``seed`` must be an integer >= 0.
+    ``d`` must be an integer >= 2 and ``seed`` an integer >= 0.
     """
-    if d < 2:
-        raise OutOfRangeError(f"dimension must be >= 2, got {d}")
+    _require_int(d, "dimension", 2)
     _require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((2, d, d))

@@ -20,7 +20,13 @@ from mixedprep import (
     partial_trace,
     require_density,
 )
-from mixedprep.linalg import density_factor
+from mixedprep.linalg import (
+    DEFAULT_TOL,
+    TIE_TOL,
+    _gram_schmidt,
+    canonical_eigenvectors,
+    density_factor,
+)
 from mixedprep.states import ginibre_density
 
 
@@ -112,7 +118,14 @@ def test_is_density_agrees_with_require_density(m):
 
 
 def test_one_hermitian_solve_per_density_matrix(hermitian_solves):
-    from mixedprep import build_preparation_circuit, concurrence, fidelity, l1_coherence
+    from mixedprep import (
+        build_preparation_circuit,
+        c1_valid_range,
+        concurrence,
+        fidelity,
+        l1_coherence,
+        pad_to_qubit_dimension,
+    )
 
     def solves(fn, *args):
         hermitian_solves.clear()
@@ -126,6 +139,8 @@ def test_one_hermitian_solve_per_density_matrix(hermitian_solves):
     assert solves(require_density, rho) == 0
     assert solves(is_density, rho) == 0
     assert solves(l1_coherence, rho) == 0
+    assert solves(pad_to_qubit_dimension, random_density(3, 1)) == 0  # validated by Cholesky
+    assert solves(c1_valid_range) == 0  # closed form
 
     # a zero row and column stop the Cholesky, so a rank-deficient argument
     # pays one eigh for its support columns
@@ -167,6 +182,82 @@ def test_canonical_basis_built_only_for_the_compile_block(monkeypatch):
         calls.clear()
         fidelity(rho, sigma)
         assert len(calls) == 0
+
+
+def _reference_canonical_eigenvectors(w, v, count):
+    """The column-at-a-time form of ``canonical_eigenvectors``: a tie scan, one phase fix per column."""
+    w = np.ascontiguousarray(w[::-1].real)
+    v = np.ascontiguousarray(v[:, ::-1])
+    d = w.shape[0]
+    out = v[:, :count].copy()
+    start = 0
+    while start < count:
+        stop = start + 1
+        while stop < d and w[stop - 1] - w[stop] <= TIE_TOL:
+            stop += 1
+        if stop - start > 1:
+            proj = v[:, start:stop] @ v[:, start:stop].conj().T
+            out[:, start:stop] = _gram_schmidt(proj.T.copy(), min(stop, count) - start)
+        start = stop
+    for j in range(count):
+        col = out[:, j]
+        idx = np.flatnonzero(np.abs(col) > DEFAULT_TOL)
+        if idx.size:
+            lead = col[idx[0]]
+            out[:, j] = col * (lead.conjugate() / abs(lead))
+    return w, out
+
+
+def _haar(d, rng):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _phased(v, rng):
+    return v * np.exp(1j * rng.uniform(0, 2 * np.pi, v.shape[1]))
+
+
+def _canonical_cases():
+    rng = np.random.default_rng(5)
+    cases = {}
+    for name, weights in (
+        ("tie2", [0.4, 0.4, 0.15, 0.05]),
+        ("tie2x2", [0.35, 0.35, 0.15, 0.15]),
+        ("tie4", [0.25] * 4),
+        ("tie4-in-8", [0.3, 0.1, 0.1, 0.1, 0.1, 0.2, 0.05, 0.05]),
+        ("zero-group", [0.6, 0.4, 0, 0, 0, 0, 0, 0]),
+        ("distinct", [0.05, 0.1, 0.15, 0.2, 0.5]),
+    ):
+        u = _haar(len(weights), rng)
+        m = (u * weights) @ u.conj().T
+        w, v = np.linalg.eigh((m + m.conj().T) / 2)
+        cases[name] = (w, _phased(v, rng))
+    # permuted standard-basis eigenvectors with arbitrary phases, ties included
+    for d in (4, 8):
+        w = np.sort(rng.choice([0.0, 0.5, 1.0], size=d))
+        cases[f"basis-{d}"] = (w, _phased(np.eye(d, dtype=complex)[:, rng.permutation(d)], rng))
+    # every column but one has leading entries at or below DEFAULT_TOL
+    v = np.eye(4, dtype=complex)
+    v[1:, 1:] = _haar(3, rng)
+    c, s = np.cos(5e-11), np.sin(5e-11)
+    v[[0, 1]] = np.array([[c, -s], [s, c]]) @ v[[0, 1]]
+    cases["small-leads"] = (np.array([0.1, 0.2, 0.3, 0.4]), _phased(v[:, [2, 0, 3, 1]], rng))
+    cases["d1"] = (np.array([1.0]), np.array([[np.exp(0.3j)]]))
+    return cases
+
+
+CANONICAL_CASES = _canonical_cases()
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
+def test_canonical_eigenvectors_bytes_equal_column_loop(name):
+    w, v = CANONICAL_CASES[name]
+    for count in range(len(w) + 1):
+        got_w, got_v = canonical_eigenvectors(w, v, count)
+        ref_w, ref_v = _reference_canonical_eigenvectors(w, v, count)
+        assert got_w.tobytes() == ref_w.tobytes()
+        assert got_v.shape == ref_v.shape and got_v.tobytes() == ref_v.tobytes(), count
 
 
 def test_require_density_messages():

@@ -70,6 +70,16 @@ def test_pauli_matrix_bytes_equal_kron_fold():
             assert pauli_matrix(label).tobytes() == ref.tobytes(), label
 
 
+def test_pauli_matrix_returns_fresh_arrays(monkeypatch):
+    monkeypatch.setitem(PAULI_1Q, "X", PAULI_1Q["X"].copy())  # the shared table survives a failure
+    pauli_matrix("X")[0, 0] = 5
+    pauli_matrix("XI")[0, 0] = 5
+    assert pauli_matrix("X").tobytes() == PAULI_1Q["X"].tobytes()
+    assert PAULI_1Q["X"][0, 0] == 0
+    assert pauli_matrix("X")[0, 0] == 0
+    assert pauli_matrix("XI")[0, 0] == 0
+
+
 def test_fidelity_identity_cases():
     for seed in range(5):
         rho = ginibre_density(4, seed)

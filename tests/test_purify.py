@@ -57,6 +57,9 @@ def test_pad_5x5():
 def test_pad_rejects_garbage():
     with pytest.raises(NotDensityMatrixError):
         pad_to_qubit_dimension(np.eye(3))
+    for fn in (pad_to_qubit_dimension, build_preparation_circuit):  # the shape, not a padded trace
+        with pytest.raises(NotDensityMatrixError, match="nonempty square"):
+            fn(np.zeros((0, 0)))
 
 
 def test_eigenvalue_amplitudes():

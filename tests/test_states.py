@@ -122,6 +122,13 @@ def test_c1_physical_range():
         c1_state(-0.4)
     assert is_density(c1_state(0.33))
     assert is_density(c1_state(-0.33))
+    # the closed form: both endpoints are states, a step past either is not
+    assert (lo, hi) == (-1 / 3, 1 / 3)
+    assert is_density(c1_state(lo)) and is_density(c1_state(hi))
+    with pytest.raises(NotPSDError):
+        c1_state(hi + 1e-9)
+    with pytest.raises(NotPSDError):
+        c1_state(lo - 1e-9)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -149,6 +156,12 @@ def test_ginibre_basic_properties():
 def test_ginibre_rejects_non_integer_seed(seed):
     with pytest.raises(OutOfRangeError, match="seed must be an integer >= 0"):
         ginibre_density(4, seed)
+
+
+@pytest.mark.parametrize("d", [4.0, True, None], ids=["float", "bool", "none"])
+def test_ginibre_rejects_non_integer_dimension(d):
+    with pytest.raises(OutOfRangeError, match="dimension must be an integer >= 2"):
+        ginibre_density(d, 1)
 
 
 def test_ginibre_deterministic_and_distinct():
