@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import DimensionMismatchError, FormatError, StatePrepError
+from .errors import DimensionMismatchError, FormatError, OutOfRangeError, StatePrepError
 from .metrics import (
     concurrence,
     fidelity,
@@ -38,7 +38,7 @@ from .serialize import (
     write_circuit_file,
     write_density_file,
 )
-from .simulator import reduced_density, run, sample_pauli_expectations
+from .simulator import MAX_QUBITS, reduced_density, run, sample_pauli_expectations
 from .states import c1_state, ginibre_density, p00_family
 
 _FAMILY_HELP = "family spec 'name:key=value,...'; names: ginibre, xstate, c1"
@@ -133,9 +133,14 @@ def cmd_prepare(args) -> int:
 
 def cmd_simulate(args) -> int:
     circuit = read_circuit_file(args.circuit)
+    n = circuit.num_qubits
+    if not args.trace_ancillas and 2 * n > MAX_QUBITS:
+        raise OutOfRangeError(
+            f"the density matrix of {n} qubits has as many entries as a {2 * n}-qubit "
+            f"state, beyond the {MAX_QUBITS}-qubit limit; use --trace-ancillas"
+        )
     state = run(circuit, args.tol)
     if args.trace_ancillas:
-        n = circuit.num_qubits
         if n % 2:
             raise DimensionMismatchError(
                 f"cannot split {n} qubits into equal system and ancilla halves"
@@ -175,17 +180,13 @@ def cmd_gen(args) -> int:
 
 
 def _parse_shots(text: str):
+    """``None`` for 'exact', else the integer; the sampler checks its range."""
     if text == "exact":
         return None
     try:
-        shots = int(text)
+        return int(text)
     except ValueError:
-        raise FormatError(
-            f"shots must be a positive integer or 'exact', got {text!r}"
-        ) from None
-    if shots < 1:
-        raise FormatError(f"shots must be >= 1, got {shots}")
-    return shots
+        raise FormatError(f"shots must be an integer or 'exact', got {text!r}") from None
 
 
 def _pipeline_density(target, args, shots, seed) -> np.ndarray:

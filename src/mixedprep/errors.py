@@ -63,10 +63,12 @@ class OutOfRangeError(StatePrepError):
     pass
 
 
-def _require_int(value, name: str, minimum: int) -> None:
-    """Raise unless ``value`` is an integer >= ``minimum``; a ``bool`` is not one here."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise OutOfRangeError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def _require_int(value, name: str, minimum: int, maximum: int | None = None) -> None:
+    """Raise unless ``value`` is an integer in ``minimum..maximum``; a ``bool`` is not one here."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum
+            or (maximum is not None and value > maximum)):
+        bound = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+        raise OutOfRangeError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 # -- circuits and simulation -------------------------------------------------

@@ -13,10 +13,11 @@ compile, the one caller that needs the spectrum, never solves twice.
 
 The canonical eigenbasis is built, by :func:`canonical_eigenvectors`, only
 where a basis leaves the library: :func:`eig_hermitian` and the support
-columns of the compiled block, which :func:`orthonormal_completion` fills up
-from one complete Householder QR.  It is whole-array work but for the
-Gram-Schmidt of tied groups: one comparison finds the groups and one product
-fixes every column's phase.  Square roots read the raw ``eigh``.
+columns of the compiled block, which one complete Householder QR fills up
+unmeasured: ``validate_circuit`` checks the block once, when it runs.  It is
+whole-array work but for the Gram-Schmidt of tied groups: one comparison finds
+the groups and one product fixes every column's phase.  Square roots read the
+raw ``eigh``.
 
 Every threshold of the package is a constant here:
 
@@ -29,7 +30,6 @@ TIE_TOL             1e-12  eigenvalues this close form one degenerate group
 RANK_TOL            1e-12  eigenvalues above it get an eigenvector column
 RENORM_TOL          1e-12  clamping that moves the eigenvalue sum more renorms
 GS_DROP_TOL         1e-8   Gram-Schmidt drops residuals shorter than this
-EIGVEC_ORTHO_TOL    1e-8   Gram deviation accepted of solver eigenvectors
 PROB_TOL            1e-12  rounding slack of family probabilities/eigenvalues
 ==================  =====  ===================================================
 
@@ -57,7 +57,6 @@ TIE_TOL = 1e-12
 RANK_TOL = 1e-12
 RENORM_TOL = 1e-12
 GS_DROP_TOL = 1e-8
-EIGVEC_ORTHO_TOL = 1e-8
 PROB_TOL = 1e-12
 
 
@@ -311,6 +310,10 @@ def orthonormal_completion(partial_cols, tol: float = DEFAULT_TOL) -> np.ndarray
         raise NotOrthonormalError(
             f"columns are not orthonormal: max Gram deviation {err:.3e} > {tol:g}"
         )
-    if k == d:
-        return q.copy()
-    return np.hstack([q, np.linalg.qr(q, mode="complete")[0][:, k:]])
+    return q.copy() if k == d else _completed(q)
+
+
+def _completed(q: np.ndarray) -> np.ndarray:
+    """``q``, then the trailing columns of its complete Householder QR; ``q`` itself if square."""
+    k = q.shape[1]
+    return q if k == q.shape[0] else np.hstack([q, np.linalg.qr(q, mode="complete")[0][:, k:]])

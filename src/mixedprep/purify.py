@@ -23,13 +23,12 @@ from .circuits import Circuit, Cnot, UnitaryBlock
 from .errors import NotAProbabilityVectorError
 from .linalg import (
     DEFAULT_TOL,
-    EIGVEC_ORTHO_TOL,
     RANK_TOL,
     RENORM_TOL,
     SpectralDecomposition,
+    _completed,
     canonical_eigenvectors,
     density_eigh,
-    orthonormal_completion,
     require_density,
 )
 from .realamp import compile_real_state
@@ -60,15 +59,6 @@ def pad_to_qubit_dimension(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     block and the rest is zero, which only adds zero eigenvalues.
     """
     return _padded(require_density(rho, tol))
-
-
-def _padded_density_eigh(rho, tol: float) -> tuple:
-    """Pad a square ``rho`` as above and validate it with one :func:`density_eigh`.
-
-    Zero padding neither makes nor breaks a density matrix, so checking the
-    padded matrix checks ``rho``.
-    """
-    return density_eigh(_padded(np.asarray(rho, dtype=complex)), tol)
 
 
 def _padded(rho: np.ndarray) -> np.ndarray:
@@ -110,14 +100,17 @@ def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitB
     """Compile a density matrix into its 2n-qubit purification circuit.
 
     Eigenvalues at or below ``RANK_TOL`` carry no weight, so only the support
-    columns get the canonical basis; completion makes the block unitary.
+    columns get the canonical basis; completion makes the block unitary.  The
+    block's Gram is not measured here: ``run`` checks it through
+    ``validate_circuit``, and ``simulate`` does so for a circuit file.
     """
-    padded, w, v = _padded_density_eigh(rho, tol)
+    # zero padding neither makes nor breaks a density matrix, so this checks rho
+    padded, w, v = density_eigh(_padded(np.asarray(rho, dtype=complex)), tol)
     d = padded.shape[0]
     n = d.bit_length() - 1
     rank = int(np.sum(w > RANK_TOL))
     w, support = canonical_eigenvectors(w, v, rank)
-    spectral = SpectralDecomposition(w, orthonormal_completion(support, EIGVEC_ORTHO_TOL))
+    spectral = SpectralDecomposition(w, _completed(support))
     amps = eigenvalue_amplitudes(spectral, tol)
 
     circuit = compile_real_state(amps)

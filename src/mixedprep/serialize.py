@@ -19,9 +19,8 @@ from .linalg import FILE_VALIDATE_TOL, require_density
 
 
 def _matrix_to_parts(m: np.ndarray) -> tuple:
-    re = [[float(x) for x in row] for row in m.real]
-    im = [[float(x) for x in row] for row in m.imag]
-    return re, im
+    """Real and imaginary parts of a complex matrix as nested lists of Python floats."""
+    return m.real.tolist(), m.imag.tolist()
 
 
 def _parts_to_matrix(re, im, what: str) -> np.ndarray:

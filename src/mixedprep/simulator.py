@@ -12,8 +12,8 @@ Finite-shot readout rotates a copy of the state into one measurement
 setting's Z basis and draws a multinomial histogram; a Pauli estimate is
 the histogram's parity balance.  ``sample_pauli_expectations`` computes
 each of the 3**k settings' distributions once for its 4**k - 1 strings.
-Shot counts and seeds are checked as integers (``bool`` excluded), so a
-bad one is an ``OutOfRangeError``, not a numpy traceback.
+Shot counts (1..2**63 - 1) and seeds are checked as integers (``bool``
+excluded), so a bad one is an ``OutOfRangeError``, not a numpy traceback.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from .errors import BadLabelError, IndexOutOfRangeError, OutOfRangeError, _requi
 from .linalg import DEFAULT_TOL
 
 MAX_QUBITS = 24
+_MAX_SHOTS = 2 ** 63 - 1  # the multinomial sampler draws int64 counts
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 # Rotates the Y eigenbasis onto the Z basis: (H @ Sdg) Y (H @ Sdg)^dagger = Z.
@@ -142,8 +143,8 @@ def sample_pauli(state: np.ndarray, pauli_string: str, shots: int, seed: int):
     eigenbasis becomes the Z basis, the full register is sampled from the
     resulting Z-basis distribution with ``default_rng(seed)``, and the
     estimate is (even-parity counts - odd-parity counts) / shots, the parity
-    taken over the non-identity positions.  ``shots`` must be an integer
-    >= 1 and ``seed`` an integer >= 0.
+    taken over the non-identity positions.  ``shots`` must be an integer in
+    1..2**63 - 1 and ``seed`` an integer >= 0.
     """
     state = np.asarray(state, dtype=complex)
     n = num_qubits_of(state)
@@ -152,7 +153,7 @@ def sample_pauli(state: np.ndarray, pauli_string: str, shots: int, seed: int):
         raise BadLabelError(
             f"pauli string {pauli_string!r} is not {n} characters over I, X, Y, Z"
         )
-    _require_int(shots, "shots", 1)
+    _require_int(shots, "shots", 1, _MAX_SHOTS)
     _require_int(seed, "seed", 0)
     hist = np.random.default_rng(seed).multinomial(shots, _setting_probabilities(state, label))
     est = _parity_estimate(hist, _odd_parity(n, _z_mask(label)), shots)
@@ -181,7 +182,7 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
         raise IndexOutOfRangeError(
             f"qubits {qubits} must be distinct indices in 0..{n - 1}, at least one"
         )
-    _require_int(shots, "shots", 1)
+    _require_int(shots, "shots", 1, _MAX_SHOTS)
     _require_int(seed, "seed", 0)
     labels = ["".join(combo) for combo in product("IXYZ", repeat=len(qubits))]
     out, odd, setting = dict.fromkeys(labels), {}, None

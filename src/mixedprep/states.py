@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadProbabilitiesError, NotPSDError, OutOfRangeError, _require_int
-from .linalg import DEFAULT_TOL, PROB_TOL, _eigh
+from .linalg import DEFAULT_TOL, PROB_TOL
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,12 @@ def c1_state(c1: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     if not math.isfinite(c1):
         raise OutOfRangeError(f"c1 must be finite, got {c1}")
-    rho = _c1_matrix(c1)
-    lo = float(_eigh(rho)[0][0])
+    lo = (1 - 3 * abs(float(c1))) / 4  # the least eigenvalue, see c1_valid_range
     if lo < -tol:
         raise NotPSDError(
             f"c1={c1} gives minimum eigenvalue {lo:.3e}; outside the physical range"
         )
-    return rho
+    return _c1_matrix(c1)
 
 
 def c1_valid_range() -> tuple:

@@ -13,7 +13,8 @@ from mixedprep import (
     purity,
     read_density_file,
 )
-from mixedprep.cli import build_parser, main, make_family_state
+from mixedprep import cli
+from mixedprep.cli import _parse_shots, build_parser, main, make_family_state
 from mixedprep.errors import FormatError
 
 
@@ -271,6 +272,41 @@ def test_reproduce_bad_shots(tmp_path, capsys):
     assert run_cli("reproduce", "--figure", "3", "--shots", "many",
                    "--out", str(tmp_path / "x.csv")) == 2
     assert "shots" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shots", ["0", "100000000000000000000"], ids=["zero", "1e20"])
+def test_reproduce_out_of_range_shots_exit_2(tmp_path, capsys, shots):
+    out = tmp_path / "x.csv"
+    assert run_cli("reproduce", "--figure", "3", "--shots", shots, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "shots must be an integer in 1..9223372036854775807" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_parse_shots_only_parses():
+    # the range is checked once, by the sampler
+    assert _parse_shots("exact") is None
+    assert _parse_shots("0") == 0 and _parse_shots("-3") == -3
+    assert _parse_shots("100000000000000000000") == 10 ** 20
+    with pytest.raises(FormatError, match="shots"):
+        _parse_shots("many")
+
+
+def test_simulate_full_density_beyond_state_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # 14 qubits: a 2**14 x 2**14 density is as large as a 28-qubit state
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"num_qubits": 14, "gates": []}))
+    out = tmp_path / "rho.json"
+    with monkeypatch.context() as m:
+        m.setattr(cli, "run", None)  # refused before the register is even simulated
+        assert run_cli("simulate", "--circuit", str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "--trace-ancillas" in err and "Traceback" not in err
+    assert not out.exists()
+    assert run_cli("simulate", "--circuit", str(path), "--trace-ancillas", "--quiet",
+                   "--out", str(out)) == 0
+    assert read_density_file(out).shape == (128, 128)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 """Linear-algebra layer: eigendecomposition, square roots, partial trace."""
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -117,9 +119,20 @@ def test_is_density_agrees_with_require_density(m):
     assert accepted == (m.shape == (2, 2) and np.allclose(m, np.eye(2) / 2))
 
 
+def test_tolerance_table_lists_exactly_the_tol_constants():
+    from mixedprep import linalg
+
+    rows = re.findall(r"^(\w+_TOL) +(\S+) ", linalg.__doc__, flags=re.MULTILINE)
+    table = {name: float(value) for name, value in rows}
+    assert len(table) == len(rows)  # no constant listed twice
+    constants = {name: value for name, value in vars(linalg).items() if name.endswith("_TOL")}
+    assert table == constants
+
+
 def test_one_hermitian_solve_per_density_matrix(hermitian_solves):
     from mixedprep import (
         build_preparation_circuit,
+        c1_state,
         c1_valid_range,
         concurrence,
         fidelity,
@@ -141,6 +154,7 @@ def test_one_hermitian_solve_per_density_matrix(hermitian_solves):
     assert solves(l1_coherence, rho) == 0
     assert solves(pad_to_qubit_dimension, random_density(3, 1)) == 0  # validated by Cholesky
     assert solves(c1_valid_range) == 0  # closed form
+    assert solves(c1_state, 0.2) == 0  # least eigenvalue in closed form
 
     # a zero row and column stop the Cholesky, so a rank-deficient argument
     # pays one eigh for its support columns

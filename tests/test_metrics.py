@@ -370,8 +370,6 @@ def test_unconverged_solve_raises_typed_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", unconverged)
     with pytest.raises(NoConvergenceError):
         tomography_reconstruct({"X": 0.0, "Y": 0.0, "Z": 0.0}, 1)
-    with pytest.raises(NoConvergenceError):
-        c1_state(0.2)
 
 
 def test_tomography_finite_shots():

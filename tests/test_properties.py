@@ -32,7 +32,7 @@ from mixedprep import (
     write_density_file,
 )
 from mixedprep.cli import main
-from mixedprep.linalg import EIGVEC_ORTHO_TOL, FILE_VALIDATE_TOL, RANK_TOL, TIE_TOL
+from mixedprep.linalg import FILE_VALIDATE_TOL, RANK_TOL, TIE_TOL
 
 DIMS = (2, 3, 4, 5, 6, 7, 8)
 TOL_MULTIPLES = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0)
@@ -113,7 +113,7 @@ def test_generated_spectra_compile_exactly_and_deterministically(case):
     # for bit, so circuit files keep their bytes.
     dec = eig_hermitian(bundle.target)
     rank = int(np.sum(dec.eigenvalues > RANK_TOL))
-    oracle = orthonormal_completion(dec.eigenvectors[:, :rank], EIGVEC_ORTHO_TOL)
+    oracle = orthonormal_completion(dec.eigenvectors[:, :rank], 1e-8)
     block = bundle.circuit.gates[-1].matrix
     assert np.array_equal(block, oracle)
     assert np.array_equal(bundle.spectral.eigenvectors, block)

@@ -177,6 +177,28 @@ def test_rank_deficient_completion_freedom():
     npt.assert_allclose(reference, rho, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "rho", [ginibre_density(8, 7), p00_family(0.0)], ids=["full-rank-d8", "p00-rank-2"]
+)
+def test_block_gram_measured_once_per_compile_and_run(monkeypatch, rho):
+    # compile leaves the block's unitarity to validate_circuit at run
+    from mixedprep import linalg
+
+    shapes = []
+    real = linalg._gram_deviation
+
+    def counted(q):
+        shapes.append(q.shape)
+        return real(q)
+
+    monkeypatch.setattr(linalg, "_gram_deviation", counted)
+    bundle = build_preparation_circuit(rho)
+    assert shapes == []
+    run(bundle.circuit)
+    d = rho.shape[0]
+    assert shapes == [(d, d)]
+
+
 def test_padded_roundtrip_3x3():
     rho = random_density_any_dim(3, 9)
     out = prepare_density(rho)

@@ -258,16 +258,25 @@ def test_sample_rejects_non_integer_shots(shots):
 
 @pytest.mark.parametrize(
     "shots, seed, name",
-    [(True, 1, "shots"), (0, 1, "shots"), (2.0, 1, "shots"), (10, -1, "seed"),
-     (10, 2.0, "seed"), (10, True, "seed"), (10, None, "seed")],
-    ids=["bool-shots", "zero-shots", "float-shots", "negative-seed", "float-seed",
-         "bool-seed", "none-seed"],
+    [(True, 1, "shots"), (0, 1, "shots"), (2.0, 1, "shots"), (2 ** 63, 1, "shots"),
+     (10 ** 20, 1, "shots"), (10, -1, "seed"), (10, 2.0, "seed"), (10, True, "seed"),
+     (10, None, "seed")],
+    ids=["bool-shots", "zero-shots", "float-shots", "int64-overflow-shots", "huge-shots",
+         "negative-seed", "float-seed", "bool-seed", "none-seed"],
 )
 def test_sampling_rejects_bad_shots_and_seeds(shots, seed, name):
     with pytest.raises(OutOfRangeError, match=f"{name} must be an integer"):
         sample_pauli(bell_state(), "ZZ", shots, seed)
     with pytest.raises(OutOfRangeError, match=f"{name} must be an integer"):
         sample_pauli_expectations(bell_state(), (0, 1), shots, seed)
+
+
+def test_sampling_accepts_the_largest_shot_count():
+    # numpy's multinomial draws int64 counts, so 2**63 - 1 is the most it takes
+    shots = 2 ** 63 - 1
+    result, est = sample_pauli(zero_state(2), "ZZ", shots, 1)
+    assert result.counts == {"00": shots} and est == 1.0
+    assert sample_pauli_expectations(zero_state(2), (0,), shots, 1)["Z"] == 1.0
 
 
 def purification_state(d, seed):

@@ -129,6 +129,11 @@ def test_c1_physical_range():
         c1_state(hi + 1e-9)
     with pytest.raises(NotPSDError):
         c1_state(lo - 1e-9)
+    # huge finite scalars, numpy's included, are out of range without an
+    # overflow warning
+    for huge in (np.float32(3e38), np.float64(-1e308), 1e308):
+        with pytest.raises(NotPSDError, match="outside the physical range"):
+            c1_state(huge)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
