@@ -45,25 +45,20 @@ from .linalg import (
     SpectralDecomposition,
     eig_hermitian,
     is_density,
-    is_hermitian,
     is_unitary,
-    kron,
     matrix_sqrt_psd,
     orthonormal_completion,
     partial_trace,
     require_density,
 )
 from .metrics import (
-    PauliDecomposition2Q,
     concurrence,
     exact_pauli_expectations,
     fidelity,
     l1_coherence,
     local_l1_coherence,
-    pauli_decompose_2q,
     pauli_labels,
     pauli_matrix,
-    purity,
     tomography_reconstruct,
 )
 from .purify import (
@@ -131,9 +126,7 @@ __all__ = [
     "SpectralDecomposition",
     "eig_hermitian",
     "is_density",
-    "is_hermitian",
     "is_unitary",
-    "kron",
     "matrix_sqrt_psd",
     "orthonormal_completion",
     "partial_trace",
@@ -176,16 +169,13 @@ __all__ = [
     "x_state",
     "x_state_eigenvectors",
     # metrics
-    "PauliDecomposition2Q",
     "concurrence",
     "exact_pauli_expectations",
     "fidelity",
     "l1_coherence",
     "local_l1_coherence",
-    "pauli_decompose_2q",
     "pauli_labels",
     "pauli_matrix",
-    "purity",
     "tomography_reconstruct",
     # serialization
     "circuit_from_dict",

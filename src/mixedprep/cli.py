@@ -134,6 +134,10 @@ def cmd_prepare(args) -> int:
 def cmd_simulate(args) -> int:
     circuit = read_circuit_file(args.circuit)
     n = circuit.num_qubits
+    if args.trace_ancillas and n % 2:
+        raise DimensionMismatchError(
+            f"cannot split {n} qubits into equal system and ancilla halves"
+        )
     if not args.trace_ancillas and 2 * n > MAX_QUBITS:
         raise OutOfRangeError(
             f"the density matrix of {n} qubits has as many entries as a {2 * n}-qubit "
@@ -141,10 +145,6 @@ def cmd_simulate(args) -> int:
         )
     state = run(circuit, args.tol)
     if args.trace_ancillas:
-        if n % 2:
-            raise DimensionMismatchError(
-                f"cannot split {n} qubits into equal system and ancilla halves"
-            )
         rho = reduced_density(state, range(n // 2))
     else:
         rho = np.outer(state, state.conj())

@@ -147,14 +147,6 @@ def is_density(m, tol: float = DEFAULT_TOL) -> bool:
     return True
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    try:
-        _require_hermitian(m, tol, NotHermitianError)
-    except NotHermitianError:
-        return False
-    return True
-
-
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     m = np.asarray(m)
     return m.ndim == 2 and m.shape[0] == m.shape[1] and _gram_deviation(m) <= tol
@@ -173,10 +165,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray   # (d,) real, non-increasing
     eigenvectors: np.ndarray  # (d, d) complex, column j pairs with eigenvalues[j]
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def eig_hermitian(m, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
@@ -282,11 +270,6 @@ def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
     dd = 2 ** len(dropped)
     t = t.transpose(perm).reshape(dk, dd, dk, dd)
     return np.trace(t, axis1=1, axis2=3)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; the left factor owns the most significant index bits."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def orthonormal_completion(partial_cols, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -7,7 +7,6 @@ is the most significant bit of the basis index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -57,11 +56,6 @@ def exact_pauli_expectations(rho, tol: float = DEFAULT_TOL) -> dict:
         label: float(np.trace(rho @ pauli_matrix(label)).real)
         for label in pauli_labels(n)
     }
-
-
-def purity(rho) -> float:
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.trace(rho @ rho).real)
 
 
 def fidelity(rho, sigma, tol: float = DEFAULT_TOL) -> float:
@@ -117,7 +111,7 @@ def _subsystem_qubit(subsystem) -> int:
     raise BadLabelError(f"subsystem must be 'A', 'B', 0, or 1; got {subsystem!r}")
 
 
-_YY = np.kron(PAULI_1Q["Y"], PAULI_1Q["Y"])
+_YY = pauli_matrix("YY")
 
 
 def concurrence(rho, tol: float = DEFAULT_TOL) -> float:
@@ -140,47 +134,6 @@ def concurrence(rho, tol: float = DEFAULT_TOL) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-@dataclass
-class PauliDecomposition2Q:
-    """Coefficients of 4 rho over the two-qubit Pauli basis.
-
-    ``a`` multiplies sigma_j (x) identity, ``b`` identity (x) sigma_k, and
-    ``cross[j, k]`` multiplies sigma_j (x) sigma_k; the diagonal of ``cross``
-    is exposed as ``c``.
-    """
-
-    a: np.ndarray      # (3,)
-    b: np.ndarray      # (3,)
-    cross: np.ndarray  # (3, 3)
-
-    @property
-    def c(self) -> np.ndarray:
-        return np.diag(self.cross).copy()
-
-    def reconstruct(self) -> np.ndarray:
-        letters = "XYZ"
-        out = np.eye(4, dtype=complex)
-        for j in range(3):
-            out += self.a[j] * pauli_matrix(letters[j] + "I")
-            out += self.b[j] * pauli_matrix("I" + letters[j])
-            for k in range(3):
-                out += self.cross[j, k] * pauli_matrix(letters[j] + letters[k])
-        return out / 4.0
-
-
-def pauli_decompose_2q(rho, tol: float = DEFAULT_TOL) -> PauliDecomposition2Q:
-    """Expectation coefficients Tr(rho sigma_j (x) sigma_k) of a 4x4 state."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DimensionMismatchError(f"expected a 4x4 two-qubit matrix, got {rho.shape}")
-    e = exact_pauli_expectations(rho, tol)
-    return PauliDecomposition2Q(
-        a=np.array([e[l + "I"] for l in "XYZ"]),
-        b=np.array([e["I" + l] for l in "XYZ"]),
-        cross=np.array([[e[lj + lk] for lk in "XYZ"] for lj in "XYZ"]),
-    )
-
-
 def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     """Linear-inversion estimate projected back onto the density-matrix set.
 
@@ -193,15 +146,18 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
         raise DimensionMismatchError(f"qubit count must be >= 1, got {n}")
     table = {str(k).upper(): float(v) for k, v in expectations.items()}
     table.setdefault("I" * n, 1.0)
-    dim = 2 ** n
-    raw = np.zeros((dim, dim), dtype=complex)
-    for label in pauli_labels(n):
+    # Checked lazily before any d x d array: a gap stops the scan within
+    # len(table) + 1 labels, so a short table costs only its own size.
+    for label in map("".join, product("IXYZ", repeat=n)):
         if label not in table:
             raise MissingExpectationError(f"no expectation value for pauli string {label!r}")
         if not math.isfinite(table[label]):
             raise OutOfRangeError(
                 f"expectation value for pauli string {label!r} is {table[label]}, not finite"
             )
+    dim = 2 ** n
+    raw = np.zeros((dim, dim), dtype=complex)
+    for label in pauli_labels(n):
         raw += table[label] * pauli_matrix(label)
     raw /= dim
     raw = (raw + raw.conj().T) / 2

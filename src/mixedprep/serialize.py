@@ -50,7 +50,7 @@ def density_from_dict(doc, validate_tol: float | None = FILE_VALIDATE_TOL) -> np
         if key not in doc:
             raise FormatError(f"density document is missing key {key!r}")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # a JSON true is a bool, and no size
         raise FormatError(f"dim must be a positive integer, got {dim!r}")
     m = _parts_to_matrix(doc["re"], doc["im"], "density document")
     if m.shape != (dim, dim):
@@ -150,7 +150,7 @@ def circuit_from_dict(doc) -> Circuit:
         if key not in doc:
             raise FormatError(f"circuit document is missing key {key!r}")
     n = doc["num_qubits"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # a JSON true is a bool, and no size
         raise FormatError(f"num_qubits must be a positive integer, got {n!r}")
     if not isinstance(doc["gates"], list):
         raise FormatError("gates must be a list")

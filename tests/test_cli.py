@@ -2,6 +2,7 @@
 import hashlib
 import json
 
+import numpy as np
 import numpy.testing as npt
 import pytest
 
@@ -10,7 +11,6 @@ from mixedprep import (
     fidelity,
     ginibre_density,
     p00_family,
-    purity,
     read_density_file,
 )
 from mixedprep import cli
@@ -90,7 +90,7 @@ def test_simulate_without_trace_is_pure(tmp_path, capsys):
     capsys.readouterr()
     full = read_density_file(out)
     assert full.shape == (4, 4)
-    npt.assert_allclose(purity(full), 1.0, atol=1e-10)
+    npt.assert_allclose(np.trace(full @ full).real, 1.0, atol=1e-10)
 
 
 def test_metrics_outputs(tmp_path, capsys):
@@ -251,16 +251,19 @@ def test_overflowing_circuit_numbers_exit_2(tmp_path, capsys, gate):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_odd_register_trace_exits_2(tmp_path, capsys):
+def test_odd_register_trace_exits_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({
         "num_qubits": 3,
         "gates": [{"kind": "ry", "target": 0, "theta": 0.5}],
         "meta": {},
     }))
+    out = tmp_path / "o.json"
+    monkeypatch.setattr(cli, "run", None)  # refused before the register is simulated
     assert run_cli("simulate", "--circuit", str(path), "--trace-ancillas",
-                   "--out", str(tmp_path / "o.json")) == 2
+                   "--out", str(out)) == 2
     assert "halves" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reproduce_bad_figure(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Metrics: fidelity, coherence, concurrence, Pauli decomposition, tomography."""
+"""Metrics: fidelity, coherence, concurrence, Pauli expectations, tomography."""
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -18,11 +19,9 @@ from mixedprep import (
     exact_pauli_expectations,
     fidelity,
     ginibre_density,
-    kron,
     l1_coherence,
     local_l1_coherence,
     p00_family,
-    pauli_decompose_2q,
     pauli_labels,
     pauli_matrix,
     run,
@@ -54,7 +53,7 @@ def haar_unitary(d, seed):
 def test_pauli_matrix():
     npt.assert_array_equal(pauli_matrix("I"), np.eye(2))
     npt.assert_array_equal(pauli_matrix("ZZ"), np.diag([1, -1, -1, 1]))
-    xz = kron(pauli_matrix("X"), pauli_matrix("Z"))
+    xz = np.kron(pauli_matrix("X"), pauli_matrix("Z"))
     npt.assert_array_equal(pauli_matrix("XZ"), xz)
     with pytest.raises(BadLabelError):
         pauli_matrix("XQ")
@@ -126,7 +125,7 @@ def test_fidelity_multiplicative_under_tensor():
         a1, b1 = ginibre_density(2, seed), ginibre_density(2, 50 + seed)
         a2, b2 = ginibre_density(2, 80 + seed), ginibre_density(2, 90 + seed)
         npt.assert_allclose(
-            fidelity(kron(a1, a2), kron(b1, b2)),
+            fidelity(np.kron(a1, a2), np.kron(b1, b2)),
             fidelity(a1, b1) * fidelity(a2, b2),
             atol=1e-9,
         )
@@ -269,7 +268,7 @@ def test_local_l1_coherence():
     assert local_l1_coherence(bell_rho(), "A") <= 1e-15
     assert local_l1_coherence(bell_rho(), "B") <= 1e-15
     plus = proj([1, 1])
-    npt.assert_allclose(local_l1_coherence(kron(plus, proj([1, 0])), "A"), 1.0, atol=1e-12)
+    npt.assert_allclose(local_l1_coherence(np.kron(plus, proj([1, 0])), "A"), 1.0, atol=1e-12)
     with pytest.raises(DimensionMismatchError):
         local_l1_coherence(np.eye(2) / 2, "A")
     with pytest.raises(BadLabelError):
@@ -301,34 +300,26 @@ def test_concurrence_x_state_closed_form():
 def test_concurrence_local_unitary_invariant():
     for seed in range(10):
         rho = ginibre_density(4, 300 + seed)
-        u = kron(haar_unitary(2, seed), haar_unitary(2, 77 + seed))
+        u = np.kron(haar_unitary(2, seed), haar_unitary(2, 77 + seed))
         rotated = u @ rho @ u.conj().T
         npt.assert_allclose(concurrence(rotated), concurrence(rho), atol=1e-9)
 
 
 def test_pauli_decompose_examples():
-    dec = pauli_decompose_2q(np.eye(4) / 4)
-    assert np.abs(dec.a).max() == 0 and np.abs(dec.b).max() == 0
-    assert np.abs(dec.cross).max() == 0
+    # coefficients Tr(rho P) of I/4, c1_state and the Bell state in closed form
+    e = exact_pauli_expectations(np.eye(4) / 4)
+    assert max(abs(v) for label, v in e.items() if label != "II") == 0
 
     c1 = 0.2
-    dec = pauli_decompose_2q(c1_state(c1))
-    npt.assert_allclose(dec.a, [c1, 0, 0], atol=1e-12)
-    npt.assert_allclose(dec.b, [c1, 0, 0], atol=1e-12)
-    npt.assert_allclose(dec.c, [c1, c1, c1], atol=1e-12)
-    npt.assert_allclose(dec.cross - np.diag(dec.c), 0, atol=1e-12)
+    e = exact_pauli_expectations(c1_state(c1))
+    expected = {"XI": c1, "IX": c1, "XX": c1, "YY": c1, "ZZ": c1}
+    for label in pauli_labels(2)[1:]:
+        npt.assert_allclose(e[label], expected.get(label, 0.0), atol=1e-12, err_msg=label)
 
-    dec = pauli_decompose_2q(bell_rho())
-    npt.assert_allclose(dec.c, [1, -1, 1], atol=1e-12)
-    npt.assert_allclose(dec.a, 0, atol=1e-12)
-    npt.assert_allclose(dec.b, 0, atol=1e-12)
-
-
-def test_decompose_reconstruct_roundtrip():
-    for seed in range(10):
-        rho = ginibre_density(4, 400 + seed)
-        dec = pauli_decompose_2q(rho)
-        npt.assert_allclose(dec.reconstruct(), rho, atol=1e-10)
+    e = exact_pauli_expectations(bell_rho())
+    expected = {"XX": 1, "YY": -1, "ZZ": 1}
+    for label in pauli_labels(2)[1:]:
+        npt.assert_allclose(e[label], expected.get(label, 0.0), atol=1e-12, err_msg=label)
 
 
 def test_tomography_exact_single_qubit():
@@ -351,6 +342,19 @@ def test_tomography_missing_entry():
     del est["XY"]
     with pytest.raises(MissingExpectationError):
         tomography_reconstruct(est, 2)
+
+
+def test_tomography_refuses_short_table_before_allocating():
+    with pytest.raises(MissingExpectationError, match=repr("I" * 39 + "X")):
+        tomography_reconstruct({}, 40)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MissingExpectationError, match=repr("I" * 8 + "X")):
+            tomography_reconstruct({}, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the d x d estimate alone would be 4 MiB
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

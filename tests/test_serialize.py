@@ -60,6 +60,8 @@ def test_density_format_errors():
         density_from_dict({"dim": 2, "re": [[1, 0]], "im": [[0, 0]]})  # not square
     with pytest.raises(FormatError):
         density_from_dict({"dim": 2, "re": "garbage", "im": "garbage"})
+    with pytest.raises(FormatError, match="dim must be"):
+        density_from_dict(json.loads('{"dim": true, "re": [[1]], "im": [[0]]}'))
 
 
 def test_density_bad_json(tmp_path):
@@ -133,6 +135,8 @@ def test_circuit_format_errors():
         circuit_from_dict({"gates": []})
     with pytest.raises(FormatError):
         circuit_from_dict({"num_qubits": 0, "gates": []})
+    with pytest.raises(FormatError, match="num_qubits must be"):
+        circuit_from_dict(json.loads('{"num_qubits": true, "gates": []}'))
     with pytest.raises(FormatError):
         circuit_from_dict({"num_qubits": 1, "gates": [{"kind": "warp", "target": 0}]})
     with pytest.raises(FormatError):

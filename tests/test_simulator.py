@@ -18,7 +18,6 @@ from mixedprep import (
     build_preparation_circuit,
     compile_real_state,
     ginibre_density,
-    kron,
     partial_trace,
     pauli_labels,
     reduced_density,
@@ -98,7 +97,7 @@ def test_unitary_block_application():
     for q, mats in [(0, (H, np.eye(2), np.eye(2))),
                     (1, (np.eye(2), H, np.eye(2))),
                     (2, (np.eye(2), np.eye(2), H))]:
-        dense = kron(kron(mats[0], mats[1]), mats[2])
+        dense = np.kron(np.kron(mats[0], mats[1]), mats[2])
         out = apply_gate(psi, UnitaryBlock((q,), H))
         npt.assert_allclose(out, dense @ psi, atol=1e-14)
 
@@ -111,7 +110,7 @@ def test_unitary_block_ordering():
     psi = random_state(3, 4)
     out = apply_gate(psi, UnitaryBlock((2, 0), u))
     # build dense operator by permuting (q2, q0, q1) -> (q0, q1, q2)
-    big = kron(u, np.eye(2)).reshape((2,) * 6)
+    big = np.kron(u, np.eye(2)).reshape((2,) * 6)
     big = big.transpose((1, 2, 0, 4, 5, 3)).reshape(8, 8)
     npt.assert_allclose(out, big @ psi, atol=1e-13)
 
@@ -182,7 +181,7 @@ def test_reduced_density_bell():
 
 
 def test_reduced_density_product():
-    psi = kron(basis(1, 0).reshape(2, 1), basis(1, 1).reshape(2, 1)).reshape(-1)
+    psi = np.kron(basis(1, 0).reshape(2, 1), basis(1, 1).reshape(2, 1)).reshape(-1)
     npt.assert_allclose(reduced_density(psi, {1}), [[0, 0], [0, 1]], atol=0)
 
 

@@ -17,7 +17,6 @@ from mixedprep import (
     l1_coherence,
     p00_family,
     p00_family_probs,
-    purity,
     x_state,
     x_state_eigenvectors,
 )
@@ -181,5 +180,6 @@ def test_ginibre_deterministic_and_distinct():
 
 def test_ginibre_mean_purity():
     # frozen oracle from a 200k-sample run: mean Tr(rho^2) for d=2 is 0.7994
-    vals = [purity(ginibre_density(2, 5000 + s)) for s in range(1000)]
+    rhos = [ginibre_density(2, 5000 + s) for s in range(1000)]
+    vals = [np.trace(rho @ rho).real for rho in rhos]
     npt.assert_allclose(np.mean(vals), 0.80, atol=0.02)
