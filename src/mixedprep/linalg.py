@@ -6,8 +6,11 @@ factor of a Kronecker product owns the leading block of the matrix.
 
 Density matrices are checked in one place: shape, finite entries,
 Hermiticity and trace, then positivity.  :func:`density_factor` reads
-positivity off a Cholesky factorization and solves only when that fails;
-it is the check of every caller that does not need the spectrum.
+positivity off a Cholesky factorization; where that fails or a pivot is
+at the rounding level, off a pivoted Cholesky that stops at the numerical
+rank and one residual that certifies it.  It solves only for a matrix that
+fails the certificate, to name its least eigenvalue, and it is the check
+of every caller that does not need the spectrum.
 :func:`density_eigh` reads positivity off the one ``eigh`` it returns, so
 compile, the one caller that needs the spectrum, never solves twice.
 
@@ -34,10 +37,13 @@ PROB_TOL            1e-12  rounding slack of family probabilities/eigenvalues
 ==================  =====  ===================================================
 
 The floor of :func:`density_factor` is not in the table: it is d * eps, the
-rounding level of a trace-1 matrix, so it scales with the dimension.
+rounding level of a trace-1 matrix, so it scales with the dimension.  It
+stops the pivoted Cholesky, and ``fidelity`` takes its trace bound when
+that is within the same d * eps of 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,21 +122,59 @@ def density_factor(m, tol: float = DEFAULT_TOL) -> tuple:
     no eigensolve, and a completed Cholesky of a trace-1 matrix certifies
     eigenvalues >= -(d + 1) * eps (Higham, *Accuracy and Stability of
     Numerical Algorithms*, ch. 10), far inside any tolerance.  Otherwise the
-    matrix is indefinite or numerically singular: positivity is read off
-    ``eigh`` and ``a`` is the support columns ``v * sqrt(w)``, ``w`` above
-    the floor, one column for a pure state.
+    matrix is numerically singular or indefinite, and a pivoted Cholesky
+    (Higham, "Analysis of the Cholesky decomposition of a semi-definite
+    matrix", 1990; LAPACK ``?pstrf``) stops at the first pivot at or below
+    the floor: ``a`` is its d x r support columns, r the numerical rank, one
+    column for a pure state.  One residual S = m - a a^dagger certifies it:
+    ||S||_2 <= d * max |S_ij| <= ``tol`` puts every eigenvalue of ``m`` at or
+    above -``tol``.  Only a matrix that fails this certificate, an indefinite
+    one, is solved, to name its least eigenvalue; if that is still within
+    ``tol``, ``a`` is the support columns ``v * sqrt(w)`` of ``eigh``.
     """
     m = _require_unit_trace(m, tol)
-    floor = m.shape[0] * np.finfo(float).eps
+    d = m.shape[0]
+    floor = d * np.finfo(float).eps
     try:
         a = np.linalg.cholesky(m)
         if np.diagonal(a).real.min() ** 2 > floor:
             return m, a
     except np.linalg.LinAlgError:
         pass
+    a = _pivoted_cholesky(m, floor)
+    resid = a @ a.conj().T
+    resid -= m
+    if d * float(np.abs(resid).max()) <= tol:
+        return m, a
     w, v = _positive_eigh(m, tol)
     keep = w > floor
     return m, v[:, keep] * np.sqrt(w[keep])
+
+
+def _pivoted_cholesky(m: np.ndarray, floor: float) -> np.ndarray:
+    """d x r columns ``a`` with ``m = a a^dagger`` up to the remainder at or below ``floor``.
+
+    Left-looking with complete pivoting: each step takes the largest
+    remaining diagonal entry as the pivot and forms its column from the
+    columns before it, O(d r^2) in all.  It stops when no remaining diagonal
+    entry exceeds ``floor``, so r is the numerical rank.
+    """
+    d = m.shape[0]
+    rows = np.empty((d, d), dtype=complex)  # row k is column k of the factor
+    diag = m.diagonal().real.copy()
+    r = 0
+    while r < d:
+        j = diag.argmax()
+        if not diag[j] > floor:
+            break
+        col = rows[r]
+        np.matmul(rows[:r, j].conj(), rows[:r], out=col)
+        np.subtract(m[:, j], col, out=col)
+        col /= math.sqrt(diag[j])
+        diag -= (col * col.conj()).real
+        diag[j] = 0.0
+        r += 1
+    return rows[:r].T
 
 
 def require_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -3,13 +3,15 @@
 Density files carry {"dim", "re", "im"} with the real and imaginary parts
 as row-major nested lists.  Circuit files carry {"num_qubits", "gates",
 "meta"}; each gate record has a "kind" of "ry", "cnot", "mcry", or
-"unitary" plus kind-specific fields.  All numbers are written as plain
-Python ints/floats, so json round-trips them exactly (shortest-repr float
-encoding is lossless for binary64).
+"unitary" plus kind-specific fields.  Qubit indices and control bits must
+be JSON integers and angles JSON numbers; nothing else is coerced.  All
+numbers are written as plain Python ints/floats, so json round-trips them
+exactly (shortest-repr float encoding is lossless for binary64).
 """
 from __future__ import annotations
 
 import json
+import numbers
 
 import numpy as np
 
@@ -101,30 +103,44 @@ def _gate_to_dict(gate) -> dict:
     raise FormatError(f"cannot serialize gate of type {type(gate).__name__}")
 
 
+def _index(value) -> int:
+    """A qubit index or control bit: an integer, and not a ``bool`` (JSON ``true``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _angle(value) -> float:
+    """A rotation angle: a number, and not a ``bool`` or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _gate_from_dict(doc, pos: int):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError(f"gate {pos}: expected an object with a 'kind' key")
     kind = doc["kind"]
     try:
         if kind == "ry":
-            return Ry(target=int(doc["target"]), theta=float(doc["theta"]))
+            return Ry(target=_index(doc["target"]), theta=_angle(doc["theta"]))
         if kind == "cnot":
-            return Cnot(control=int(doc["control"]), target=int(doc["target"]))
+            return Cnot(control=_index(doc["control"]), target=_index(doc["target"]))
         if kind == "mcry":
-            controls = [int(q) for q in doc["controls"]]
-            bits = [int(b) for b in doc["bits"]]
+            controls = [_index(q) for q in doc["controls"]]
+            bits = [_index(b) for b in doc["bits"]]
             if len(controls) != len(bits):
                 raise FormatError(
                     f"gate {pos}: {len(controls)} controls but {len(bits)} bits"
                 )
             return MultiControlledRy(
                 controls=tuple(zip(controls, bits)),
-                target=int(doc["target"]),
-                theta=float(doc["theta"]),
+                target=_index(doc["target"]),
+                theta=_angle(doc["theta"]),
             )
         if kind == "unitary":
             matrix = _parts_to_matrix(doc["re"], doc["im"], f"gate {pos}")
-            return UnitaryBlock(qubits=[int(q) for q in doc["qubits"]], matrix=matrix)
+            return UnitaryBlock(qubits=[_index(q) for q in doc["qubits"]], matrix=matrix)
     except KeyError as exc:
         raise FormatError(f"gate {pos} ({kind}): missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -3,11 +3,10 @@ import numpy as np
 import pytest
 
 
-@pytest.fixture
-def hermitian_solves(monkeypatch):
-    """A list that gains one entry per ``np.linalg.eigh`` or ``eigvalsh`` call."""
+def _counted(monkeypatch, *names):
+    """A list that gains one entry per call of any of the named ``np.linalg`` functions."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in names:
         real = getattr(np.linalg, name)
 
         def counted(*args, _real=real, **kwargs):
@@ -16,3 +15,15 @@ def hermitian_solves(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def hermitian_solves(monkeypatch):
+    """A list that gains one entry per ``np.linalg.eigh`` or ``eigvalsh`` call."""
+    return _counted(monkeypatch, "eigh", "eigvalsh")
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """A list that gains one entry per ``np.linalg.svd`` call."""
+    return _counted(monkeypatch, "svd")

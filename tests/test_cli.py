@@ -240,8 +240,13 @@ def test_malformed_circuit_exits_2(tmp_path, capsys):
         '{"kind": "ry", "target": 0, "theta": 1e999}',
         '{"kind": "ry", "target": 0, "theta": 1' + "0" * 400 + "}",
         '{"kind": "ry", "target": 1e999, "theta": 0.5}',
+        '{"kind": "ry", "target": 1.7, "theta": 0.5}',
+        '{"kind": "cnot", "control": true, "target": 0}',
+        '{"kind": "cnot", "control": 1, "target": "0"}',
+        '{"kind": "ry", "target": 0, "theta": "0.5"}',
     ],
-    ids=["theta-inf", "theta-huge-int", "target-inf"],
+    ids=["theta-inf", "theta-huge-int", "target-inf",
+         "target-fraction", "control-true", "target-string", "theta-string"],
 )
 def test_overflowing_circuit_numbers_exit_2(tmp_path, capsys, gate):
     path = tmp_path / "c.json"
@@ -328,8 +333,8 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
 # sha256 of the 1000-shot CSVs (numpy 2.4, OpenBLAS): a change to the draws,
 # the estimates or the tomography shows here
 SHOT_CSV_SHA256 = {
-    "2": "69c676f7f5101e51055e3e97722e65876d02e33f810992305fde137ee21d97fa",
-    "3": "b75b6143bc1a06d82a832aabfaa9b378b835a692aa838d1ff11fe2eaa7961dd3",
+    "2": "9f0e52b50afa3542320e2c99196d3ce439675b8bb6b1a7489de1d1662209a868",
+    "3": "d1e3594581470bade99c7974b571d3c17e69b7552b74c4efe5b245c9dfa76cd3",
 }
 
 

@@ -151,16 +151,47 @@ def test_one_hermitian_solve_per_density_matrix(hermitian_solves):
     assert solves(c1_valid_range) == 0  # closed form
     assert solves(c1_state, 0.2) == 0  # least eigenvalue in closed form
 
-    # a zero row and column stop the Cholesky, so a rank-deficient argument
-    # pays one eigh for its support columns
+    # a zero row and column stop the Cholesky; the pivoted Cholesky and its
+    # residual certificate take the support columns without a solve
     def rank_deficient(seed):
         m = np.zeros((4, 4), dtype=complex)
         m[:2, :2] = random_density(2, seed)
         return m
 
-    assert solves(fidelity, rank_deficient(1), sigma) == 1
-    assert solves(fidelity, rho, rank_deficient(2)) == 1
-    assert solves(fidelity, rank_deficient(1), rank_deficient(2)) == 2
+    assert solves(fidelity, rank_deficient(1), sigma) == 0
+    assert solves(fidelity, rho, rank_deficient(2)) == 0
+    assert solves(fidelity, rank_deficient(1), rank_deficient(2)) == 0
+    assert solves(concurrence, rank_deficient(1)[::-1, ::-1]) == 0  # zero rows first: pivoting
+
+    # an indefinite matrix fails the certificate: one eigh names its least eigenvalue
+    q = np.linalg.qr(random_hermitian(4, 3) + 1j * np.eye(4))[0]
+    indefinite = (q * [0.5, 0.3, 0.2 + 1.6e-9, -1.6e-9]) @ q.conj().T
+    hermitian_solves.clear()
+    with pytest.raises(NotDensityMatrixError, match="minimum eigenvalue -1.600e-09"):
+        require_density((indefinite + indefinite.conj().T) / 2)
+    assert len(hermitian_solves) == 1
+
+
+def test_no_svd_on_a_round_trip(svd_calls):
+    from mixedprep import c1_state, c1_valid_range, fidelity, p00_family, prepare_density
+
+    # the trace bound |Tr A^dagger B|^2 <= F is within d * eps of 1 on a round trip
+    for d in (8, 64):
+        rho = random_density(d, d)
+        prepared = prepare_density(rho)
+        svd_calls.clear()
+        assert 1.0 - fidelity(prepared, rho) <= 1e-12
+        assert len(svd_calls) == 0
+    rho = p00_family(1.0)
+    assert 1.0 - fidelity(prepare_density(rho), rho) <= 1e-12
+
+    # the uniform diagonal of the c1 = -1/3 edge ties the first pivot, so the
+    # two factors need not pair their columns: the r x r SVD resolves F
+    rho = c1_state(c1_valid_range()[0])
+    prepared = prepare_density(rho)
+    svd_calls.clear()
+    assert 1.0 - fidelity(prepared, rho) <= 1e-12
+    assert len(svd_calls) == 1
 
 
 def test_canonical_basis_built_only_for_the_compile_block(monkeypatch):

@@ -5,7 +5,8 @@ TIE_TOL, or are near-pure, on padded (3, 5, 6, 7) and power-of-two
 dimensions; others put the smallest eigenvalue just inside or just outside
 the validation tolerance.  Examples are derandomized, so every run checks
 the same ones.  One seeded d = 256 target puts most of its weights just
-under RANK_TOL.
+under RANK_TOL.  The verify path's factor and its trace bound are checked
+on generated ranks and on seeded pairs.
 """
 import json
 
@@ -32,7 +33,7 @@ from mixedprep import (
     write_density_file,
 )
 from mixedprep.cli import main
-from mixedprep.linalg import FILE_VALIDATE_TOL, RANK_TOL, TIE_TOL
+from mixedprep.linalg import FILE_VALIDATE_TOL, RANK_TOL, TIE_TOL, density_factor
 
 DIMS = (2, 3, 4, 5, 6, 7, 8)
 TOL_MULTIPLES = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0)
@@ -164,3 +165,47 @@ def test_most_eigenvalues_just_under_rank_tol():
     assert int(np.sum(bundle.spectral.eigenvalues > RANK_TOL)) == rank
     validate_circuit(bundle.circuit)
     assert 1.0 - fidelity(prepared, bundle.target) <= 1e-9
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def ranked_densities(draw, dims):
+    """(rank, rho, seed): rank 1, 2, 5, d/2 or d, with equal or with random weights."""
+    d = draw(st.sampled_from(dims))
+    rank = draw(st.sampled_from(sorted({r for r in (1, 2, 5, d // 2, d) if 1 <= r <= d})))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    w = np.zeros(d)
+    w[:rank] = 1.0 if draw(st.booleans()) else np.random.default_rng(seed).uniform(0.05, 1.0, rank)
+    return rank, density_with_spectrum(w / w.sum(), seed), seed
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(ranked_densities((4, 16, 64)))
+def test_factor_has_the_numerical_rank_and_a_certified_residual(case):
+    rank, rho, _ = case
+    m, a = density_factor(rho)
+    assert a.shape == (rho.shape[0], rank)
+    assert rho.shape[0] * np.abs(m - a @ a.conj().T).max() <= DEFAULT_TOL
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(ranked_densities((2, 4, 8, 16)))
+def test_trace_bound_never_overstates_the_svd_fidelity(case):
+    # rho against its round trip, where the bound is tight, and against another state
+    _, rho, seed = case
+    d = rho.shape[0]
+    _, _, prepared = compile_and_trace(rho)
+    rotated = density_with_spectrum(np.clip(np.linalg.eigvalsh(rho), 0.0, None), seed + 1)
+    for sigma in (prepared, rotated):
+        (_, a), (_, b) = density_factor(rho), density_factor(sigma)
+        k = min(a.shape[1], b.shape[1])
+        bound = min(float(abs(np.vdot(a[:, :k], b[:, :k])) ** 2), 1.0)
+        exact = min(float(np.linalg.svd(a.conj().T @ b, compute_uv=False).sum() ** 2), 1.0)
+        assert bound <= exact + d * EPS
+        if 1.0 - bound <= d * EPS:  # the fast path
+            assert fidelity(rho, sigma) == bound
+            assert abs(bound - exact) <= d * EPS
+        else:
+            assert fidelity(rho, sigma) == exact

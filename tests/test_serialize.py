@@ -150,6 +150,15 @@ def test_circuit_format_errors():
                 ],
             }
         )
+    # no coercion: a fractional, boolean or string qubit index and a string angle
+    for gate in (
+        '{"kind": "ry", "target": 1.7, "theta": 0.5}',
+        '{"kind": "cnot", "control": true, "target": 0}',
+        '{"kind": "cnot", "control": 1, "target": "0"}',
+        '{"kind": "ry", "target": 0, "theta": "0.5"}',
+    ):
+        with pytest.raises(FormatError, match="gate 0"):
+            circuit_from_dict(json.loads('{"num_qubits": 2, "gates": [' + gate + "]}"))
 
 
 def test_float_precision_survives():
