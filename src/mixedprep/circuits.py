@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, NotUnitaryError, OutOfRangeError
+from .errors import IndexOutOfRangeError, NotUnitaryError, OutOfRangeError, _is_int
 from .linalg import DEFAULT_TOL, is_unitary
 
 
@@ -50,13 +50,14 @@ class UnitaryBlock:
     """An arbitrary unitary applied to an ordered tuple of qubits.
 
     ``qubits[0]`` is the most significant bit of the block's own index
-    space.  Equality compares qubits and the matrix entries exactly.
+    space.  The qubits are kept as given, so ``validate_circuit`` sees a
+    non-integer one.  Equality compares qubits and the matrix entries exactly.
     """
 
     __slots__ = ("qubits", "matrix")
 
     def __init__(self, qubits, matrix):
-        self.qubits = tuple(int(q) for q in qubits)
+        self.qubits = tuple(qubits)
         self.matrix = np.asarray(matrix, dtype=complex)
         dim = 2 ** len(self.qubits)
         if self.matrix.shape != (dim, dim):
@@ -101,10 +102,14 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
 
 
 def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
-    """Check wire indices, control-bit values, finite real angles, and unitarity of matrix blocks."""
+    """Check wire indices, control-bit values, finite real angles, and unitarity of matrix blocks.
+
+    The qubit count, every wire and every control bit must be integers (a
+    ``bool`` is not one); anything else is an :class:`IndexOutOfRangeError`.
+    """
     n = circuit.num_qubits
-    if n < 1:
-        raise IndexOutOfRangeError(f"circuit needs at least 1 qubit, got {n}")
+    if not _is_int(n) or n < 1:
+        raise IndexOutOfRangeError(f"circuit needs an integer number of qubits >= 1, got {n!r}")
     for pos, gate in enumerate(circuit.gates):
         qs = gate_qubits(gate)
         if len(set(qs)) != len(qs):
@@ -112,16 +117,16 @@ def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
                 f"gate {pos} ({type(gate).__name__}) reuses a qubit: {qs}"
             )
         for q in qs:
-            if not 0 <= q < n:
+            if not (_is_int(q) and 0 <= q < n):
                 raise IndexOutOfRangeError(
-                    f"gate {pos} ({type(gate).__name__}) touches qubit {q}, "
-                    f"outside 0..{n - 1}"
+                    f"gate {pos} ({type(gate).__name__}) touches qubit {q!r}, "
+                    f"not an integer in 0..{n - 1}"
                 )
         if isinstance(gate, MultiControlledRy):
             for q, b in gate.controls:
-                if b not in (0, 1):
+                if not (_is_int(b) and b in (0, 1)):
                     raise IndexOutOfRangeError(
-                        f"gate {pos} control on qubit {q} has bit {b}, expected 0 or 1"
+                        f"gate {pos} control on qubit {q} has bit {b!r}, expected 0 or 1"
                     )
         if isinstance(gate, (Ry, MultiControlledRy)) and not _is_finite_real(gate.theta):
             raise OutOfRangeError(

@@ -15,12 +15,13 @@ of every caller that does not need the spectrum.
 compile, the one caller that needs the spectrum, never solves twice.
 
 The canonical eigenbasis is built, by :func:`canonical_eigenvectors`, only
-where a basis leaves the library: :func:`eig_hermitian` and the support
-columns of the compiled block, which one complete Householder QR fills up
-unmeasured: ``validate_circuit`` checks the block once, when it runs.  It is
-whole-array work but for the Gram-Schmidt of tied groups: one comparison finds
-the groups and one product fixes every column's phase.  Square roots read the
-raw ``eigh``.
+where a basis leaves the library: :func:`eig_hermitian` and the compiled
+block, whose every column is an eigenvector from compile's one ``eigh``: the
+support groups canonical, the rest as ``eigh`` returned them.  The block is
+not measured at compile: ``validate_circuit`` checks it once, when it runs.
+It is whole-array work but for the Gram-Schmidt of tied groups: one
+comparison finds the groups and one product fixes every column's phase.
+Square roots read the raw ``eigh``.
 
 Every threshold of the package is a constant here:
 
@@ -30,7 +31,7 @@ constant            value  reason
 DEFAULT_TOL         1e-10  validation slack of library calls on computed data
 FILE_VALIDATE_TOL   1e-8   slack for matrices read from files and the CLI
 TIE_TOL             1e-12  eigenvalues this close form one degenerate group
-RANK_TOL            1e-12  eigenvalues above it get an eigenvector column
+RANK_TOL            1e-12  tie groups wholly above it get the canonical basis
 RENORM_TOL          1e-12  clamping that moves the eigenvalue sum more renorms
 GS_DROP_TOL         1e-8   Gram-Schmidt drops residuals shorter than this
 PROB_TOL            1e-12  rounding slack of family probabilities/eigenvalues
@@ -55,6 +56,7 @@ from .errors import (
     NotHermitianError,
     NotOrthonormalError,
     NotPSDError,
+    _require_qubits,
 )
 
 DEFAULT_TOL = 1e-10
@@ -225,31 +227,30 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
 def canonical_eigenvectors(w: np.ndarray, v: np.ndarray, count: int) -> tuple:
     """Deterministic basis from an ascending ``np.linalg.eigh`` result ``(w, v)``.
 
-    Returns the eigenvalues in non-increasing order and the first ``count``
-    matching eigenvector columns.  Within any group of eigenvalues that
-    agree to :data:`TIE_TOL`, the eigenvectors are rebuilt by Gram-Schmidt
-    on the projections of the canonical basis vectors (taken in index
-    order), and every eigenvector's global phase is fixed so that its first
-    component above :data:`DEFAULT_TOL` in modulus is real positive.  Groups
-    that start at or past column ``count`` are never built; a column does
-    not depend on ``count``.
+    Returns the eigenvalues in non-increasing order and all matching
+    eigenvector columns.  Within any group of eigenvalues that agree to
+    :data:`TIE_TOL` and lies wholly inside the first ``count`` columns, the
+    eigenvectors are rebuilt by Gram-Schmidt on the projections of the
+    canonical basis vectors (taken in index order); the first group that
+    reaches past ``count``, and every column after it, keeps the column of
+    ``v``.  Every eigenvector's global phase is fixed so that its first
+    component above :data:`DEFAULT_TOL` in modulus is real positive.
     """
     w = np.ascontiguousarray(w[::-1].real)
-    v = np.ascontiguousarray(v[:, ::-1])
-    out = v[:, :count].copy()
+    v = v[:, ::-1].copy()  # the tie groups are rebuilt in place
     edges = [0, *(np.flatnonzero(w[:-1] - w[1:] > TIE_TOL) + 1).tolist(), w.shape[0]]
     for start, stop in zip(edges[:-1], edges[1:]):
-        if start >= count:
+        if stop > count:
             break
         if stop - start > 1:  # Gram-Schmidt on the projections of e_0, e_1, ... onto the group
             proj = v[:, start:stop] @ v[:, start:stop].conj().T
-            out[:, start:stop] = _gram_schmidt(proj.T.copy(), min(stop, count) - start)
+            v[:, start:stop] = _gram_schmidt(proj.T.copy(), stop - start)
     # A unit column has an entry of modulus >= 1/sqrt(d) > DEFAULT_TOL, so every
     # column has a lead.  hypot gives the bits of abs() on a complex scalar, and
     # the 2-d phase row the bits of a per-column product (numpy rounds a 1x1
     # array times a 1-vector differently).
-    lead = out[(np.abs(out) > DEFAULT_TOL).argmax(axis=0), np.arange(count)]
-    return w, out * (lead.conj() / np.hypot(lead.real, lead.imag))[None, :]
+    lead = v[(np.abs(v) > DEFAULT_TOL).argmax(axis=0), np.arange(v.shape[1])]
+    return w, v * (lead.conj() / np.hypot(lead.real, lead.imag))[None, :]
 
 
 def _gram_schmidt(candidates, size: int) -> np.ndarray:
@@ -290,8 +291,8 @@ def matrix_sqrt_psd(m, tol: float = DEFAULT_TOL) -> np.ndarray:
 def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
     """Trace a ``2**total_qubits`` density matrix down to the qubits in ``keep``.
 
-    ``keep`` is a nonempty set of qubit indices; the output orders them
-    ascending.  The trace of the input is preserved.
+    ``keep`` is a nonempty set of integer qubit indices; the output orders
+    them ascending.  The trace of the input is preserved.
     """
     m = np.asarray(state, dtype=complex)
     dim = 2 ** total_qubits
@@ -299,13 +300,7 @@ def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected a {dim}x{dim} matrix for {total_qubits} qubits, got {m.shape}"
         )
-    kept = sorted(set(int(q) for q in keep))
-    if not kept:
-        raise DimensionMismatchError("keep must be a nonempty set of qubit indices")
-    if kept[0] < 0 or kept[-1] >= total_qubits:
-        raise DimensionMismatchError(
-            f"keep indices {kept} out of range for {total_qubits} qubits"
-        )
+    kept = _require_qubits(keep, total_qubits, DimensionMismatchError)
     dropped = [q for q in range(total_qubits) if q not in kept]
     t = m.reshape([2] * (2 * total_qubits))
     order = kept + dropped
@@ -337,10 +332,4 @@ def orthonormal_completion(partial_cols, tol: float = DEFAULT_TOL) -> np.ndarray
         raise NotOrthonormalError(
             f"columns are not orthonormal: max Gram deviation {err:.3e} > {tol:g}"
         )
-    return q.copy() if k == d else _completed(q)
-
-
-def _completed(q: np.ndarray) -> np.ndarray:
-    """``q``, then the trailing columns of its complete Householder QR; ``q`` itself if square."""
-    k = q.shape[1]
-    return q if k == q.shape[0] else np.hstack([q, np.linalg.qr(q, mode="complete")[0][:, k:]])
+    return q.copy() if k == d else np.hstack([q, np.linalg.qr(q, mode="complete")[0][:, k:]])

@@ -17,6 +17,8 @@ from .errors import (
     MissingExpectationError,
     NotAProbabilityVectorError,
     OutOfRangeError,
+    _is_int,
+    _require_real,
 )
 from .linalg import DEFAULT_TOL, _eigh, density_factor, partial_trace, require_density
 
@@ -147,14 +149,16 @@ def concurrence(rho, tol: float = DEFAULT_TOL) -> float:
 def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     """Linear-inversion estimate projected back onto the density-matrix set.
 
-    ``expectations`` maps Pauli strings of length ``n`` to finite real
-    estimates; the all-identity entry may be omitted (implied 1).  The raw
-    estimate 2**-n * sum(<P> P) is Hermitized, negative eigenvalues are
-    clamped to zero, and the trace is rescaled to 1.
+    ``expectations`` maps Pauli strings of length ``n``, an integer >= 1, to
+    finite real estimates; the all-identity entry may be omitted (implied 1).
+    The raw estimate 2**-n * sum(<P> P) is Hermitized, negative eigenvalues
+    are clamped to zero, and the trace is rescaled to 1.
     """
-    if n < 1:
-        raise DimensionMismatchError(f"qubit count must be >= 1, got {n}")
-    table = {str(k).upper(): float(v) for k, v in expectations.items()}
+    if not _is_int(n) or n < 1:
+        raise DimensionMismatchError(f"qubit count must be an integer >= 1, got {n!r}")
+    values = _require_real(list(expectations.values()), OutOfRangeError,
+                           "expectation values must be real")
+    table = dict(zip((str(k).upper() for k in expectations), values.tolist()))
     table.setdefault("I" * n, 1.0)
     # Checked lazily before any d x d array: a gap stops the scan within
     # len(table) + 1 labels, so a short table costs only its own size.

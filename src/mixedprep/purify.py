@@ -20,13 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Cnot, UnitaryBlock
-from .errors import NotAProbabilityVectorError
+from .errors import NotAProbabilityVectorError, _require_real
 from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
     RENORM_TOL,
     SpectralDecomposition,
-    _completed,
     canonical_eigenvectors,
     density_eigh,
     require_density,
@@ -39,8 +38,9 @@ from .simulator import reduced_density, run
 class PreparedCircuitBundle:
     """A 2n-qubit preparation circuit plus the data it was compiled from.
 
-    ``spectral.eigenvectors`` is the basis-change block: canonical support
-    eigenvectors, then orthonormal completion columns spanning the null space.
+    ``spectral`` is the eigendecomposition of ``target`` and its
+    ``eigenvectors`` the basis-change block: canonical eigenvectors for the
+    support, the remaining columns as compile's ``eigh`` returned them.
     """
 
     circuit: Circuit
@@ -76,11 +76,13 @@ def _padded(rho: np.ndarray) -> np.ndarray:
 def eigenvalue_amplitudes(spectral: SpectralDecomposition, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Square roots of the eigenvalues, cleaned up for the amplitude compiler.
 
-    Eigenvalues in [-tol, 0) are clamped to zero; anything lower, or a sum
-    away from 1 beyond tol, is rejected.  If clamping moved the sum by more
-    than :data:`~mixedprep.linalg.RENORM_TOL` the vector is renormalized.
+    Eigenvalues in [-tol, 0) are clamped to zero; anything lower, a sum away
+    from 1 beyond tol, or a nonzero imaginary part is rejected.  If clamping
+    moved the sum by more than :data:`~mixedprep.linalg.RENORM_TOL` the vector
+    is renormalized.
     """
-    w = np.asarray(spectral.eigenvalues, dtype=float)
+    w = _require_real(spectral.eigenvalues, NotAProbabilityVectorError,
+                      "eigenvalues must be real")
     if float(w.min()) < -tol:
         raise NotAProbabilityVectorError(
             f"eigenvalue {w.min():.3e} is negative beyond tol={tol:g}"
@@ -99,18 +101,18 @@ def eigenvalue_amplitudes(spectral: SpectralDecomposition, tol: float = DEFAULT_
 def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitBundle:
     """Compile a density matrix into its 2n-qubit purification circuit.
 
-    Eigenvalues at or below ``RANK_TOL`` carry no weight, so only the support
-    columns get the canonical basis; completion makes the block unitary.  The
-    block's Gram is not measured here: ``run`` checks it through
+    The block is the one ``eigh`` of the padded target: the tie groups above
+    ``RANK_TOL`` get the canonical basis, and the columns from the first group
+    that reaches down to it keep their ``eigh`` eigenvectors, so the loaded
+    weights, sub-``RANK_TOL`` ones included, each meet their own eigenvector.
+    The block's Gram is not measured here: ``run`` checks it through
     ``validate_circuit``, and ``simulate`` does so for a circuit file.
     """
     # zero padding neither makes nor breaks a density matrix, so this checks rho
     padded, w, v = density_eigh(_padded(np.asarray(rho, dtype=complex)), tol)
     d = padded.shape[0]
     n = d.bit_length() - 1
-    rank = int(np.sum(w > RANK_TOL))
-    w, support = canonical_eigenvectors(w, v, rank)
-    spectral = SpectralDecomposition(w, _completed(support))
+    spectral = SpectralDecomposition(*canonical_eigenvectors(w, v, int(np.sum(w > RANK_TOL))))
     amps = eigenvalue_amplitudes(spectral, tol)
 
     circuit = compile_real_state(amps)

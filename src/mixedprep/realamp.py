@@ -19,6 +19,7 @@ from .errors import (
     LevelOutOfRangeError,
     NegativeAmplitudeError,
     NotNormalizedError,
+    _require_real,
 )
 from .linalg import DEFAULT_TOL
 
@@ -27,9 +28,10 @@ def branch_norms(amps: np.ndarray, level: int) -> np.ndarray:
     """Root-sum-square of the amplitudes under each prefix of ``level + 1`` bits.
 
     Returns ``2**(level + 1)`` values; ``level = n - 1`` returns the
-    amplitudes themselves.
+    amplitudes themselves.  A nonzero imaginary part raises
+    :class:`NegativeAmplitudeError`.
     """
-    amps = np.asarray(amps, dtype=float)
+    amps = _require_real(amps, NegativeAmplitudeError, "amplitudes must be real and non-negative")
     n = _num_qubits(amps.shape[0])
     if not 0 <= level < n:
         raise LevelOutOfRangeError(f"level {level} outside 0..{n - 1}")
@@ -49,10 +51,10 @@ def compile_real_state(amps, tol: float = DEFAULT_TOL) -> Circuit:
     """Compile real non-negative amplitudes into an Ry-tree circuit.
 
     The amplitude vector length must be a power of two (at least 2) and
-    normalized within ``tol``; starting from |0...0> the circuit reproduces
-    it exactly.
+    normalized within ``tol``, its entries real and non-negative; starting
+    from |0...0> the circuit reproduces it exactly.
     """
-    amps = np.asarray(amps, dtype=float)
+    amps = _require_real(amps, NegativeAmplitudeError, "amplitudes must be real and non-negative")
     n = _num_qubits(amps.shape[0])
     if amps.min() < -tol:
         raise NegativeAmplitudeError(

@@ -16,7 +16,7 @@ import numbers
 import numpy as np
 
 from .circuits import Circuit, Cnot, MultiControlledRy, Ry, UnitaryBlock
-from .errors import FormatError
+from .errors import FormatError, _is_int
 from .linalg import FILE_VALIDATE_TOL, require_density
 
 
@@ -105,7 +105,7 @@ def _gate_to_dict(gate) -> dict:
 
 def _index(value) -> int:
     """A qubit index or control bit: an integer, and not a ``bool`` (JSON ``true``)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_int(value):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 

@@ -12,8 +12,10 @@ Finite-shot readout rotates a copy of the state into one measurement
 setting's Z basis and draws a multinomial histogram; a Pauli estimate is
 the histogram's parity balance.  ``sample_pauli_expectations`` computes
 each of the 3**k settings' distributions once for its 4**k - 1 strings.
-Shot counts (1..2**63 - 1) and seeds are checked as integers (``bool``
-excluded), so a bad one is an ``OutOfRangeError``, not a numpy traceback.
+Shot counts (1..2**63 - 1), seeds and register sizes are checked as
+integers (``bool`` excluded), so a bad one is an ``OutOfRangeError``, not a
+numpy traceback; a qubit index that is not an integer is an
+``IndexOutOfRangeError``, never truncated to another qubit.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .circuits import Circuit, Cnot, Gate, MultiControlledRy, UnitaryBlock, validate_circuit
-from .errors import BadLabelError, IndexOutOfRangeError, OutOfRangeError, _require_int
+from .errors import BadLabelError, IndexOutOfRangeError, _is_int, _require_int, _require_qubits
 from .linalg import DEFAULT_TOL
 
 MAX_QUBITS = 24
@@ -45,10 +47,7 @@ class ShotResult:
 
 
 def zero_state(num_qubits: int) -> np.ndarray:
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise OutOfRangeError(
-            f"num_qubits {num_qubits} outside supported range 1..{MAX_QUBITS}"
-        )
+    _require_int(num_qubits, "num_qubits", 1, MAX_QUBITS)
     amps = np.zeros(2 ** num_qubits, dtype=complex)
     amps[0] = 1.0
     return amps
@@ -127,11 +126,7 @@ def reduced_density(state: np.ndarray, keep) -> np.ndarray:
     """
     state = np.asarray(state, dtype=complex)
     n = num_qubits_of(state)
-    kept = sorted(set(int(q) for q in keep))
-    if not kept:
-        raise IndexOutOfRangeError("keep must name at least one qubit")
-    if kept[0] < 0 or kept[-1] >= n:
-        raise IndexOutOfRangeError(f"keep indices {kept} out of range for {n} qubits")
+    kept = _require_qubits(keep, n, IndexOutOfRangeError)
     m = np.moveaxis(state.reshape((2,) * n), kept, range(len(kept))).reshape(2 ** len(kept), -1)
     return m @ m.conj().T
 
@@ -177,10 +172,11 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     """
     state = np.asarray(state, dtype=complex)
     n = num_qubits_of(state)
-    qubits = tuple(int(q) for q in qubits)
-    if not qubits or len(set(qubits)) != len(qubits) or not all(0 <= q < n for q in qubits):
+    qubits = tuple(qubits)
+    if (not qubits or len(set(qubits)) != len(qubits)
+            or not all(_is_int(q) and 0 <= q < n for q in qubits)):
         raise IndexOutOfRangeError(
-            f"qubits {qubits} must be distinct indices in 0..{n - 1}, at least one"
+            f"qubits {qubits} must be distinct integer indices in 0..{n - 1}, at least one"
         )
     _require_int(shots, "shots", 1, _MAX_SHOTS)
     _require_int(seed, "seed", 0)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadProbabilitiesError, NotPSDError, OutOfRangeError, _require_int
+from .errors import BadProbabilitiesError, NotPSDError, OutOfRangeError, _require_int, _require_real
 from .linalg import DEFAULT_TOL, PROB_TOL
 
 
@@ -52,10 +52,17 @@ def x_state_eigenvectors(theta: float, phi: float) -> np.ndarray:
 
 
 def x_state(params: XStateParams) -> np.ndarray:
-    """Assemble the X-shaped density matrix sum(p_j |v_j><v_j|)."""
-    probs = np.asarray(params.probs, dtype=float)
+    """Assemble the X-shaped density matrix sum(p_j |v_j><v_j|).
+
+    The four probabilities must be real and finite, none below
+    ``-PROB_TOL``, summing to 1 within ``PROB_TOL``; otherwise
+    :class:`BadProbabilitiesError`.
+    """
+    probs = _require_real(params.probs, BadProbabilitiesError, "probabilities must be real")
     if probs.shape != (4,):
         raise BadProbabilitiesError(f"expected 4 probabilities, got shape {probs.shape}")
+    if not np.isfinite(probs).all():
+        raise BadProbabilitiesError(f"probabilities must be finite, got {probs.tolist()}")
     if probs.min() < -PROB_TOL:
         raise BadProbabilitiesError(f"probability {probs.min():.3e} is negative")
     if abs(float(probs.sum()) - 1.0) > PROB_TOL:

@@ -27,3 +27,9 @@ def hermitian_solves(monkeypatch):
 def svd_calls(monkeypatch):
     """A list that gains one entry per ``np.linalg.svd`` call."""
     return _counted(monkeypatch, "svd")
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """A list that gains one entry per ``np.linalg.qr`` call."""
+    return _counted(monkeypatch, "qr")

@@ -351,7 +351,7 @@ CIRCUIT_SHA256 = {
     "c1:c1=0": "0890a06865d7b481efcf9767812a60917ce958779aa80cddaf437612956981a3",  # 4-fold tie
     "ginibre:d=3,seed=2": "b309dfd4eb54690ca8316a37f7064dd3c2815fb7474ad229a6fd477f6df6d3ae",  # padded
     "ginibre:d=8,seed=7": "811ef3d030fab9912595eb3a97ba5e83ffe0534d1875924032b8b79d0ecd9ae7",
-    "xstate:p00=0": "988a36034723968b1ee9f3f832ae819be34f99e894cbd420d13fe94ee120973e",  # completion
+    "xstate:p00=0": "e910eccfea210486a3965336b716b8157c53ec77ffdfe9cd4de6e7f852a93938",  # null space
     "xstate:p00=0.5": "0245f91147457052b2820c2f50466d4d4630ea8941875e62711bf1b35e755dcc",
 }
 

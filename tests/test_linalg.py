@@ -212,7 +212,7 @@ def test_canonical_basis_built_only_for_the_compile_block(monkeypatch):
         m = (q * weights) @ q.conj().T
         return (m + m.conj().T) / 2
 
-    # distinct eigenvalues: the null space is completed by QR, not Gram-Schmidt
+    # distinct eigenvalues: the null space keeps its eigh columns, no Gram-Schmidt
     # tied eigenvalues: one Gram-Schmidt, for the tie group of the support
     for weights, compile_calls in (([0.7, 0.3], 0), ([0.5, 0.5], 1)):
         rho, sigma = rank2(1, weights), rank2(2, weights)
@@ -225,21 +225,27 @@ def test_canonical_basis_built_only_for_the_compile_block(monkeypatch):
 
 
 def _reference_canonical_eigenvectors(w, v, count):
-    """The column-at-a-time form of ``canonical_eigenvectors``: a tie scan, one phase fix per column."""
+    """The column-at-a-time form of ``canonical_eigenvectors``: a tie scan, one phase fix per column.
+
+    All d columns come back; tie groups are rebuilt up to the first one that
+    reaches past ``count``, which keeps the columns of ``v`` from there on.
+    """
     w = np.ascontiguousarray(w[::-1].real)
     v = np.ascontiguousarray(v[:, ::-1])
     d = w.shape[0]
-    out = v[:, :count].copy()
+    out = v.copy()
     start = 0
-    while start < count:
+    while start < d:
         stop = start + 1
         while stop < d and w[stop - 1] - w[stop] <= TIE_TOL:
             stop += 1
+        if stop > count:
+            break
         if stop - start > 1:
             proj = v[:, start:stop] @ v[:, start:stop].conj().T
-            out[:, start:stop] = _gram_schmidt(proj.T.copy(), min(stop, count) - start)
+            out[:, start:stop] = _gram_schmidt(proj.T.copy(), stop - start)
         start = stop
-    for j in range(count):
+    for j in range(d):
         col = out[:, j]
         idx = np.flatnonzero(np.abs(col) > DEFAULT_TOL)
         if idx.size:
@@ -297,7 +303,8 @@ def test_canonical_eigenvectors_bytes_equal_column_loop(name):
         got_w, got_v = canonical_eigenvectors(w, v, count)
         ref_w, ref_v = _reference_canonical_eigenvectors(w, v, count)
         assert got_w.tobytes() == ref_w.tobytes()
-        assert got_v.shape == ref_v.shape and got_v.tobytes() == ref_v.tobytes(), count
+        assert got_v.shape == ref_v.shape == (len(w), len(w)), count
+        assert got_v.tobytes() == ref_v.tobytes(), count
 
 
 def test_require_density_messages():
@@ -459,3 +466,13 @@ def test_orthonormal_completion_errors():
         orthonormal_completion(np.ones((3, 2)))
     with pytest.raises(DimensionMismatchError):
         orthonormal_completion(np.eye(5)[:, :3][:2])  # 2x3: more cols than rows
+
+
+@pytest.mark.parametrize("keep", [{1.5}, {"0"}, {True}, [0, 1.0]],
+                         ids=["float", "str", "bool", "mixed"])
+def test_partial_trace_rejects_non_integer_qubits(keep):
+    # a truncated index would trace down to the wrong qubit
+    rho = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
+    with pytest.raises(DimensionMismatchError, match="integer"):
+        partial_trace(rho, keep, 2)
+    npt.assert_array_equal(partial_trace(rho, np.array([1]), 2), np.eye(2) / 2)

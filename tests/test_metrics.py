@@ -395,3 +395,24 @@ def test_tomography_output_is_density():
     w = np.linalg.eigvalsh(rec)
     assert w.min() >= -1e-14
     npt.assert_allclose(np.trace(rec), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2.5, True, np.float64(1.0)], ids=["float", "bool", "np-float"])
+def test_tomography_rejects_non_integer_qubit_count(n):
+    with pytest.raises(DimensionMismatchError, match="integer >= 1"):
+        tomography_reconstruct({"X": 0.0, "Y": 0.0, "Z": 1.0}, n)
+
+
+@pytest.mark.parametrize(
+    "value", [0.5 + 0.5j, np.complex128(0.5 - 1e-3j), complex(0.0, np.nan), "a"],
+    ids=["complex", "np-complex", "nan-imag", "str"],
+)
+def test_tomography_rejects_complex_estimates(value):
+    with pytest.raises(OutOfRangeError, match="must be real"):
+        tomography_reconstruct({"X": 0.0, "Y": 0.0, "Z": value}, 1)
+
+
+def test_tomography_reads_zero_imaginary_parts_as_real():
+    est = {"X": 0.0, "Y": 0.0, "Z": 0.5}
+    npt.assert_array_equal(tomography_reconstruct({**est, "Z": 0.5 + 0j}, 1),
+                           tomography_reconstruct(est, 1))

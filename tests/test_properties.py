@@ -26,7 +26,6 @@ from mixedprep import (
     eig_hermitian,
     eigenvalue_amplitudes,
     fidelity,
-    orthonormal_completion,
     reduced_density,
     run,
     validate_circuit,
@@ -110,14 +109,21 @@ def test_generated_spectra_compile_exactly_and_deterministically(case):
     assert json.dumps(circuit_to_dict(again.circuit)) == json.dumps(circuit_to_dict(bundle.circuit))
     assert prepared_again.tobytes() == prepared.tobytes()
 
-    # The block is the canonical support basis completed to a unitary, bit
-    # for bit, so circuit files keep their bytes.
+    # The block is an eigenbasis of the target: the canonical basis bit for
+    # bit, so circuit files keep their bytes, up to the first tie group that
+    # reaches down to RANK_TOL (none unless a group straddles it), and eigh's
+    # own eigenvectors from there on.
     dec = eig_hermitian(bundle.target)
-    rank = int(np.sum(dec.eigenvalues > RANK_TOL))
-    oracle = orthonormal_completion(dec.eigenvectors[:, :rank], 1e-8)
+    w = dec.eigenvalues
+    canonical = int(np.sum(w > RANK_TOL))
+    while 0 < canonical < d and w[canonical - 1] - w[canonical] <= TIE_TOL:
+        canonical -= 1
     block = bundle.circuit.gates[-1].matrix
-    assert np.array_equal(block, oracle)
+    assert np.array_equal(block[:, :canonical], dec.eigenvectors[:, :canonical])
     assert np.array_equal(bundle.spectral.eigenvectors, block)
+    assert np.array_equal(bundle.spectral.eigenvalues, w)
+    assert np.linalg.norm(bundle.target @ block - block * w, axis=0).max() <= 1e-10
+    assert np.abs(block.conj().T @ block - np.eye(d)).max() <= 1e-12
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -154,8 +160,8 @@ def test_negative_eigenvalue_edge_at_file_tol(tmp_path, capsys, factor, code):
 
 def test_most_eigenvalues_just_under_rank_tol():
     # 248 of 256 weights sit just under RANK_TOL: they keep their amplitudes
-    # but get completion columns, which span their eigenvectors only as a
-    # whole.  The loss is measured at 8.7e-14, against 2.3e-10 of such weight.
+    # and their own eigh eigenvectors, so the traced state is the target to
+    # rounding (1.1e-16 measured), against 2.3e-10 of such weight.
     d, rank = 256, 8
     rng = np.random.default_rng(2024)
     w = np.concatenate([rng.uniform(0.05, 1.0, rank), rng.uniform(0.9, 0.99, d - rank) * RANK_TOL])
@@ -164,7 +170,26 @@ def test_most_eigenvalues_just_under_rank_tol():
     bundle, _, prepared = compile_and_trace(rho)
     assert int(np.sum(bundle.spectral.eigenvalues > RANK_TOL)) == rank
     validate_circuit(bundle.circuit)
+    assert np.abs(prepared - bundle.target).max() <= 1e-15
     assert 1.0 - fidelity(prepared, bundle.target) <= 1e-9
+
+
+def test_tie_group_straddling_rank_tol():
+    # 1.1e-12 and 1.05e-12 lie above RANK_TOL, 0.95e-12 and 0.9e-12 below, and
+    # all four agree to TIE_TOL: the group keeps its eigh columns, which are
+    # eigenvectors, so the block stays unitary and the round trip exact
+    # (1.3e-16 measured).
+    w = np.array([0.5, 0.3, 0.15, 0.05, 1.1e-12, 1.05e-12, 0.95e-12, 0.9e-12])
+    w[:4] *= (1.0 - w[4:].sum()) / w[:4].sum()
+    bundle, _, prepared = compile_and_trace(density_with_spectrum(w, 7))
+    got = bundle.spectral.eigenvalues
+    assert int(np.sum(got > RANK_TOL)) == 6 and got[3] - got[4] > TIE_TOL
+    assert (got[4:-1] - got[5:]).max() <= TIE_TOL
+    block = bundle.circuit.gates[-1].matrix
+    assert np.abs(block.conj().T @ block - np.eye(8)).max() <= 1e-12
+    validate_circuit(bundle.circuit)
+    assert np.abs(prepared - bundle.target).max() <= 1e-15
+    assert 1.0 - fidelity(prepared, bundle.target) <= 1e-12
 
 
 EPS = np.finfo(float).eps

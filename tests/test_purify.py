@@ -198,9 +198,27 @@ def test_block_gram_measured_once_per_compile_and_run(monkeypatch, rho):
     assert shapes == [(d, d)]
 
 
+@pytest.mark.parametrize(
+    "rho", [ginibre_density(8, 7), p00_family(0.0), random_density_any_dim(3, 9)],
+    ids=["full-rank", "rank-deficient", "padded"],
+)
+def test_compile_is_one_eigh_and_no_qr(hermitian_solves, qr_calls, rho):
+    # the block is the eigh eigenbasis: no second factorization completes it
+    build_preparation_circuit(rho)
+    assert len(hermitian_solves) == 1
+    assert len(qr_calls) == 0
+
+
 def test_padded_roundtrip_3x3():
     rho = random_density_any_dim(3, 9)
     out = prepare_density(rho)
     assert out.shape == (4, 4)
     npt.assert_allclose(out[:3, :3], rho, atol=1e-9)
     assert abs(out[3, 3]) <= 1e-9
+
+
+@pytest.mark.parametrize("w", [[0.5 + 0.1j, 0.5 - 0.1j], [0.5 + 0j, complex(0.5, np.nan)]],
+                         ids=["complex", "nan-imag"])
+def test_eigenvalue_amplitudes_rejects_complex_eigenvalues(w):
+    with pytest.raises(NotAProbabilityVectorError, match="must be real"):
+        eigenvalue_amplitudes(SpectralDecomposition(np.array(w), np.eye(2, dtype=complex)))

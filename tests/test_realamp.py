@@ -131,3 +131,22 @@ def test_compile_validation():
         compile_real_state([1.0, 0.0, 0.0])
     with pytest.raises(DimensionMismatchError):
         compile_real_state([1.0])
+
+
+@pytest.mark.parametrize(
+    "amps",
+    [np.array([0.6, 0.8j]), [0.6 + 0j, 0.8 + 1e-9j], [0.6, complex(0.8, np.nan)], [0.6, "a"]],
+    ids=["imaginary", "small-imaginary", "nan-imaginary", "str"],
+)
+def test_complex_amplitudes_are_rejected(amps):
+    # dropping the imaginary part would load a different state
+    with pytest.raises(NegativeAmplitudeError, match="real and non-negative"):
+        compile_real_state(amps)
+    with pytest.raises(NegativeAmplitudeError, match="real and non-negative"):
+        branch_norms(amps, 0)
+
+
+def test_zero_imaginary_parts_load_as_real():
+    amps = np.sqrt([0.4, 0.3, 0.2, 0.1])
+    assert compile_real_state(amps + 0j).gates == compile_real_state(amps).gates
+    npt.assert_array_equal(branch_norms(amps + 0j, 0), branch_norms(amps, 0))

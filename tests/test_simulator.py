@@ -342,3 +342,64 @@ def test_sample_expectations_table():
     assert table["II"] == 1.0
     for label, exact in [("XX", 1.0), ("YY", -1.0), ("ZZ", 1.0), ("XZ", 0.0)]:
         assert abs(table[label] - exact) <= 0.03
+
+
+@pytest.mark.parametrize("keep", [[0.9], ["0"], [True], [0, 1.0]],
+                         ids=["float", "str", "bool", "mixed"])
+def test_reduced_density_rejects_non_integer_qubits(keep):
+    # a truncated index would trace down to the wrong qubit
+    with pytest.raises(IndexOutOfRangeError, match="integer"):
+        reduced_density(random_state(2, 3), keep)
+
+
+@pytest.mark.parametrize("qubits", [(0.7,), ("1",), (True,), (0, 1.0)],
+                         ids=["float", "str", "bool", "mixed"])
+def test_sample_expectations_rejects_non_integer_qubits(qubits):
+    with pytest.raises(IndexOutOfRangeError, match="integer"):
+        sample_pauli_expectations(bell_state(), qubits, 100, 0)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        Circuit(2, [Ry(1.7, 0.1)]),
+        Circuit(2, [Ry(True, 0.1)]),
+        Circuit(2, [Cnot(0.0, 1)]),
+        Circuit(2, [Cnot(0, "1")]),
+        Circuit(2, [MultiControlledRy(((0, 1.0),), 1, 0.3)]),
+        Circuit(2, [MultiControlledRy(((0, True),), 1, 0.3)]),
+        Circuit(2, [MultiControlledRy(((0.0, 1),), 1, 0.3)]),
+        Circuit(2, [UnitaryBlock([0.5], H)]),
+        Circuit(2, [UnitaryBlock(["1"], H)]),
+        Circuit(2.5, []),
+        Circuit(True, []),
+    ],
+    ids=["ry-float", "ry-bool", "cnot-float", "cnot-str", "bit-float", "bit-bool", "control-float",
+         "block-float", "block-str", "count-float", "count-bool"],
+)
+def test_run_rejects_non_integer_wires_bits_and_counts(circuit):
+    with pytest.raises(IndexOutOfRangeError, match="integer|expected 0 or 1"):
+        run(circuit)
+
+
+def test_apply_gate_rejects_a_float_wire():
+    with pytest.raises(IndexOutOfRangeError, match="integer"):
+        apply_gate(zero_state(2), Cnot(0.0, 1))
+
+
+@pytest.mark.parametrize("n", [2.5, True, "2", np.float64(2.0)],
+                         ids=["float", "bool", "str", "np-float"])
+def test_zero_state_rejects_non_integer_count(n):
+    with pytest.raises(OutOfRangeError, match="num_qubits must be an integer in 1..24"):
+        zero_state(n)
+
+
+def test_numpy_integer_wires_and_subsets_still_run():
+    i0, i1, two = np.int64(0), np.int64(1), np.int64(2)
+    psi = run(Circuit(two, [Ry(i0, np.pi / 2), Cnot(i0, i1), UnitaryBlock(np.array([1]), H)]))
+    plain = run(Circuit(2, [Ry(0, np.pi / 2), Cnot(0, 1), UnitaryBlock((1,), H)]))
+    npt.assert_array_equal(psi, plain)
+    npt.assert_array_equal(reduced_density(psi, np.array([1])), reduced_density(psi, {1}))
+    table = sample_pauli_expectations(psi, (i1,), 10, 0)
+    assert table == sample_pauli_expectations(psi, (1,), 10, 0)
+    npt.assert_array_equal(zero_state(two), basis(2, 0))

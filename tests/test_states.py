@@ -183,3 +183,21 @@ def test_ginibre_mean_purity():
     rhos = [ginibre_density(2, 5000 + s) for s in range(1000)]
     vals = [np.trace(rho @ rho).real for rho in rhos]
     npt.assert_allclose(np.mean(vals), 0.80, atol=0.02)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [(np.nan, 0.5, 0.25, 0.25), (0.25, 0.25, np.nan, np.nan),
+     (0.25 + 0.1j, 0.25, 0.25, 0.25 - 0.1j), np.array([0.25, 0.25, 0.25, 0.25]) + 1e-3j,
+     ("a", 0.5, 0.25, 0.25)],
+    ids=["nan", "two-nan", "complex", "complex-array", "str"],
+)
+def test_x_state_rejects_nan_and_complex_probabilities(probs):
+    with pytest.raises(BadProbabilitiesError, match="finite|real"):
+        x_state(XStateParams(0.3, 0.2, probs))
+
+
+def test_x_state_reads_zero_imaginary_parts_as_real():
+    probs = (0.4, 0.3, 0.2, 0.1)
+    npt.assert_array_equal(x_state(XStateParams(0.3, 0.2, np.array(probs) + 0j)),
+                           x_state(XStateParams(0.3, 0.2, probs)))
