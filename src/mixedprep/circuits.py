@@ -105,14 +105,22 @@ def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
     """Check wire indices, control-bit values, finite real angles, and unitarity of matrix blocks.
 
     The qubit count, every wire and every control bit must be integers (a
-    ``bool`` is not one); anything else is an :class:`IndexOutOfRangeError`.
+    ``bool`` is not one); anything else is an :class:`IndexOutOfRangeError`,
+    as is a gate whose wires cannot be read: an object of no gate type, or
+    controls that are not ``(qubit, bit)`` pairs.
     """
     n = circuit.num_qubits
     if not _is_int(n) or n < 1:
         raise IndexOutOfRangeError(f"circuit needs an integer number of qubits >= 1, got {n!r}")
     for pos, gate in enumerate(circuit.gates):
-        qs = gate_qubits(gate)
-        if len(set(qs)) != len(qs):
+        try:
+            qs = gate_qubits(gate)
+            reused = len(set(qs)) != len(qs)
+        except (TypeError, ValueError) as exc:
+            raise IndexOutOfRangeError(
+                f"gate {pos} ({type(gate).__name__}) has unreadable wires: {exc}"
+            ) from exc
+        if reused:
             raise IndexOutOfRangeError(
                 f"gate {pos} ({type(gate).__name__}) reuses a qubit: {qs}"
             )

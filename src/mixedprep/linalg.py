@@ -9,15 +9,15 @@ Hermiticity and trace, then positivity.  :func:`density_factor` reads
 positivity off a Cholesky factorization; where that fails or a pivot is
 at the rounding level, off a pivoted Cholesky that stops at the numerical
 rank and one residual that certifies it.  It solves only for a matrix that
-fails the certificate, to name its least eigenvalue, and it is the check
-of every caller that does not need the spectrum.
-:func:`density_eigh` reads positivity off the one ``eigh`` it returns, so
-compile, the one caller that needs the spectrum, never solves twice.
+fails the certificate, to name its least eigenvalue.  It is the check of
+every caller, compile included, and compile solves for the spectrum on its
+factor's support: one d x d ``eigh`` for a full-rank matrix, one r x r
+``eigh`` for a rank-r one.
 
 The canonical eigenbasis is built, by :func:`canonical_eigenvectors`, only
 where a basis leaves the library: :func:`eig_hermitian` and the compiled
-block, whose every column is an eigenvector from compile's one ``eigh``: the
-support groups canonical, the rest as ``eigh`` returned them.  The block is
+block, whose every column is an eigenvector from compile's one solve: the
+support groups canonical, the rest as the solve returned them.  The block is
 not measured at compile: ``validate_circuit`` checks it once, when it runs.
 It is whole-array work but for the Gram-Schmidt of tied groups: one
 comparison finds the groups and one product fixes every column's phase.
@@ -56,6 +56,7 @@ from .errors import (
     NotHermitianError,
     NotOrthonormalError,
     NotPSDError,
+    _is_int,
     _require_qubits,
 )
 
@@ -97,28 +98,12 @@ def _require_unit_trace(m, tol: float) -> np.ndarray:
     return m
 
 
-def _positive_eigh(m: np.ndarray, tol: float) -> tuple:
-    w, v = _eigh(m)
-    if w[0] < -tol:
-        raise NotDensityMatrixError(
-            f"matrix is not positive semidefinite: minimum eigenvalue {w[0]:.3e} < -{tol:g}"
-        )
-    return w, v
+def density_factor(m, tol: float = DEFAULT_TOL) -> tuple:
+    """Validate a density matrix; return ``(m, a)`` with ``m = a a^dagger``.
 
-
-def density_eigh(m, tol: float = DEFAULT_TOL) -> tuple:
-    """Validate a density matrix; return ``(m, w, v)`` with ``w, v = eigh(m)``.
-
-    ``m`` comes back as a complex array, ``w`` ascending.  A failure raises
+    ``m`` comes back as a complex array.  A failure raises
     :class:`NotDensityMatrixError` naming the first violated invariant:
     shape, finite entries, Hermiticity, trace, or positivity.
-    """
-    m = _require_unit_trace(m, tol)
-    return (m, *_positive_eigh(m, tol))
-
-
-def density_factor(m, tol: float = DEFAULT_TOL) -> tuple:
-    """Validate ``m`` as :func:`density_eigh` does; return ``(m, a)`` with ``m = a a^dagger``.
 
     ``a`` is the Cholesky factor when its pivots all exceed the floor d * eps:
     no eigensolve, and a completed Cholesky of a trace-1 matrix certifies
@@ -148,7 +133,11 @@ def density_factor(m, tol: float = DEFAULT_TOL) -> tuple:
     resid -= m
     if d * float(np.abs(resid).max()) <= tol:
         return m, a
-    w, v = _positive_eigh(m, tol)
+    w, v = _eigh(m)
+    if w[0] < -tol:
+        raise NotDensityMatrixError(
+            f"matrix is not positive semidefinite: minimum eigenvalue {w[0]:.3e} < -{tol:g}"
+        )
     keep = w > floor
     return m, v[:, keep] * np.sqrt(w[keep])
 
@@ -292,8 +281,13 @@ def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
     """Trace a ``2**total_qubits`` density matrix down to the qubits in ``keep``.
 
     ``keep`` is a nonempty set of integer qubit indices; the output orders
-    them ascending.  The trace of the input is preserved.
+    them ascending.  The trace of the input is preserved.  ``total_qubits``
+    must be an integer >= 1 (a ``bool`` is not one).
     """
+    if not _is_int(total_qubits) or total_qubits < 1:
+        raise DimensionMismatchError(
+            f"total_qubits must be an integer >= 1, got {total_qubits!r}"
+        )
     m = np.asarray(state, dtype=complex)
     dim = 2 ** total_qubits
     if m.shape != (dim, dim):

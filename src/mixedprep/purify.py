@@ -26,11 +26,12 @@ from .linalg import (
     RANK_TOL,
     RENORM_TOL,
     SpectralDecomposition,
+    _eigh,
     canonical_eigenvectors,
-    density_eigh,
+    density_factor,
     require_density,
 )
-from .realamp import compile_real_state
+from .realamp import _ry_tree
 from .simulator import reduced_density, run
 
 
@@ -40,7 +41,10 @@ class PreparedCircuitBundle:
 
     ``spectral`` is the eigendecomposition of ``target`` and its
     ``eigenvectors`` the basis-change block: canonical eigenvectors for the
-    support, the remaining columns as compile's ``eigh`` returned them.
+    support, the remaining columns as compile's solve returned them.  A
+    rank-deficient target is solved on the support of its density factor,
+    so its null columns complete that support and their eigenvalues are
+    exactly 0.
     """
 
     circuit: Circuit
@@ -101,21 +105,27 @@ def eigenvalue_amplitudes(spectral: SpectralDecomposition, tol: float = DEFAULT_
 def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitBundle:
     """Compile a density matrix into its 2n-qubit purification circuit.
 
-    The block is the one ``eigh`` of the padded target: the tie groups above
-    ``RANK_TOL`` get the canonical basis, and the columns from the first group
-    that reaches down to it keep their ``eigh`` eigenvectors, so the loaded
-    weights, sub-``RANK_TOL`` ones included, each meet their own eigenvector.
-    The block's Gram is not measured here: ``run`` checks it through
-    ``validate_circuit``, and ``simulate`` does so for a circuit file.
+    The padded target is validated by :func:`~mixedprep.linalg.density_factor`,
+    and its d x r factor decides the solve: one d x d ``eigh`` at full rank,
+    otherwise one r x r ``eigh`` on the factor's range, whose null columns
+    carry weight exactly 0.  The tie groups above ``RANK_TOL`` get the
+    canonical basis, and the columns from the first group that reaches down
+    to it keep their solved eigenvectors, so the loaded weights,
+    sub-``RANK_TOL`` ones included, each meet their own eigenvector.  The
+    loader skips :func:`~mixedprep.realamp.compile_real_state`'s checks,
+    which :func:`eigenvalue_amplitudes` has made.  The block's Gram is not
+    measured here: ``run`` checks it through ``validate_circuit``, and
+    ``simulate`` does so for a circuit file.
     """
     # zero padding neither makes nor breaks a density matrix, so this checks rho
-    padded, w, v = density_eigh(_padded(np.asarray(rho, dtype=complex)), tol)
+    padded, a = density_factor(_padded(np.asarray(rho, dtype=complex)), tol)
     d = padded.shape[0]
     n = d.bit_length() - 1
+    w, v = _support_eigh(padded, a)
     spectral = SpectralDecomposition(*canonical_eigenvectors(w, v, int(np.sum(w > RANK_TOL))))
     amps = eigenvalue_amplitudes(spectral, tol)
 
-    circuit = compile_real_state(amps)
+    circuit = _ry_tree(amps)
     circuit.num_qubits = 2 * n
     circuit.label = f"mixed-state preparation ({d}x{d} target)"
     for s in range(n):
@@ -129,6 +139,28 @@ def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitB
         spectral=spectral,
         target=padded,
     )
+
+
+def _support_eigh(m: np.ndarray, a: np.ndarray) -> tuple:
+    """Ascending eigenvalues and eigenvectors of ``m = a a^dagger``, solved on the range of ``a``.
+
+    A square ``a`` means full rank and one ``eigh`` of ``m``.  Otherwise the
+    complete QR of ``a`` gives an orthonormal basis S of its range and one of
+    the null space.  The null columns come first, with weight exactly 0, then
+    S times the eigenvectors of S^dagger m S, whose eigenvalues are clamped
+    at 0 so that none sorts below the null weights.  By Cauchy interlacing
+    they lie at or above the least eigenvalue of ``m``, which
+    ``density_factor`` certified to be at or above -tol, so the clamp moves
+    none further than :func:`eigenvalue_amplitudes` would.
+    """
+    d, r = a.shape
+    if r == d:
+        return _eigh(m)
+    q = np.linalg.qr(a, mode="complete")[0]
+    s = q[:, :r]
+    w, u = _eigh(s.conj().T @ m @ s)
+    return (np.concatenate([np.zeros(d - r), np.maximum(w, 0.0)]),
+            np.hstack([q[:, r:], s @ u]))
 
 
 def prepare_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:

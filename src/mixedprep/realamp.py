@@ -35,7 +35,10 @@ def branch_norms(amps: np.ndarray, level: int) -> np.ndarray:
     n = _num_qubits(amps.shape[0])
     if not 0 <= level < n:
         raise LevelOutOfRangeError(f"level {level} outside 0..{n - 1}")
-    sq = amps ** 2
+    return _branch_norms(amps ** 2, level)
+
+
+def _branch_norms(sq: np.ndarray, level: int) -> np.ndarray:
     return np.sqrt(sq.reshape(2 ** (level + 1), -1).sum(axis=1))
 
 
@@ -55,7 +58,7 @@ def compile_real_state(amps, tol: float = DEFAULT_TOL) -> Circuit:
     from |0...0> the circuit reproduces it exactly.
     """
     amps = _require_real(amps, NegativeAmplitudeError, "amplitudes must be real and non-negative")
-    n = _num_qubits(amps.shape[0])
+    _num_qubits(amps.shape[0])
     if amps.min() < -tol:
         raise NegativeAmplitudeError(
             f"amplitude {amps.min():.3e} is negative beyond tol={tol:g}"
@@ -64,10 +67,21 @@ def compile_real_state(amps, tol: float = DEFAULT_TOL) -> Circuit:
     nrm = float(np.linalg.norm(amps))
     if not abs(nrm - 1.0) <= tol:
         raise NotNormalizedError(f"amplitude norm {nrm!r} deviates from 1 beyond tol={tol:g}")
+    return _ry_tree(amps)
 
+
+def _ry_tree(amps: np.ndarray) -> Circuit:
+    """The Ry-tree circuit of a float vector already known to be a valid amplitude vector.
+
+    No check is repeated: the caller has established a power-of-two length
+    of at least 2, non-negative entries and unit norm.  Every level's branch
+    norms come from one array of squares.
+    """
+    n = amps.shape[0].bit_length() - 1
+    sq = amps ** 2
     circuit = Circuit(num_qubits=n, label="real-amplitude loader")
     for level in range(n):
-        children = branch_norms(amps, level)
+        children = _branch_norms(sq, level)
         for prefix in range(2 ** level):
             theta = rotation_angle(children[2 * prefix], children[2 * prefix + 1])
             if level == 0:

@@ -4,13 +4,16 @@ import pytest
 
 
 def _counted(monkeypatch, *names):
-    """A list that gains one entry per call of any of the named ``np.linalg`` functions."""
+    """A list that gains one entry per call of any of the named ``np.linalg`` functions.
+
+    The entry is the shape of the call's first argument, the matrix solved.
+    """
     calls = []
     for name in names:
         real = getattr(np.linalg, name)
 
         def counted(*args, _real=real, **kwargs):
-            calls.append(1)
+            calls.append(np.shape(args[0]))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -19,17 +22,17 @@ def _counted(monkeypatch, *names):
 
 @pytest.fixture
 def hermitian_solves(monkeypatch):
-    """A list that gains one entry per ``np.linalg.eigh`` or ``eigvalsh`` call."""
+    """The shapes of the matrices passed to ``np.linalg.eigh`` or ``eigvalsh``."""
     return _counted(monkeypatch, "eigh", "eigvalsh")
 
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """A list that gains one entry per ``np.linalg.svd`` call."""
+    """The shapes of the matrices passed to ``np.linalg.svd``."""
     return _counted(monkeypatch, "svd")
 
 
 @pytest.fixture
 def qr_calls(monkeypatch):
-    """A list that gains one entry per ``np.linalg.qr`` call."""
+    """The shapes of the matrices passed to ``np.linalg.qr``."""
     return _counted(monkeypatch, "qr")

@@ -333,7 +333,7 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
 # sha256 of the 1000-shot CSVs (numpy 2.4, OpenBLAS): a change to the draws,
 # the estimates or the tomography shows here
 SHOT_CSV_SHA256 = {
-    "2": "9f0e52b50afa3542320e2c99196d3ce439675b8bb6b1a7489de1d1662209a868",
+    "2": "a33d61e876a7def1c4abbd53faab1dcce889d3c1af28cd5e2bd08a41c5fcd95e",
     "3": "d1e3594581470bade99c7974b571d3c17e69b7552b74c4efe5b245c9dfa76cd3",
 }
 
@@ -349,9 +349,9 @@ def test_reproduce_shot_csv_bytes(tmp_path, capsys, figure):
 # sha256 of `prepare --family SPEC --quiet` circuit files (default --seed 0, --tol 1e-8)
 CIRCUIT_SHA256 = {
     "c1:c1=0": "0890a06865d7b481efcf9767812a60917ce958779aa80cddaf437612956981a3",  # 4-fold tie
-    "ginibre:d=3,seed=2": "b309dfd4eb54690ca8316a37f7064dd3c2815fb7474ad229a6fd477f6df6d3ae",  # padded
+    "ginibre:d=3,seed=2": "02ecaaf83ff595e1ea8c287ba33fa5347037b7fc5d46af1b059d09947c738297",  # padded
     "ginibre:d=8,seed=7": "811ef3d030fab9912595eb3a97ba5e83ffe0534d1875924032b8b79d0ecd9ae7",
-    "xstate:p00=0": "e910eccfea210486a3965336b716b8157c53ec77ffdfe9cd4de6e7f852a93938",  # null space
+    "xstate:p00=0": "b489f1bd6ba23d51b954088a4e54cd57d0b52bf36fb67c03b1b0d74a81c9a30e",  # null space
     "xstate:p00=0.5": "0245f91147457052b2820c2f50466d4d4630ea8941875e62711bf1b35e755dcc",
 }
 

@@ -433,6 +433,13 @@ def test_partial_trace_errors():
         partial_trace(rho, {5}, 2)
 
 
+@pytest.mark.parametrize("total_qubits", [True, 1.0, 2.0, "2", 0, -1])
+def test_partial_trace_rejects_a_non_integer_qubit_count(total_qubits):
+    # 2 ** True is 2, so a bool count once traced a 2x2 matrix
+    with pytest.raises(DimensionMismatchError, match="total_qubits must be an integer"):
+        partial_trace(np.eye(2) / 2, {0}, total_qubits)
+
+
 def test_orthonormal_completion():
     for d in (2, 8, 64, 256):
         # empty input completes to exactly the identity

@@ -5,7 +5,8 @@ TIE_TOL, or are near-pure, on padded (3, 5, 6, 7) and power-of-two
 dimensions; others put the smallest eigenvalue just inside or just outside
 the validation tolerance.  Examples are derandomized, so every run checks
 the same ones.  One seeded d = 256 target puts most of its weights just
-under RANK_TOL.  The verify path's factor and its trace bound are checked
+under RANK_TOL, and seeded d = 256 targets of rank 1, 4 and 16 are solved
+on their support.  The verify path's factor and its trace bound are checked
 on generated ranks and on seeded pairs.
 """
 import json
@@ -109,21 +110,30 @@ def test_generated_spectra_compile_exactly_and_deterministically(case):
     assert json.dumps(circuit_to_dict(again.circuit)) == json.dumps(circuit_to_dict(bundle.circuit))
     assert prepared_again.tobytes() == prepared.tobytes()
 
-    # The block is an eigenbasis of the target: the canonical basis bit for
-    # bit, so circuit files keep their bytes, up to the first tie group that
-    # reaches down to RANK_TOL (none unless a group straddles it), and eigh's
-    # own eigenvectors from there on.
-    dec = eig_hermitian(bundle.target)
-    w = dec.eigenvalues
-    canonical = int(np.sum(w > RANK_TOL))
-    while 0 < canonical < d and w[canonical - 1] - w[canonical] <= TIE_TOL:
-        canonical -= 1
     block = bundle.circuit.gates[-1].matrix
-    assert np.array_equal(block[:, :canonical], dec.eigenvectors[:, :canonical])
+    w = bundle.spectral.eigenvalues
     assert np.array_equal(bundle.spectral.eigenvectors, block)
-    assert np.array_equal(bundle.spectral.eigenvalues, w)
     assert np.linalg.norm(bundle.target @ block - block * w, axis=0).max() <= 1e-10
     assert np.abs(block.conj().T @ block - np.eye(d)).max() <= 1e-12
+    rank = density_factor(bundle.target)[1].shape[1]
+    if rank == d:
+        # One d x d eigh: the block is the canonical basis bit for bit, so
+        # circuit files keep their bytes, up to the first tie group that
+        # reaches down to RANK_TOL (none unless a group straddles it), and
+        # eigh's own eigenvectors from there on.
+        dec = eig_hermitian(bundle.target)
+        canonical = int(np.sum(w > RANK_TOL))
+        while 0 < canonical < d and w[canonical - 1] - w[canonical] <= TIE_TOL:
+            canonical -= 1
+        assert np.array_equal(block[:, :canonical], dec.eigenvectors[:, :canonical])
+        assert np.array_equal(w, dec.eigenvalues)
+    else:
+        # Solved on the factor's support: the spectrum to rounding, in order,
+        # and the null columns load exactly nothing.
+        assert np.abs(w - np.linalg.eigvalsh(bundle.target)[::-1]).max() <= 1e-12
+        assert (np.diff(w) <= 0).all()
+        assert not w[rank:].any()
+        assert not eigenvalue_amplitudes(bundle.spectral)[rank:].any()
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -172,6 +182,20 @@ def test_most_eigenvalues_just_under_rank_tol():
     validate_circuit(bundle.circuit)
     assert np.abs(prepared - bundle.target).max() <= 1e-15
     assert 1.0 - fidelity(prepared, bundle.target) <= 1e-9
+
+
+@pytest.mark.parametrize("equal", [True, False], ids=["equal", "random"])
+@pytest.mark.parametrize("rank", [1, 4, 16])
+def test_low_rank_d256_is_solved_on_its_support(hermitian_solves, rank, equal):
+    # one r x r eigh, exact zero null weights, and a lossless round trip
+    d = 256
+    w = np.zeros(d)
+    w[:rank] = 1.0 if equal else np.random.default_rng(rank).uniform(0.05, 1.0, rank)
+    bundle, _, prepared = compile_and_trace(density_with_spectrum(w / w.sum(), rank))
+    assert hermitian_solves == [(rank, rank)]
+    assert not bundle.spectral.eigenvalues[rank:].any()
+    validate_circuit(bundle.circuit)
+    assert 1.0 - fidelity(prepared, bundle.target) <= 1e-12
 
 
 def test_tie_group_straddling_rank_tol():

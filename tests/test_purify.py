@@ -12,6 +12,7 @@ from mixedprep import (
     Ry,
     UnitaryBlock,
     build_preparation_circuit,
+    compile_real_state,
     eig_hermitian,
     eigenvalue_amplitudes,
     fidelity,
@@ -199,14 +200,32 @@ def test_block_gram_measured_once_per_compile_and_run(monkeypatch, rho):
 
 
 @pytest.mark.parametrize(
+    "rho, rank", [(ginibre_density(8, 7), 8), (p00_family(0.0), 2), (random_density_any_dim(3, 9), 3)],
+    ids=["full-rank", "rank-deficient", "padded"],
+)
+def test_compile_solves_on_the_support(hermitian_solves, qr_calls, rho, rank):
+    # full rank: one d x d eigh; rank r < d: one QR of the d x r factor and
+    # one r x r eigh, and nothing of size d x d is solved
+    build_preparation_circuit(rho)
+    d = 2 ** (rho.shape[0] - 1).bit_length()
+    if rank == d:
+        assert hermitian_solves == [(d, d)]
+        assert qr_calls == []
+    else:
+        assert hermitian_solves == [(rank, rank)]
+        assert qr_calls == [(d, rank)]
+
+
+@pytest.mark.parametrize(
     "rho", [ginibre_density(8, 7), p00_family(0.0), random_density_any_dim(3, 9)],
     ids=["full-rank", "rank-deficient", "padded"],
 )
-def test_compile_is_one_eigh_and_no_qr(hermitian_solves, qr_calls, rho):
-    # the block is the eigh eigenbasis: no second factorization completes it
-    build_preparation_circuit(rho)
-    assert len(hermitian_solves) == 1
-    assert len(qr_calls) == 0
+def test_loader_is_the_checked_real_amplitude_compiler(rho):
+    # compile skips compile_real_state's checks, not its gates
+    bundle = build_preparation_circuit(rho)
+    n = len(bundle.system_qubits)
+    loader = compile_real_state(eigenvalue_amplitudes(bundle.spectral)).gates
+    assert bundle.circuit.gates[: 2 ** n - 1] == loader
 
 
 def test_padded_roundtrip_3x3():

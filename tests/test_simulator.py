@@ -166,6 +166,25 @@ def test_run_validates():
 
 
 @pytest.mark.parametrize(
+    "gate",
+    [
+        "x",
+        MultiControlledRy(((0,),), 1, 0.3),
+        MultiControlledRy(((0, 1, 1),), 1, 0.3),
+        MultiControlledRy((0, 1), 1, 0.3),
+        MultiControlledRy(None, 1, 0.3),
+        MultiControlledRy((([0], 1),), 1, 0.3),
+        UnitaryBlock([[0]], np.eye(2)),
+    ],
+    ids=["not-a-gate", "short-pair", "long-pair", "bare-ints", "none", "list-qubit",
+         "list-block-qubit"],
+)
+def test_run_rejects_unreadable_wires(gate):
+    with pytest.raises(IndexOutOfRangeError, match="unreadable wires"):
+        run(Circuit(2, [gate]))
+
+
+@pytest.mark.parametrize(
     "theta",
     [float("inf"), float("-inf"), float("nan"), pytest.param(10 ** 400, id="int-beyond-float")],
 )
