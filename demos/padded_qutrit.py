@@ -1,5 +1,6 @@
-"""A 3x3 target doesn't fill a qubit register; the compiler embeds it in
-the top-left of a 4x4 block and leaves the extra level empty.
+"""A 3x3 target doesn't fill a qubit register.  The compiler solves it as a
+3x3 matrix, then embeds it in the top-left of a 4x4 block: the extra level
+is an eigenvector of weight 0, which the basis change leaves alone.
 """
 
 import numpy as np
@@ -26,3 +27,5 @@ print("weight in the unused level    =", prepared[3, 3].real)
 
 bundle = build_preparation_circuit(rho3)
 print("qubits used:", bundle.circuit.num_qubits)
+print("eigenvalues:", bundle.spectral.eigenvalues)
+print("block's fourth column:", bundle.circuit.gates[-1].matrix[:, 3])

@@ -7,13 +7,12 @@ and serialized without ceremony.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, NotUnitaryError, OutOfRangeError, _is_int
+from .errors import IndexOutOfRangeError, NotUnitaryError, OutOfRangeError, _is_finite_real, _is_int
 from .linalg import DEFAULT_TOL, is_unitary
 
 
@@ -144,11 +143,3 @@ def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
             raise NotUnitaryError(
                 f"gate {pos} matrix block is not unitary within tol={tol:g}"
             )
-
-
-def _is_finite_real(theta) -> bool:
-    """True for a real number that converts to a finite float (not an overflowing int)."""
-    try:
-        return math.isfinite(theta)
-    except (TypeError, OverflowError):
-        return False

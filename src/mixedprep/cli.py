@@ -200,50 +200,29 @@ def _pipeline_density(target, args, shots, seed) -> np.ndarray:
 
 
 def _figure2_blocks(args, shots):
-    xrows = []
-    row = 0
-    for i in range(21):
-        p00 = i / 20
-        target = p00_family(p00)
-        prepared = _pipeline_density(target, args, shots, args.seed + 1000 * row)
-        row += 1
-        xrows.append(
-            (
-                p00,
-                concurrence(target, args.tol),
-                concurrence(prepared, args.tol),
-                l1_coherence(target, args.tol),
-                l1_coherence(prepared, args.tol),
-            )
-        )
-    crows = []
-    for c1 in np.linspace(-0.32, 0.32, 21):
-        c1 = float(c1)
-        target = c1_state(c1, args.tol)
-        prepared = _pipeline_density(target, args, shots, args.seed + 1000 * row)
-        row += 1
-        crows.append(
-            (
-                c1,
-                l1_coherence(target, args.tol),
-                l1_coherence(prepared, args.tol),
-                local_l1_coherence(target, "A", args.tol),
-                local_l1_coherence(prepared, "A", args.tol),
-            )
-        )
+    p00s = [i / 20 for i in range(21)]
+    c1s = [float(c1) for c1 in np.linspace(-0.32, 0.32, 21)]
     return [
-        (["p00", "EC_theory", "EC_pipeline", "Cl1_theory", "Cl1_pipeline"], xrows),
-        (
-            [
-                "c1",
-                "Cl1_global_theory",
-                "Cl1_global_pipeline",
-                "Cl1_local_theory",
-                "Cl1_local_pipeline",
-            ],
-            crows,
-        ),
+        (["p00", "EC_theory", "EC_pipeline", "Cl1_theory", "Cl1_pipeline"],
+         _sweep(args, shots, 0, p00s, p00_family, (concurrence, l1_coherence))),
+        (["c1", "Cl1_global_theory", "Cl1_global_pipeline", "Cl1_local_theory",
+          "Cl1_local_pipeline"],
+         _sweep(args, shots, len(p00s), c1s, lambda c1: c1_state(c1, args.tol),
+                (l1_coherence, lambda rho, tol: local_l1_coherence(rho, "A", tol)))),
     ]
+
+
+def _sweep(args, shots, first_row, points, family, metrics) -> list:
+    """Rows (x, m(target), m(prepared) for each metric m) over the family's points.
+
+    Row r of the figure draws its shots from seed ``--seed + 1000 * r``.
+    """
+    rows = []
+    for row, x in enumerate(points, first_row):
+        target = family(x)
+        prepared = _pipeline_density(target, args, shots, args.seed + 1000 * row)
+        rows.append((x, *(m(rho, args.tol) for m in metrics for rho in (target, prepared))))
+    return rows
 
 
 def _figure3_blocks(args, shots):

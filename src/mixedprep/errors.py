@@ -2,10 +2,12 @@
 
 Everything derives from :class:`StatePrepError` (itself a ``ValueError``)
 so callers can catch the whole family at once.  The argument checks live
-here too: :func:`_is_int` is the one test of an integer (a ``bool`` is not
-one), :func:`_require_int` checks counts and seeds, :func:`_require_qubits`
-qubit subsets, and :func:`_require_real` real-valued arrays.
+here too: :func:`_is_int` and :func:`_is_finite_real` are the one tests of
+an integer (a ``bool`` is not one) and of a finite real; :func:`_require_int`
+checks counts and seeds, :func:`_qubits_of_dim` register lengths,
+:func:`_require_qubits` qubit subsets and :func:`_require_real` real arrays.
 """
+import math
 import numbers
 
 import numpy as np
@@ -76,6 +78,22 @@ def _is_int(value) -> bool:
     if type(value) is int:
         return True
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    """Whether ``value`` is a real number, not a complex or a string, finite as a float."""
+    try:  # a plain float skips the ABC check, which costs ten times more
+        return (type(value) is float or isinstance(value, numbers.Real)) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _qubits_of_dim(dim: int, error: type, what: str) -> int:
+    """n for ``dim`` = 2**n with n >= 1; any other ``dim`` raises ``error`` naming ``what``."""
+    n = int(dim).bit_length() - 1
+    if dim < 2 or 2 ** n != dim:
+        raise error(f"{what} {dim} is not a power of two >= 2")
+    return n
 
 
 def _require_int(value, name: str, minimum: int, maximum: int | None = None) -> None:

@@ -11,15 +11,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import (
-    BadLabelError,
-    DimensionMismatchError,
-    MissingExpectationError,
-    NotAProbabilityVectorError,
-    OutOfRangeError,
-    _is_int,
-    _require_real,
-)
+from .errors import (BadLabelError, DimensionMismatchError, MissingExpectationError,
+                     NotAProbabilityVectorError, OutOfRangeError, _is_int, _qubits_of_dim,
+                     _require_int, _require_real)
 from .linalg import DEFAULT_TOL, _eigh, density_factor, partial_trace, require_density
 
 PAULI_1Q = {
@@ -32,7 +26,7 @@ PAULI_1Q = {
 
 def pauli_matrix(label: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis; leftmost letter = qubit 0."""
-    label = label.upper()
+    label = label.upper() if isinstance(label, str) else None
     if not label or any(ch not in PAULI_1Q for ch in label):
         raise BadLabelError(f"pauli label {label!r} must be a nonempty string over I, X, Y, Z")
     out = PAULI_1Q[label[0]].copy()  # never hand out the shared table entry
@@ -44,16 +38,15 @@ def pauli_matrix(label: str) -> np.ndarray:
 
 
 def pauli_labels(n: int) -> list:
-    """All 4**n labels in lexicographic I < X < Y < Z order per position."""
+    """All 4**n labels in lexicographic I < X < Y < Z order per position; ``n`` an integer >= 0."""
+    _require_int(n, "n", 0)
     return ["".join(combo) for combo in product("IXYZ", repeat=n)]
 
 
 def exact_pauli_expectations(rho, tol: float = DEFAULT_TOL) -> dict:
     """Tr(rho P) for every Pauli string on the matrix's qubit count."""
     rho = require_density(rho, tol)
-    n = rho.shape[0].bit_length() - 1
-    if 2 ** n != rho.shape[0]:
-        raise DimensionMismatchError(f"dimension {rho.shape[0]} is not a power of two")
+    n = _qubits_of_dim(rho.shape[0], DimensionMismatchError, "dimension")
     return {
         label: float(np.trace(rho @ pauli_matrix(label)).real)
         for label in pauli_labels(n)
@@ -118,7 +111,7 @@ def _subsystem_qubit(subsystem) -> int:
             return 0
         if key == "B":
             return 1
-    elif subsystem in (0, 1):
+    elif _is_int(subsystem) and subsystem in (0, 1):
         return int(subsystem)
     raise BadLabelError(f"subsystem must be 'A', 'B', 0, or 1; got {subsystem!r}")
 

@@ -1,7 +1,8 @@
 """Mixed-state preparation by purification.
 
-A target density matrix of any dimension is padded to 2**n, spectrally
-decomposed, and compiled into a 2n-qubit circuit in three stages:
+A d x d target density matrix is spectrally decomposed in its own
+dimension, padded to D = 2**n with D - d eigenvectors of weight exactly 0,
+and compiled into a 2n-qubit circuit in three stages:
 
 1. load the square roots of the eigenvalues as real amplitudes on the
    system register (qubits 0..n-1),
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Cnot, UnitaryBlock
-from .errors import NotAProbabilityVectorError, _require_real
+from .errors import NotAProbabilityVectorError, OutOfRangeError, _require_real
 from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
@@ -32,7 +33,7 @@ from .linalg import (
     require_density,
 )
 from .realamp import _ry_tree
-from .simulator import reduced_density, run
+from .simulator import MAX_TARGET_DIM, reduced_density, run
 
 
 @dataclass
@@ -41,17 +42,17 @@ class PreparedCircuitBundle:
 
     ``spectral`` is the eigendecomposition of ``target`` and its
     ``eigenvectors`` the basis-change block: canonical eigenvectors for the
-    support, the remaining columns as compile's solve returned them.  A
-    rank-deficient target is solved on the support of its density factor,
-    so its null columns complete that support and their eigenvalues are
-    exactly 0.
+    support, the remaining columns as compile's solve returned them, then
+    the identity's columns for the basis states that pad d to D = 2**n.
+    The null columns, of a rank-deficient solve and of the padding, have
+    eigenvalues exactly 0.
     """
 
     circuit: Circuit
     system_qubits: tuple
     ancilla_qubits: tuple
     spectral: SpectralDecomposition
-    target: np.ndarray  # padded target density matrix
+    target: np.ndarray  # the target zero-padded to D x D
 
 
 def pad_to_qubit_dimension(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -65,16 +66,20 @@ def pad_to_qubit_dimension(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _padded(require_density(rho, tol))
 
 
-def _padded(rho: np.ndarray) -> np.ndarray:
-    """A nonempty square ``rho`` zero-padded to the next power of two; other shapes as given."""
-    if rho.ndim == 2 and 0 < rho.shape[0] == rho.shape[1]:
-        d = rho.shape[0]
-        full = 2 ** max(1, (d - 1).bit_length())
-        if full != d:
-            out = np.zeros((full, full), dtype=complex)
-            out[:d, :d] = rho
-            return out
-    return rho
+def _padded(x: np.ndarray, identity: bool = False) -> np.ndarray:
+    """A validated vector or square matrix zero-padded to the next power of two (minimum 2).
+
+    ``identity`` puts ones on the added part of the diagonal.  A power-of-two
+    ``x`` comes back as is.
+    """
+    d = x.shape[0]
+    pad = 2 ** max(1, (d - 1).bit_length()) - d
+    if not pad:
+        return x
+    out = np.pad(x, (0, pad))
+    if identity:
+        out[range(d, d + pad), range(d, d + pad)] = 1.0
+    return out
 
 
 def eigenvalue_amplitudes(spectral: SpectralDecomposition, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -103,27 +108,38 @@ def eigenvalue_amplitudes(spectral: SpectralDecomposition, tol: float = DEFAULT_
 
 
 def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitBundle:
-    """Compile a density matrix into its 2n-qubit purification circuit.
+    """Compile a d x d density matrix into its 2n-qubit purification circuit.
 
-    The padded target is validated by :func:`~mixedprep.linalg.density_factor`,
-    and its d x r factor decides the solve: one d x d ``eigh`` at full rank,
-    otherwise one r x r ``eigh`` on the factor's range, whose null columns
-    carry weight exactly 0.  The tie groups above ``RANK_TOL`` get the
-    canonical basis, and the columns from the first group that reaches down
-    to it keep their solved eigenvectors, so the loaded weights,
-    sub-``RANK_TOL`` ones included, each meet their own eigenvector.  The
+    ``rho`` is validated and solved as given, once its size is known to fit
+    (d <= :data:`~mixedprep.simulator.MAX_TARGET_DIM`, checked before any
+    d x d work).  Its :func:`~mixedprep.linalg.density_factor` decides the
+    solve: one d x d ``eigh`` at full rank, otherwise one r x r ``eigh`` on
+    the factor's range, whose null columns carry weight exactly 0.  The tie
+    groups above ``RANK_TOL`` get the canonical basis, and the columns from
+    the first group that reaches down to it keep their solved eigenvectors,
+    so the loaded weights, sub-``RANK_TOL`` ones included, each meet their
+    own eigenvector.  Then the result is padded to D = 2**n: weight 0 and
+    the identity's columns for the added basis states, and a solved weight
+    rounded below them clamped to 0, as the loader would load it.  The
     loader skips :func:`~mixedprep.realamp.compile_real_state`'s checks,
     which :func:`eigenvalue_amplitudes` has made.  The block's Gram is not
     measured here: ``run`` checks it through ``validate_circuit``, and
     ``simulate`` does so for a circuit file.
     """
-    # zero padding neither makes nor breaks a density matrix, so this checks rho
-    padded, a = density_factor(_padded(np.asarray(rho, dtype=complex)), tol)
-    d = padded.shape[0]
-    n = d.bit_length() - 1
-    w, v = _support_eigh(padded, a)
-    spectral = SpectralDecomposition(*canonical_eigenvectors(w, v, int(np.sum(w > RANK_TOL))))
+    shape = np.shape(rho)
+    if shape and shape[0] > MAX_TARGET_DIM:
+        raise OutOfRangeError(f"a {shape[0]} x {shape[0]} target exceeds the largest that "
+                              f"compiles, {MAX_TARGET_DIM} x {MAX_TARGET_DIM}")
+    rho, a = density_factor(rho, tol)
+    w, v = _support_eigh(rho, a)
+    values, vectors = canonical_eigenvectors(w, v, int(np.sum(w > RANK_TOL)))
+    target = _padded(rho)
+    if target is not rho:
+        values, vectors = _padded(np.maximum(values, 0.0)), _padded(vectors, identity=True)
+    spectral = SpectralDecomposition(values, vectors)
     amps = eigenvalue_amplitudes(spectral, tol)
+    d = amps.shape[0]
+    n = d.bit_length() - 1
 
     circuit = _ry_tree(amps)
     circuit.num_qubits = 2 * n
@@ -137,7 +153,7 @@ def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitB
         system_qubits=tuple(range(n)),
         ancilla_qubits=tuple(range(n, 2 * n)),
         spectral=spectral,
-        target=padded,
+        target=target,
     )
 
 

@@ -14,13 +14,8 @@ import math
 import numpy as np
 
 from .circuits import Circuit, MultiControlledRy, Ry
-from .errors import (
-    DimensionMismatchError,
-    LevelOutOfRangeError,
-    NegativeAmplitudeError,
-    NotNormalizedError,
-    _require_real,
-)
+from .errors import (DimensionMismatchError, LevelOutOfRangeError, NegativeAmplitudeError,
+                     NotNormalizedError, _is_int, _qubits_of_dim, _require_real)
 from .linalg import DEFAULT_TOL
 
 
@@ -32,8 +27,8 @@ def branch_norms(amps: np.ndarray, level: int) -> np.ndarray:
     :class:`NegativeAmplitudeError`.
     """
     amps = _require_real(amps, NegativeAmplitudeError, "amplitudes must be real and non-negative")
-    n = _num_qubits(amps.shape[0])
-    if not 0 <= level < n:
+    n = _qubits_of_dim(amps.shape[0], DimensionMismatchError, "amplitude vector length")
+    if not (_is_int(level) and 0 <= level < n):
         raise LevelOutOfRangeError(f"level {level} outside 0..{n - 1}")
     return _branch_norms(amps ** 2, level)
 
@@ -58,7 +53,7 @@ def compile_real_state(amps, tol: float = DEFAULT_TOL) -> Circuit:
     from |0...0> the circuit reproduces it exactly.
     """
     amps = _require_real(amps, NegativeAmplitudeError, "amplitudes must be real and non-negative")
-    _num_qubits(amps.shape[0])
+    _qubits_of_dim(amps.shape[0], DimensionMismatchError, "amplitude vector length")
     if amps.min() < -tol:
         raise NegativeAmplitudeError(
             f"amplitude {amps.min():.3e} is negative beyond tol={tol:g}"
@@ -94,12 +89,3 @@ def _ry_tree(amps: np.ndarray) -> Circuit:
                     MultiControlledRy(controls=controls, target=level, theta=theta)
                 )
     return circuit
-
-
-def _num_qubits(dim: int) -> int:
-    n = int(dim).bit_length() - 1
-    if dim < 2 or 2 ** n != dim:
-        raise DimensionMismatchError(
-            f"amplitude vector length {dim} is not a power of two >= 2"
-        )
-    return n

@@ -14,8 +14,9 @@ the histogram's parity balance.  ``sample_pauli_expectations`` computes
 each of the 3**k settings' distributions once for its 4**k - 1 strings.
 Shot counts (1..2**63 - 1), seeds and register sizes are checked as
 integers (``bool`` excluded), so a bad one is an ``OutOfRangeError``, not a
-numpy traceback; a qubit index that is not an integer is an
-``IndexOutOfRangeError``, never truncated to another qubit.
+numpy traceback; a qubit index that is not an integer, or a state that is
+not 1-d, is an ``IndexOutOfRangeError``.  The sampler refuses a state with
+no finite positive probability mass (``NotNormalizedError``).
 """
 from __future__ import annotations
 
@@ -26,10 +27,12 @@ from itertools import product
 import numpy as np
 
 from .circuits import Circuit, Cnot, Gate, MultiControlledRy, UnitaryBlock, validate_circuit
-from .errors import BadLabelError, IndexOutOfRangeError, _is_int, _require_int, _require_qubits
+from .errors import (BadLabelError, IndexOutOfRangeError, NotNormalizedError, _is_int,
+                     _qubits_of_dim, _require_int, _require_qubits)
 from .linalg import DEFAULT_TOL
 
 MAX_QUBITS = 24
+MAX_TARGET_DIM = 2 ** (MAX_QUBITS // 2)  # the largest target whose purification fits
 _MAX_SHOTS = 2 ** 63 - 1  # the multinomial sampler draws int64 counts
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -54,11 +57,10 @@ def zero_state(num_qubits: int) -> np.ndarray:
 
 
 def num_qubits_of(state: np.ndarray) -> int:
-    dim = state.shape[0]
-    n = int(dim).bit_length() - 1
-    if dim < 2 or 2 ** n != dim:
-        raise IndexOutOfRangeError(f"statevector length {dim} is not a power of two >= 2")
-    return n
+    """n for a 1-d state of 2**n amplitudes; any other shape is an ``IndexOutOfRangeError``."""
+    if state.ndim != 1:
+        raise IndexOutOfRangeError(f"a statevector is 1-d, got shape {state.shape}")
+    return _qubits_of_dim(state.shape[0], IndexOutOfRangeError, "statevector length")
 
 
 def apply_gate(state: np.ndarray, gate: Gate, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -141,10 +143,9 @@ def sample_pauli(state: np.ndarray, pauli_string: str, shots: int, seed: int):
     taken over the non-identity positions.  ``shots`` must be an integer in
     1..2**63 - 1 and ``seed`` an integer >= 0.
     """
-    state = np.asarray(state, dtype=complex)
-    n = num_qubits_of(state)
-    label = pauli_string.upper()
-    if len(label) != n or any(ch not in "IXYZ" for ch in label):
+    state, n = _sampled(state)
+    label = pauli_string.upper() if isinstance(pauli_string, str) else None
+    if label is None or len(label) != n or any(ch not in "IXYZ" for ch in label):
         raise BadLabelError(
             f"pauli string {pauli_string!r} is not {n} characters over I, X, Y, Z"
         )
@@ -170,8 +171,7 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     drawn grouped by setting, so each distribution is computed once and only
     one is held at a time; each parity mask is built once per call.
     """
-    state = np.asarray(state, dtype=complex)
-    n = num_qubits_of(state)
+    state, n = _sampled(state)
     qubits = tuple(qubits)
     if (not qubits or len(set(qubits)) != len(qubits)
             or not all(_is_int(q) and 0 <= q < n for q in qubits)):
@@ -197,6 +197,16 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
         hist = np.random.default_rng(seed + i).multinomial(shots, probs)
         out[labels[i]] = _parity_estimate(hist, odd[mask], shots)
     return out
+
+
+def _sampled(state) -> tuple:
+    """``state`` as a complex array and its qubit count, once it has a finite, nonzero norm."""
+    state = np.asarray(state, dtype=complex)
+    n = num_qubits_of(state)
+    norm = np.linalg.norm(state)
+    if not 0.0 < norm < math.inf:  # NaN fails too
+        raise NotNormalizedError(f"state has no finite positive probability mass: norm {norm}")
+    return state, n
 
 
 def _setting_probabilities(state: np.ndarray, label: str) -> np.ndarray:

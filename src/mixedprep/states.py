@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadProbabilitiesError, NotPSDError, OutOfRangeError, _require_int, _require_real
+from .errors import (BadProbabilitiesError, NotPSDError, OutOfRangeError, _is_finite_real,
+                     _require_int, _require_real)
 from .linalg import DEFAULT_TOL, PROB_TOL
+from .simulator import MAX_TARGET_DIM
 
 
 @dataclass(frozen=True)
@@ -33,10 +35,10 @@ def x_state_eigenvectors(theta: float, phi: float) -> np.ndarray:
 
     Column order: (cos t, 0, 0, sin t), (0, sin f, cos f, 0),
     (0, cos f, -sin f, 0), (-sin t, 0, 0, cos t).  At t = f = pi/4 this is
-    the Bell basis up to column order.  Non-finite angles raise
-    :class:`OutOfRangeError`.
+    the Bell basis up to column order.  An angle that is not a finite real
+    number raises :class:`OutOfRangeError`.
     """
-    if not (math.isfinite(theta) and math.isfinite(phi)):
+    if not (_is_finite_real(theta) and _is_finite_real(phi)):
         raise OutOfRangeError(f"angles must be finite, got theta={theta}, phi={phi}")
     ct, st = math.cos(theta), math.sin(theta)
     cf, sf = math.cos(phi), math.sin(phi)
@@ -75,8 +77,8 @@ def x_state(params: XStateParams) -> np.ndarray:
 
 def p00_family_probs(p00: float) -> tuple:
     """The eigenvector probabilities (p00/3, (1-p00)/3, 2*p00/3, 2*(1-p00)/3)."""
-    if not 0.0 <= p00 <= 1.0:
-        raise OutOfRangeError(f"p00 must lie in [0, 1], got {p00}")
+    if not (_is_finite_real(p00) and 0.0 <= p00 <= 1.0):
+        raise OutOfRangeError(f"p00 must be a real number in [0, 1], got {p00!r}")
     return (p00 / 3.0, (1.0 - p00) / 3.0, 2.0 * p00 / 3.0, 2.0 * (1.0 - p00) / 3.0)
 
 
@@ -106,12 +108,12 @@ def c1_state(c1: float, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     All three diagonal correlators and the first local coefficients on both
     qubits equal c1; everything else vanishes.  Positivity bounds c1, so
-    out-of-range values raise :class:`NotPSDError`, and non-finite ones
-    :class:`OutOfRangeError`.  Separable for c1 >= -0.2612 or so;
+    out-of-range values raise :class:`NotPSDError`, and anything but a
+    finite real number :class:`OutOfRangeError`.  Separable for c1 >= -0.2612 or so;
     concurrence grows toward the negative PSD edge.
     """
-    if not math.isfinite(c1):
-        raise OutOfRangeError(f"c1 must be finite, got {c1}")
+    if not _is_finite_real(c1):
+        raise OutOfRangeError(f"c1 must be a finite real number, got {c1!r}")
     lo = (1 - 3 * abs(float(c1))) / 4  # the least eigenvalue, see c1_valid_range
     if lo < -tol:
         raise NotPSDError(
@@ -135,9 +137,12 @@ def ginibre_density(d: int, seed: int) -> np.ndarray:
 
     Entries of G are (g1 + i*g2)/sqrt(2) with g1, g2 drawn as standard
     normals from ``default_rng(seed)``; fixed seed means fixed matrix.
-    ``d`` must be an integer >= 2 and ``seed`` an integer >= 0.
+    ``d`` must be an integer in 2..:data:`~mixedprep.simulator.MAX_TARGET_DIM`,
+    checked before anything is allocated, and ``seed`` an integer >= 0.
     """
     _require_int(d, "dimension", 2)
+    if d > MAX_TARGET_DIM:
+        raise OutOfRangeError(f"dimension {d} exceeds {MAX_TARGET_DIM}, the largest that compiles")
     _require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((2, d, d))

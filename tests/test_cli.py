@@ -349,7 +349,7 @@ def test_reproduce_shot_csv_bytes(tmp_path, capsys, figure):
 # sha256 of `prepare --family SPEC --quiet` circuit files (default --seed 0, --tol 1e-8)
 CIRCUIT_SHA256 = {
     "c1:c1=0": "0890a06865d7b481efcf9767812a60917ce958779aa80cddaf437612956981a3",  # 4-fold tie
-    "ginibre:d=3,seed=2": "02ecaaf83ff595e1ea8c287ba33fa5347037b7fc5d46af1b059d09947c738297",  # padded
+    "ginibre:d=3,seed=2": "ab1e74dfa1fe841045751cfc8bf49429a5724a13c94bc684d5cd7c74cfcc6a24",  # padded
     "ginibre:d=8,seed=7": "811ef3d030fab9912595eb3a97ba5e83ffe0534d1875924032b8b79d0ecd9ae7",
     "xstate:p00=0": "b489f1bd6ba23d51b954088a4e54cd57d0b52bf36fb67c03b1b0d74a81c9a30e",  # null space
     "xstate:p00=0.5": "0245f91147457052b2820c2f50466d4d4630ea8941875e62711bf1b35e755dcc",
@@ -422,3 +422,11 @@ def test_prepare_deterministic(tmp_path, capsys):
     run_cli("prepare", "--family", "ginibre:d=4,seed=7", "--out", str(b), "--quiet")
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["gen", "prepare"])
+def test_family_past_the_compile_cap_exits_2(tmp_path, capsys, command):
+    # ginibre_density refuses d = 4097 before it allocates its 4097 x 4097 draw
+    assert run_cli(command, "--family", "ginibre:d=4097", "--out", str(tmp_path / "out"),
+                   "--quiet") == 2
+    assert "dimension 4097 exceeds 4096" in capsys.readouterr().err

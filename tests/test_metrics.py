@@ -25,6 +25,7 @@ from mixedprep import (
     pauli_labels,
     pauli_matrix,
     run,
+    sample_pauli,
     sample_pauli_expectations,
     tomography_reconstruct,
 )
@@ -416,3 +417,31 @@ def test_tomography_reads_zero_imaginary_parts_as_real():
     est = {"X": 0.0, "Y": 0.0, "Z": 0.5}
     npt.assert_array_equal(tomography_reconstruct({**est, "Z": 0.5 + 0j}, 1),
                            tomography_reconstruct(est, 1))
+
+
+@pytest.mark.parametrize(
+    "call", [lambda: pauli_matrix(5), lambda: sample_pauli(np.array([1.0, 0.0]), 3, 10, 0)],
+    ids=["pauli_matrix", "sample_pauli"],
+)
+def test_label_that_is_not_a_string_is_a_bad_label(call):
+    with pytest.raises(BadLabelError):
+        call()
+
+
+@pytest.mark.parametrize("n", [-1, 1.5, True, None], ids=["negative", "float", "bool", "none"])
+def test_pauli_labels_rejects_a_count_that_is_not_an_integer(n):
+    with pytest.raises(OutOfRangeError, match="n must be an integer >= 0"):
+        pauli_labels(n)
+
+
+@pytest.mark.parametrize("subsystem", [True, False, 0.0, None],
+                         ids=["true", "false", "float", "none"])
+def test_local_coherence_rejects_a_subsystem_that_is_not_a_name_or_an_integer(subsystem):
+    with pytest.raises(BadLabelError):
+        local_l1_coherence(np.eye(4) / 4, subsystem)
+
+
+def test_exact_pauli_expectations_needs_a_qubit_register():
+    for rho in (np.eye(3) / 3, np.ones((1, 1))):
+        with pytest.raises(DimensionMismatchError, match="not a power of two >= 2"):
+            exact_pauli_expectations(rho)

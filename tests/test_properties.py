@@ -2,8 +2,9 @@
 
 Spectra are rank-deficient, exactly degenerate, straddle RANK_TOL or
 TIE_TOL, or are near-pure, on padded (3, 5, 6, 7) and power-of-two
-dimensions; others put the smallest eigenvalue just inside or just outside
-the validation tolerance.  Examples are derandomized, so every run checks
+dimensions, and a padded target must come back embedded bit for bit;
+others put the smallest eigenvalue just inside or just outside the
+validation tolerance.  Examples are derandomized, so every run checks
 the same ones.  One seeded d = 256 target puts most of its weights just
 under RANK_TOL, and seeded d = 256 targets of rank 1, 4 and 16 are solved
 on their support.  The verify path's factor and its trace bound are checked
@@ -113,27 +114,51 @@ def test_generated_spectra_compile_exactly_and_deterministically(case):
     block = bundle.circuit.gates[-1].matrix
     w = bundle.spectral.eigenvalues
     assert np.array_equal(bundle.spectral.eigenvectors, block)
+    given_d = rho.shape[0]
+    if given_d < d:
+        # Padding is an embedding: the added basis states are eigenvectors of
+        # weight exactly 0, and the target is rho with zeros around it.
+        eye = np.eye(d)
+        assert np.array_equal(block[given_d:], eye[given_d:])
+        assert np.array_equal(block[:, given_d:], eye[:, given_d:])
+        assert not w[given_d:].any()
+        assert not eigenvalue_amplitudes(bundle.spectral)[given_d:].any()
+        padded = np.zeros((d, d), dtype=complex)
+        padded[:given_d, :given_d] = rho
+        assert np.array_equal(bundle.target, padded)
     assert np.linalg.norm(bundle.target @ block - block * w, axis=0).max() <= 1e-10
     assert np.abs(block.conj().T @ block - np.eye(d)).max() <= 1e-12
-    rank = density_factor(bundle.target)[1].shape[1]
-    if rank == d:
-        # One d x d eigh: the block is the canonical basis bit for bit, so
-        # circuit files keep their bytes, up to the first tie group that
-        # reaches down to RANK_TOL (none unless a group straddles it), and
-        # eigh's own eigenvectors from there on.
-        dec = eig_hermitian(bundle.target)
+    assert (np.diff(w) <= 0).all()
+    rank = density_factor(rho)[1].shape[1]
+    if rank == given_d:
+        # One eigh in the target's own dimension: the block is the canonical
+        # basis bit for bit, so circuit files keep their bytes, up to the
+        # first tie group that reaches down to RANK_TOL (none unless a group
+        # straddles it), and eigh's own eigenvectors from there on.  A padded
+        # target's weights are clamped at the zeros added after them.
+        dec = eig_hermitian(rho)
         canonical = int(np.sum(w > RANK_TOL))
-        while 0 < canonical < d and w[canonical - 1] - w[canonical] <= TIE_TOL:
+        while 0 < canonical < given_d and w[canonical - 1] - w[canonical] <= TIE_TOL:
             canonical -= 1
-        assert np.array_equal(block[:, :canonical], dec.eigenvectors[:, :canonical])
-        assert np.array_equal(w, dec.eigenvalues)
+        assert np.array_equal(block[:given_d, :canonical], dec.eigenvectors[:, :canonical])
+        solved = dec.eigenvalues if given_d == d else np.maximum(dec.eigenvalues, 0.0)
+        assert np.array_equal(w[:given_d], solved)
     else:
-        # Solved on the factor's support: the spectrum to rounding, in order,
-        # and the null columns load exactly nothing.
+        # Solved on the factor's support: the spectrum to rounding, and the
+        # null columns load exactly nothing.
         assert np.abs(w - np.linalg.eigvalsh(bundle.target)[::-1]).max() <= 1e-12
-        assert (np.diff(w) <= 0).all()
         assert not w[rank:].any()
         assert not eigenvalue_amplitudes(bundle.spectral)[rank:].any()
+
+
+def test_padded_weight_rounded_below_zero_is_clamped_before_the_added_zeros():
+    # An exactly rank-4 5 x 5 target whose Cholesky completes (numpy 2.4,
+    # OpenBLAS): its 5 x 5 eigh puts -3.1e-33 last, which must not sort
+    # after the three zeros of the padding.
+    rho = density_with_spectrum(np.array([0.25, 0.25, 0.0, 0.25, 0.25]), 4)
+    w = build_preparation_circuit(rho).spectral.eigenvalues
+    assert (np.diff(w) <= 0).all()
+    assert not w[4:].any()
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)

@@ -4,11 +4,13 @@ import numpy.testing as npt
 import pytest
 
 from mixedprep import (
+    MAX_QUBITS,
     Circuit,
     Cnot,
     MultiControlledRy,
     NotAProbabilityVectorError,
     NotDensityMatrixError,
+    OutOfRangeError,
     Ry,
     UnitaryBlock,
     build_preparation_circuit,
@@ -199,21 +201,43 @@ def test_block_gram_measured_once_per_compile_and_run(monkeypatch, rho):
     assert shapes == [(d, d)]
 
 
+def random_density_of_rank(d, rank, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
 @pytest.mark.parametrize(
-    "rho, rank", [(ginibre_density(8, 7), 8), (p00_family(0.0), 2), (random_density_any_dim(3, 9), 3)],
-    ids=["full-rank", "rank-deficient", "padded"],
+    "rho, rank",
+    [(ginibre_density(8, 7), 8), (p00_family(0.0), 2), (random_density_any_dim(3, 9), 3),
+     (random_density_of_rank(3, 2, 9), 2)],
+    ids=["full-rank", "rank-deficient", "padded", "padded-rank-deficient"],
 )
-def test_compile_solves_on_the_support(hermitian_solves, qr_calls, rho, rank):
-    # full rank: one d x d eigh; rank r < d: one QR of the d x r factor and
-    # one r x r eigh, and nothing of size d x d is solved
+def test_compile_solves_on_the_support(monkeypatch, hermitian_solves, qr_calls, rho, rank):
+    # solved in the target's own dimension d, padded or not: full rank, one
+    # d x d eigh and no pivoted Cholesky; rank r < d, one QR of the d x r
+    # factor and one r x r eigh, and nothing of size d x d is solved
+    from mixedprep import linalg
+
+    pivoted = []
+    real = linalg._pivoted_cholesky
+
+    def counted(m, floor):
+        pivoted.append(m.shape)
+        return real(m, floor)
+
+    monkeypatch.setattr(linalg, "_pivoted_cholesky", counted)
     build_preparation_circuit(rho)
-    d = 2 ** (rho.shape[0] - 1).bit_length()
+    d = rho.shape[0]
     if rank == d:
         assert hermitian_solves == [(d, d)]
         assert qr_calls == []
+        assert pivoted == []
     else:
         assert hermitian_solves == [(rank, rank)]
         assert qr_calls == [(d, rank)]
+        assert pivoted == [(d, d)]
 
 
 @pytest.mark.parametrize(
@@ -241,3 +265,12 @@ def test_padded_roundtrip_3x3():
 def test_eigenvalue_amplitudes_rejects_complex_eigenvalues(w):
     with pytest.raises(NotAProbabilityVectorError, match="must be real"):
         eigenvalue_amplitudes(SpectralDecomposition(np.array(w), np.eye(2, dtype=complex)))
+
+
+def test_compile_refuses_a_target_past_the_cap_before_any_work():
+    # a broadcast view has the shape of a 4097 x 4097 matrix and no storage;
+    # any conversion, validation or padding of it would allocate
+    d = 2 ** (MAX_QUBITS // 2) + 1
+    view = np.broadcast_to(np.zeros((), dtype=complex), (d, d))
+    with pytest.raises(OutOfRangeError, match="4097 x 4097 target exceeds the largest"):
+        build_preparation_circuit(view)

@@ -150,3 +150,9 @@ def test_zero_imaginary_parts_load_as_real():
     amps = np.sqrt([0.4, 0.3, 0.2, 0.1])
     assert compile_real_state(amps + 0j).gates == compile_real_state(amps).gates
     npt.assert_array_equal(branch_norms(amps + 0j, 0), branch_norms(amps, 0))
+
+
+@pytest.mark.parametrize("level", [0.5, True, None], ids=["float", "bool", "none"])
+def test_branch_norms_rejects_a_level_that_is_not_an_integer(level):
+    with pytest.raises(LevelOutOfRangeError):
+        branch_norms([0.5, 0.5, 0.5, 0.5], level)

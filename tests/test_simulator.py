@@ -10,6 +10,7 @@ from mixedprep import (
     Cnot,
     IndexOutOfRangeError,
     MultiControlledRy,
+    NotNormalizedError,
     NotUnitaryError,
     OutOfRangeError,
     Ry,
@@ -422,3 +423,29 @@ def test_numpy_integer_wires_and_subsets_still_run():
     table = sample_pauli_expectations(psi, (i1,), 10, 0)
     assert table == sample_pauli_expectations(psi, (1,), 10, 0)
     npt.assert_array_equal(zero_state(two), basis(2, 0))
+
+
+STATE_CALLS = {
+    "reduced_density": lambda s: reduced_density(s, [0]),
+    "apply_gate": lambda s: apply_gate(s, Ry(0, 0.1)),
+    "sample_pauli": lambda s: sample_pauli(s, "Z", 10, 0),
+    "sample_pauli_expectations": lambda s: sample_pauli_expectations(s, [0], 10, 0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(STATE_CALLS))
+@pytest.mark.parametrize("state", [np.eye(2), np.array(1.0)], ids=["2-d", "0-d"])
+def test_state_must_be_one_dimensional(call, state):
+    with pytest.raises(IndexOutOfRangeError, match="1-d"):
+        STATE_CALLS[call](state)
+
+
+@pytest.mark.parametrize("call", ["sample_pauli", "sample_pauli_expectations"])
+@pytest.mark.parametrize(
+    "state", [np.zeros(2, dtype=complex), np.array([np.nan, 1.0]), np.array([np.inf, 0.0])],
+    ids=["zero", "nan", "inf"],
+)
+def test_sampling_needs_finite_probability_mass(call, state):
+    # refused before the draw, with no warning and no NaN reaching the sampler
+    with pytest.raises(NotNormalizedError, match="probability mass"):
+        STATE_CALLS[call](state)

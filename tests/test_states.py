@@ -4,6 +4,7 @@ import numpy.testing as npt
 import pytest
 
 from mixedprep import (
+    MAX_QUBITS,
     BadProbabilitiesError,
     NotPSDError,
     OutOfRangeError,
@@ -201,3 +202,23 @@ def test_x_state_reads_zero_imaginary_parts_as_real():
     probs = (0.4, 0.3, 0.2, 0.1)
     npt.assert_array_equal(x_state(XStateParams(0.3, 0.2, np.array(probs) + 0j)),
                            x_state(XStateParams(0.3, 0.2, probs)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: p00_family("0.5"), lambda: p00_family_probs(None), lambda: c1_state("0.1"),
+     lambda: c1_state(0.1 + 0j), lambda: c1_state(np.complex128(0.1)),
+     lambda: x_state_eigenvectors("a", 0), lambda: x_state_eigenvectors(0.0, 10 ** 400)],
+    ids=["p00-str", "p00-none", "c1-str", "c1-complex", "c1-numpy-complex", "theta-str",
+         "phi-huge-int"],
+)
+def test_family_parameters_must_be_finite_real_numbers(call):
+    with pytest.raises(OutOfRangeError):
+        call()
+
+
+def test_ginibre_refuses_a_dimension_past_the_compile_cap():
+    # checked on the integer, before the (2, d, d) draw is allocated
+    cap = 2 ** (MAX_QUBITS // 2)
+    with pytest.raises(OutOfRangeError, match=f"dimension {cap + 1} exceeds {cap}"):
+        ginibre_density(cap + 1, 0)
