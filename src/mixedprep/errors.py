@@ -116,6 +116,18 @@ def _require_qubits(keep, n: int, error: type) -> list:
     return kept
 
 
+def _as_complex(value, error: type) -> np.ndarray:
+    """``value`` as a complex array; one numpy cannot convert raises ``error``.
+
+    A ragged nested list or a string is a ``ValueError`` to numpy, a dict a
+    ``TypeError`` and an int beyond the float range an ``OverflowError``.
+    """
+    try:
+        return np.asarray(value, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"cannot read a complex array: {exc}") from exc
+
+
 def _require_real(values, error: type, requirement: str) -> np.ndarray:
     """``values`` as a float array; a nonzero (or NaN) imaginary part raises ``error``.
 

@@ -56,6 +56,7 @@ from .errors import (
     NotHermitianError,
     NotOrthonormalError,
     NotPSDError,
+    _as_complex,
     _is_int,
     _require_qubits,
 )
@@ -71,7 +72,7 @@ PROB_TOL = 1e-12
 
 def _require_hermitian(m, tol: float, error: type) -> np.ndarray:
     """``m`` as a complex array once it is square, finite and Hermitian within ``tol``."""
-    m = np.asarray(m, dtype=complex)
+    m = _as_complex(m, error)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise error(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():

@@ -12,8 +12,8 @@ from itertools import product
 import numpy as np
 
 from .errors import (BadLabelError, DimensionMismatchError, MissingExpectationError,
-                     NotAProbabilityVectorError, OutOfRangeError, _is_int, _qubits_of_dim,
-                     _require_int, _require_real)
+                     NotAProbabilityVectorError, NotDensityMatrixError, OutOfRangeError,
+                     _as_complex, _is_int, _qubits_of_dim, _require_int, _require_real)
 from .linalg import DEFAULT_TOL, _eigh, density_factor, partial_trace, require_density
 
 PAULI_1Q = {
@@ -73,8 +73,8 @@ def fidelity(rho, sigma, tol: float = DEFAULT_TOL) -> float:
     eigenvector it moves F by about sqrt(d * eps) for any method (4.5e-9
     against a 50-digit reference at d <= 8).
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
+    rho = _as_complex(rho, NotDensityMatrixError)
+    sigma = _as_complex(sigma, NotDensityMatrixError)
     if rho.shape != sigma.shape:
         raise DimensionMismatchError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
     (_, a), (_, b) = density_factor(rho, tol), density_factor(sigma, tol)
@@ -130,7 +130,7 @@ def concurrence(rho, tol: float = DEFAULT_TOL) -> float:
     at absolute precision, where rooting a near-zero eigenvalue would lose
     half the digits.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_complex(rho, NotDensityMatrixError)
     if rho.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 two-qubit matrix, got {rho.shape}")
     _, factor = density_factor(rho, tol)

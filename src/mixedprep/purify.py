@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Cnot, UnitaryBlock
-from .errors import NotAProbabilityVectorError, OutOfRangeError, _require_real
+from .errors import (NotAProbabilityVectorError, NotDensityMatrixError, OutOfRangeError,
+                     _as_complex, _require_real)
 from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
@@ -126,10 +127,11 @@ def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitB
     measured here: ``run`` checks it through ``validate_circuit``, and
     ``simulate`` does so for a circuit file.
     """
-    shape = np.shape(rho)
-    if shape and shape[0] > MAX_TARGET_DIM:
-        raise OutOfRangeError(f"a {shape[0]} x {shape[0]} target exceeds the largest that "
-                              f"compiles, {MAX_TARGET_DIM} x {MAX_TARGET_DIM}")
+    if not isinstance(rho, np.ndarray):  # an array's shape is read before any conversion
+        rho = _as_complex(rho, NotDensityMatrixError)
+    if rho.ndim and rho.shape[0] > MAX_TARGET_DIM:
+        raise OutOfRangeError(f"a {rho.shape[0]} x {rho.shape[0]} target exceeds the largest "
+                              f"that compiles, {MAX_TARGET_DIM} x {MAX_TARGET_DIM}")
     rho, a = density_factor(rho, tol)
     w, v = _support_eigh(rho, a)
     values, vectors = canonical_eigenvectors(w, v, int(np.sum(w > RANK_TOL)))

@@ -5,8 +5,14 @@ qubit 0 as the most significant bit.  ``run`` allocates |0...0> once and
 every gate updates that buffer in place through its (2,)*n view; a gate
 with k controls touches only the 2**(n-k) amplitudes it changes, so the
 2**m - 1 loader rotations of a 2m-qubit purification circuit cost
-O(m * 4**m) in all.  The public functions never mutate their input:
-``apply_gate`` and ``sample_pauli`` work on one copy.
+O(m * 4**m) in all.  Work on exact zeros is skipped, with the same bytes
+out: a rotation by exactly 0 is the identity and costs nothing, so the
+loader of r nonzero weights applies at most r - 1 of its rotations; after
+such a skip ``run`` multiplies the block into the state's nonzero rows
+only (r of 2**m), and ``reduced_density`` contracts only the nonzero
+dropped columns.  A full-rank target skips nothing and pays for no scan
+but one whole-array count in the trace.  The public functions never
+mutate their input: ``apply_gate`` and ``sample_pauli`` work on one copy.
 
 Finite-shot readout rotates a copy of the state into one measurement
 setting's Z basis and draws a multinomial histogram; a Pauli estimate is
@@ -80,6 +86,8 @@ def _apply(ten: np.ndarray, gate: Gate) -> None:
         a0, a1 = _pair(ten, gate.target, ((gate.control, 1),))
         a0[...], a1[...] = a1.copy(), a0.copy()
     else:
+        if gate.theta == 0.0:  # Ry(0) = I; validate_circuit has refused NaN
+            return
         controls = gate.controls if isinstance(gate, MultiControlledRy) else ()
         a0, a1 = _pair(ten, gate.target, controls)
         c, s = math.cos(gate.theta / 2.0), math.sin(gate.theta / 2.0)
@@ -103,20 +111,51 @@ def _pair(ten: np.ndarray, target: int, controls) -> tuple:
     return a0, ten[tuple(idx)]
 
 
-def _apply_block(ten: np.ndarray, qubits, matrix) -> None:
-    """Apply ``matrix`` to ``qubits`` (the first is its most significant bit) in place."""
+def _apply_block(ten: np.ndarray, qubits, matrix, live_rows: bool = False) -> None:
+    """Apply ``matrix`` to ``qubits`` (the first is its most significant bit) in place.
+
+    With ``live_rows`` the product reads only the rows of the block's
+    (2**k, rest) view that hold a nonzero amplitude: an all-zero row adds
+    nothing to any output entry.
+    """
     k = len(qubits)
     view = np.moveaxis(ten, qubits, range(k))
-    view[...] = (matrix @ view.reshape(2 ** k, -1)).reshape(view.shape)
+    rows = view.reshape(2 ** k, -1)
+    if live_rows:
+        live = _live(rows)
+        if not live.all():
+            matrix, rows = matrix[:, live], rows[live]
+    view[...] = (matrix @ rows).reshape(view.shape)
+
+
+def _live(m: np.ndarray) -> np.ndarray:
+    """Mask of the rows of the 2-d complex ``m`` with a nonzero entry.
+
+    It reads the float views ``m.real`` and ``m.imag``, which exist for any
+    strides: ``m.view(float)`` needs a contiguous last axis, which the view
+    of a block on non-leading qubits does not have.
+    """
+    return m.real.any(axis=1) | m.imag.any(axis=1)
 
 
 def run(circuit: Circuit, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Apply the circuit's gates in order to |0...0>, all in one buffer."""
+    """Apply the circuit's gates in order to |0...0>, all in one buffer.
+
+    A rotation by exactly 0 is the identity and is skipped.  A skipped
+    rotation is what leaves exact-zero rows in a compiled circuit's state,
+    so only after one does a block scan for them, and multiply only the
+    live rows; a full-rank target's block never scans.
+    """
     validate_circuit(circuit, tol)
     state = zero_state(circuit.num_qubits)
     ten = state.reshape((2,) * circuit.num_qubits)
+    skipped = False
     for gate in circuit.gates:
-        _apply(ten, gate)
+        if isinstance(gate, UnitaryBlock):
+            _apply_block(ten, gate.qubits, gate.matrix, skipped)
+        else:
+            skipped = skipped or (not isinstance(gate, Cnot) and gate.theta == 0.0)
+            _apply(ten, gate)
     return state
 
 
@@ -124,12 +163,18 @@ def reduced_density(state: np.ndarray, keep) -> np.ndarray:
     """Density matrix of the kept qubits (ascending order), from amplitudes.
 
     Never materializes the full outer product: the statevector is viewed
-    as (kept, dropped) and contracted against its own conjugate.
+    as (kept, dropped) and contracted against its own conjugate, over the
+    dropped columns that hold a nonzero amplitude only.  Those are scanned
+    for only when one whole-array count finds an exact zero.
     """
     state = np.asarray(state, dtype=complex)
     n = num_qubits_of(state)
     kept = _require_qubits(keep, n, IndexOutOfRangeError)
     m = np.moveaxis(state.reshape((2,) * n), kept, range(len(kept))).reshape(2 ** len(kept), -1)
+    if np.count_nonzero(m) < m.size:
+        live = _live(m.T)
+        if not live.all():
+            m = m[:, live]
     return m @ m.conj().T
 
 

@@ -483,3 +483,24 @@ def test_partial_trace_rejects_non_integer_qubits(keep):
     with pytest.raises(DimensionMismatchError, match="integer"):
         partial_trace(rho, keep, 2)
     npt.assert_array_equal(partial_trace(rho, np.array([1]), 2), np.eye(2) / 2)
+
+
+UNREADABLE = {
+    "ragged": [[1, 0], [0]],
+    "dict": {"a": 1},
+    "beyond-float": [[10 ** 400]],
+    "string-entries": [["a", "b"], ["c", "d"]],
+}
+
+
+@pytest.mark.parametrize("value", list(UNREADABLE.values()), ids=list(UNREADABLE))
+@pytest.mark.parametrize(
+    "call, error",
+    [(require_density, NotDensityMatrixError), (density_factor, NotDensityMatrixError),
+     (eig_hermitian, NotHermitianError), (matrix_sqrt_psd, NotHermitianError)],
+    ids=["require_density", "density_factor", "eig_hermitian", "matrix_sqrt_psd"],
+)
+def test_a_matrix_numpy_cannot_read_is_the_callers_typed_error(call, error, value):
+    with pytest.raises(error, match="cannot read a complex array"):
+        call(value)
+    assert not is_density(value)

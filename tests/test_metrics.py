@@ -445,3 +445,14 @@ def test_exact_pauli_expectations_needs_a_qubit_register():
     for rho in (np.eye(3) / 3, np.ones((1, 1))):
         with pytest.raises(DimensionMismatchError, match="not a power of two >= 2"):
             exact_pauli_expectations(rho)
+
+
+@pytest.mark.parametrize(
+    "value", [[[1, 0], [0]], {"a": 1}, [[10 ** 400]]], ids=["ragged", "dict", "beyond-float"],
+)
+def test_fidelity_and_concurrence_read_their_arguments_through_the_typed_door(value):
+    half = np.eye(2) / 2
+    for call in (lambda: fidelity(value, half), lambda: fidelity(half, value),
+                 lambda: concurrence(value)):
+        with pytest.raises(NotDensityMatrixError, match="cannot read a complex array"):
+            call()

@@ -274,3 +274,11 @@ def test_compile_refuses_a_target_past_the_cap_before_any_work():
     view = np.broadcast_to(np.zeros((), dtype=complex), (d, d))
     with pytest.raises(OutOfRangeError, match="4097 x 4097 target exceeds the largest"):
         build_preparation_circuit(view)
+
+
+@pytest.mark.parametrize(
+    "value", [[[1, 0], [0]], {"a": 1}, [[10 ** 400]]], ids=["ragged", "dict", "beyond-float"],
+)
+def test_compile_refuses_a_matrix_numpy_cannot_read(value):
+    with pytest.raises(NotDensityMatrixError, match="cannot read a complex array"):
+        build_preparation_circuit(value)

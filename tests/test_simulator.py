@@ -19,6 +19,7 @@ from mixedprep import (
     build_preparation_circuit,
     compile_real_state,
     ginibre_density,
+    p00_family,
     partial_trace,
     pauli_labels,
     reduced_density,
@@ -449,3 +450,185 @@ def test_sampling_needs_finite_probability_mass(call, state):
     # refused before the draw, with no warning and no NaN reaching the sampler
     with pytest.raises(NotNormalizedError, match="probability mass"):
         STATE_CALLS[call](state)
+
+
+# -- the work run and reduced_density skip ------------------------------------
+
+def oracle_run(circuit):
+    """The simulator with nothing skipped: every gate, the block on every row."""
+    n = circuit.num_qubits
+    state = np.zeros(2 ** n, dtype=complex)
+    state[0] = 1.0
+    ten = state.reshape((2,) * n)
+    for gate in circuit.gates:
+        if isinstance(gate, UnitaryBlock):
+            k = len(gate.qubits)
+            view = np.moveaxis(ten, gate.qubits, range(k))
+            view[...] = (gate.matrix @ view.reshape(2 ** k, -1)).reshape(view.shape)
+            continue
+        idx = [slice(None)] * n + [Ellipsis]
+        if isinstance(gate, Cnot):
+            controls, c, s = ((gate.control, 1),), None, None
+        else:
+            controls = gate.controls if isinstance(gate, MultiControlledRy) else ()
+            c, s = np.cos(gate.theta / 2.0), np.sin(gate.theta / 2.0)
+        for q, b in controls:
+            idx[q] = b
+        idx[gate.target] = 0
+        a0 = ten[tuple(idx)]
+        idx[gate.target] = 1
+        a1 = ten[tuple(idx)]
+        if c is None:
+            a0[...], a1[...] = a1.copy(), a0.copy()
+        else:
+            tmp = s * a0
+            a0 *= c
+            a0 -= s * a1
+            a1 *= c
+            a1 += tmp
+    return state
+
+
+def oracle_trace(state, keep):
+    """The reduced density matrix contracted over every dropped column."""
+    n = int(state.size).bit_length() - 1
+    m = np.moveaxis(state.reshape((2,) * n), keep, range(len(keep))).reshape(2 ** len(keep), -1)
+    return m @ m.conj().T
+
+
+def low_rank(d, rank, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2, d, rank))
+    q, _ = np.linalg.qr(g[0] + 1j * g[1])
+    rho = (q * rng.dirichlet(np.ones(rank))) @ q.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+def random_unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q
+
+
+class WorkCount:
+    """Records rotation and CNOT amplitude pairs, live-row scans and block products."""
+
+    def __init__(self, monkeypatch):
+        self.pairs, self.scans, self.products = [], [], []
+        pair, live = simulator._pair, simulator._live
+
+        def counted_pair(ten, target, controls):
+            self.pairs.append(controls)
+            return pair(ten, target, controls)
+
+        def counted_live(m):
+            self.scans.append(m.shape)
+            return live(m)
+
+        monkeypatch.setattr(simulator, "_pair", counted_pair)
+        monkeypatch.setattr(simulator, "_live", counted_live)
+
+    def record_products(self, block):
+        """Make ``block`` record the shape of every right-hand side it multiplies."""
+        products = self.products
+
+        class Recorded(np.ndarray):
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return np.asarray(self) @ other
+
+        block.matrix = block.matrix.view(Recorded)
+
+
+ORACLE_TARGETS = {
+    **{f"low-rank d={d} r={r}": (lambda d=d, r=r: low_rank(d, r, d + r))
+       for d in (8, 16, 32, 64) for r in (1, 2, 4)},
+    "padded d=3": lambda: ginibre_density(3, 2),
+    "padded d=5": lambda: ginibre_density(5, 2),
+    "xstate:p00=0": lambda: p00_family(0.0),
+    **{f"ginibre d={d}": (lambda d=d: ginibre_density(d, 7)) for d in range(2, 33)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TARGETS))
+def test_skipping_keeps_state_and_trace_bytes(name):
+    bundle = build_preparation_circuit(ORACLE_TARGETS[name]())
+    state = run(bundle.circuit)
+    assert state.tobytes() == oracle_run(bundle.circuit).tobytes()
+    for keep in (bundle.system_qubits, bundle.ancilla_qubits):
+        assert reduced_density(state, keep).tobytes() == oracle_trace(state, list(keep)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "qubits", [(3,), (3, 1), (1, 2, 3), (3, 0)],
+    ids=["trailing", "descending", "suffix", "non-adjacent"],
+)
+def test_block_on_non_leading_qubits_keeps_bytes(monkeypatch, qubits):
+    # qubit 3 is never rotated, so every block row with qubit 3 set is dead
+    circuit = Circuit(4, [
+        Ry(0, 0.7), Ry(3, 0.0), MultiControlledRy(((0, 1),), 2, 1.3),
+        MultiControlledRy(((0, 0), (2, 1)), 3, 0.0), Cnot(0, 1),
+        UnitaryBlock(qubits, random_unitary(2 ** len(qubits), 5)),
+    ])
+    work = WorkCount(monkeypatch)
+    work.record_products(circuit.gates[-1])
+    state = run(circuit)
+    [(rows, cols)] = work.products
+    assert rows < 2 ** len(qubits) and cols == 2 ** (4 - len(qubits))
+    assert state.tobytes() == oracle_run(circuit).tobytes()
+
+
+@pytest.mark.parametrize("keep", [[1], [3], [1, 2], [2, 3], [0, 2], [1, 2, 3], [0, 1, 2, 3]])
+def test_non_leading_keep_traces_live_columns_to_the_same_bytes(keep):
+    state = run(build_preparation_circuit(low_rank(4, 2, 3)).circuit)
+    assert np.count_nonzero(state) < state.size
+    assert reduced_density(state, keep).tobytes() == oracle_trace(state, keep).tobytes()
+
+
+@pytest.mark.parametrize(
+    "state", [np.zeros(8, dtype=complex), basis(3, 5), 1j * basis(3, 6), random_state(3, 1)],
+    ids=["no-live-column", "one-live-column", "imaginary-column", "no-zero"],
+)
+def test_trace_corner_cases_keep_bytes(state):
+    for keep in ([0], [2], [0, 1]):
+        assert reduced_density(state, keep).tobytes() == oracle_trace(state, keep).tobytes()
+
+
+def test_rank_one_circuit_applies_no_rotation_and_multiplies_one_row(monkeypatch):
+    bundle = build_preparation_circuit(low_rank(16, 1, 4))
+    circuit = bundle.circuit
+    assert len(circuit.gates) == 15 + 4 + 1  # the paper's circuit is unchanged
+    work = WorkCount(monkeypatch)
+    work.record_products(circuit.gates[-1])
+    state = run(circuit)
+    assert len(work.pairs) == 4  # the CNOTs only
+    assert work.scans == [(16, 16)]
+    assert work.products == [(1, 16)]
+    traced = reduced_density(state, bundle.system_qubits)
+    assert work.scans == [(16, 16)] * 2  # the trace scans the 16 dropped columns once
+    npt.assert_allclose(traced, bundle.target, atol=1e-12)
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_low_rank_block_multiplies_rank_rows(monkeypatch, rank):
+    bundle = build_preparation_circuit(low_rank(16, rank, 4))
+    work = WorkCount(monkeypatch)
+    work.record_products(bundle.circuit.gates[-1])
+    run(bundle.circuit)
+    assert work.products == [(rank, 16)]
+
+
+def test_full_rank_circuit_and_sampling_run_no_scan(monkeypatch):
+    bundle = build_preparation_circuit(ginibre_density(8, 3))
+    work = WorkCount(monkeypatch)
+    work.record_products(bundle.circuit.gates[-1])
+    state = run(bundle.circuit)
+    reduced_density(state, bundle.system_qubits)
+    reduced_density(state, bundle.ancilla_qubits)
+    assert work.scans == [] and work.products == [(8, 8)]
+    assert len(work.pairs) == 7 + 3  # every rotation and CNOT
+    # the sampler's basis rotations never scan, even on a state with zeros
+    sparse = run(build_preparation_circuit(low_rank(8, 1, 2)).circuit)
+    work.scans.clear()
+    sample_pauli_expectations(sparse, (0, 1, 2), 10, 0)
+    assert work.scans == []
