@@ -135,15 +135,15 @@ def _require_real(values, error: type, requirement: str) -> np.ndarray:
     part, so nothing is dropped silently; an entry that is not a number
     raises ``error`` too.  ``requirement`` opens the message.
     """
-    values = np.asarray(values)
-    if values.dtype.kind == "c":
-        if (values.imag != 0).any():
-            raise error(f"{requirement}, got a nonzero imaginary part")
-        values = values.real
-    try:
-        return values.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
+    try:  # the conversions numpy refuses, as in _as_complex
+        values = np.asarray(values)
+        if values.dtype.kind != "c":
+            return values.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{requirement}, got {exc}") from exc
+    if (values.imag != 0).any():
+        raise error(f"{requirement}, got a nonzero imaginary part")
+    return values.real.astype(float, copy=False)
 
 
 # -- circuits and simulation -------------------------------------------------

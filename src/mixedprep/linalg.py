@@ -68,6 +68,9 @@ RANK_TOL = 1e-12
 RENORM_TOL = 1e-12
 GS_DROP_TOL = 1e-8
 PROB_TOL = 1e-12
+# The most bytes one chunk of the batched Pauli readout or of the tomography
+# sum holds at a time: larger sets of settings or labels are looped over.
+_CHUNK_BYTES = 2 ** 24
 
 
 def _require_hermitian(m, tol: float, error: type) -> np.ndarray:
@@ -289,7 +292,7 @@ def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"total_qubits must be an integer >= 1, got {total_qubits!r}"
         )
-    m = np.asarray(state, dtype=complex)
+    m = _as_complex(state, DimensionMismatchError)
     dim = 2 ** total_qubits
     if m.shape != (dim, dim):
         raise DimensionMismatchError(

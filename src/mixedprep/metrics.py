@@ -14,7 +14,8 @@ import numpy as np
 from .errors import (BadLabelError, DimensionMismatchError, MissingExpectationError,
                      NotAProbabilityVectorError, NotDensityMatrixError, OutOfRangeError,
                      _as_complex, _is_int, _qubits_of_dim, _require_int, _require_real)
-from .linalg import DEFAULT_TOL, _eigh, density_factor, partial_trace, require_density
+from .linalg import (_CHUNK_BYTES, DEFAULT_TOL, _eigh, density_factor, partial_trace,
+                     require_density)
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -29,11 +30,24 @@ def pauli_matrix(label: str) -> np.ndarray:
     label = label.upper() if isinstance(label, str) else None
     if not label or any(ch not in PAULI_1Q for ch in label):
         raise BadLabelError(f"pauli label {label!r} must be a nonempty string over I, X, Y, Z")
-    out = PAULI_1Q[label[0]].copy()  # never hand out the shared table entry
-    for ch in label[1:]:
-        # the products np.kron(out, b) forms, without its per-call shape handling
-        b = PAULI_1Q[ch]
-        out = (out[:, None, :, None] * b[None, :, None, :]).reshape(2 * len(out), -1)
+    return _pauli_stack(label)[0]
+
+
+def _pauli_stack(positions) -> np.ndarray:
+    """The matrices of every label with one letter from each of ``positions``, in order.
+
+    The first position's letter is the most significant, as in
+    :func:`pauli_labels`.  Each position is folded in from the left with the
+    products ``np.kron`` forms, without its per-call shape handling, so each
+    matrix has the bytes of the Kronecker fold of its letters.  The stack is
+    built afresh and never shares memory with ``PAULI_1Q``.
+    """
+    out = np.array([PAULI_1Q[ch] for ch in positions[0]])
+    for letters in positions[1:]:
+        b = np.array([PAULI_1Q[ch] for ch in letters])
+        m, d = out.shape[:2]
+        out = (out[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(
+            m * len(b), 2 * d, 2 * d)
     return out
 
 
@@ -146,6 +160,12 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     finite real estimates; the all-identity entry may be omitted (implied 1).
     The raw estimate 2**-n * sum(<P> P) is Hermitized, negative eigenvalues
     are clamped to zero, and the trace is rescaled to 1.
+
+    The sum is one coefficient product over a stack of the 4**n Pauli
+    matrices, built for the call by :func:`pauli_matrix`'s fold, and one
+    sum along the stack in label order: the additions of a per-label loop.
+    The stack is built in chunks of at most ``_CHUNK_BYTES`` (n <= 4 is one
+    chunk), and no basis is cached between calls.
     """
     if not _is_int(n) or n < 1:
         raise DimensionMismatchError(f"qubit count must be an integer >= 1, got {n!r}")
@@ -155,6 +175,7 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     table.setdefault("I" * n, 1.0)
     # Checked lazily before any d x d array: a gap stops the scan within
     # len(table) + 1 labels, so a short table costs only its own size.
+    coefficients = []
     for label in map("".join, product("IXYZ", repeat=n)):
         if label not in table:
             raise MissingExpectationError(f"no expectation value for pauli string {label!r}")
@@ -162,10 +183,9 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
             raise OutOfRangeError(
                 f"expectation value for pauli string {label!r} is {table[label]}, not finite"
             )
+        coefficients.append(table[label])
     dim = 2 ** n
-    raw = np.zeros((dim, dim), dtype=complex)
-    for label in pauli_labels(n):
-        raw += table[label] * pauli_matrix(label)
+    raw = _pauli_sum(np.array(coefficients, dtype=complex), n)
     raw /= dim
     raw = (raw + raw.conj().T) / 2
     w, v = _eigh(raw)
@@ -177,3 +197,29 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
         )
     w /= total
     return (v * w) @ v.conj().T
+
+
+def _pauli_sum(coefficients: np.ndarray, n: int) -> np.ndarray:
+    """sum_l c_l P_l over the 4**n labels in :func:`pauli_labels` order, added one by one.
+
+    The terms are one coefficient product over a stack of Pauli matrices
+    and one ``np.add.reduce`` along the label axis, which adds them in
+    label order.  A stack is kept to half of ``_CHUNK_BYTES``, so with the
+    fold's previous step (a sixteenth of its size) and the running total a
+    chunk stays within it: the labels are looped over by their leading
+    letters, and each chunk's sum starts from the running total, so the
+    additions are those of a single pass.
+    """
+    dim = 2 ** n
+    expand = n
+    while expand and 2 * 4 ** expand * dim * dim * 16 > _CHUNK_BYTES:  # complex128 entries
+        expand -= 1
+    total = np.zeros((dim, dim), dtype=complex)
+    size = 4 ** expand
+    for c, prefix in enumerate(product("IXYZ", repeat=n - expand)):
+        stack = _pauli_stack(prefix + ("IXYZ",) * expand)
+        np.multiply(coefficients[c * size:(c + 1) * size, None, None], stack, out=stack)
+        stack[0] += total
+        total = np.add.reduce(stack, axis=0)
+        del stack  # before the next chunk's stack is built
+    return total

@@ -26,11 +26,18 @@ def branch_norms(amps: np.ndarray, level: int) -> np.ndarray:
     amplitudes themselves.  A nonzero imaginary part raises
     :class:`NegativeAmplitudeError`.
     """
-    amps = _require_real(amps, NegativeAmplitudeError, "amplitudes must be real and non-negative")
-    n = _qubits_of_dim(amps.shape[0], DimensionMismatchError, "amplitude vector length")
+    amps, n = _amplitude_vector(amps)
     if not (_is_int(level) and 0 <= level < n):
         raise LevelOutOfRangeError(f"level {level} outside 0..{n - 1}")
     return _branch_norms(amps ** 2, level)
+
+
+def _amplitude_vector(amps) -> tuple:
+    """``amps`` as a 1-d float array of 2**n entries (n >= 1), and n; else a typed error."""
+    amps = _require_real(amps, NegativeAmplitudeError, "amplitudes must be real and non-negative")
+    if amps.ndim != 1:
+        raise DimensionMismatchError(f"an amplitude vector is 1-d, got shape {amps.shape}")
+    return amps, _qubits_of_dim(amps.shape[0], DimensionMismatchError, "amplitude vector length")
 
 
 def _branch_norms(sq: np.ndarray, level: int) -> np.ndarray:
@@ -52,8 +59,7 @@ def compile_real_state(amps, tol: float = DEFAULT_TOL) -> Circuit:
     normalized within ``tol``, its entries real and non-negative; starting
     from |0...0> the circuit reproduces it exactly.
     """
-    amps = _require_real(amps, NegativeAmplitudeError, "amplitudes must be real and non-negative")
-    _qubits_of_dim(amps.shape[0], DimensionMismatchError, "amplitude vector length")
+    amps, _ = _amplitude_vector(amps)
     if amps.min() < -tol:
         raise NegativeAmplitudeError(
             f"amplitude {amps.min():.3e} is negative beyond tol={tol:g}"

@@ -12,12 +12,18 @@ such a skip ``run`` multiplies the block into the state's nonzero rows
 only (r of 2**m), and ``reduced_density`` contracts only the nonzero
 dropped columns.  A full-rank target skips nothing and pays for no scan
 but one whole-array count in the trace.  The public functions never
-mutate their input: ``apply_gate`` and ``sample_pauli`` work on one copy.
+mutate their input: ``apply_gate`` works on one copy, and the readout
+writes only new arrays.
 
-Finite-shot readout rotates a copy of the state into one measurement
-setting's Z basis and draws a multinomial histogram; a Pauli estimate is
-the histogram's parity balance.  ``sample_pauli_expectations`` computes
-each of the 3**k settings' distributions once for its 4**k - 1 strings.
+Finite-shot readout rotates the state into a measurement setting's Z
+basis and draws a multinomial histogram; a Pauli estimate is the
+histogram's parity balance.  ``sample_pauli_expectations`` computes all
+3**k settings' distributions for its 4**k - 1 strings in one batched
+rotation: a (settings, 2**n) block that triples per measured qubit, built
+in chunks of at most ``_CHUNK_BYTES`` (16 MiB: a k = 3 readout of up to
+13 qubits is one chunk; a larger one loops over its leading qubits).
+``sample_pauli`` reads its one setting from the same rotation.  Every
+distribution has the bytes of a single state rotated qubit by qubit.
 Shot counts (1..2**63 - 1), seeds and register sizes are checked as
 integers (``bool`` excluded), so a bad one is an ``OutOfRangeError``, not a
 numpy traceback; a qubit index that is not an integer, or a state that is
@@ -33,9 +39,9 @@ from itertools import product
 import numpy as np
 
 from .circuits import Circuit, Cnot, Gate, MultiControlledRy, UnitaryBlock, validate_circuit
-from .errors import (BadLabelError, IndexOutOfRangeError, NotNormalizedError, _is_int,
-                     _qubits_of_dim, _require_int, _require_qubits)
-from .linalg import DEFAULT_TOL
+from .errors import (BadLabelError, IndexOutOfRangeError, NotNormalizedError, _as_complex,
+                     _is_int, _qubits_of_dim, _require_int, _require_qubits)
+from .linalg import _CHUNK_BYTES, DEFAULT_TOL
 
 MAX_QUBITS = 24
 MAX_TARGET_DIM = 2 ** (MAX_QUBITS // 2)  # the largest target whose purification fits
@@ -44,6 +50,9 @@ _MAX_SHOTS = 2 ** 63 - 1  # the multinomial sampler draws int64 counts
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 # Rotates the Y eigenbasis onto the Z basis: (H @ Sdg) Y (H @ Sdg)^dagger = Z.
 _Y_TO_Z = _H @ np.diag([1.0, -1.0j])
+# Per letter I, X, Y, Z: its setting's base-3 digit (I is measured as Z), and whether it is not I.
+_SETTING_DIGIT = np.array([2, 0, 1, 2], dtype=np.int64)
+_NOT_I = np.array([0, 1, 1, 1], dtype=np.int64)
 
 
 @dataclass
@@ -71,7 +80,7 @@ def num_qubits_of(state: np.ndarray) -> int:
 
 def apply_gate(state: np.ndarray, gate: Gate, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Return gate(state) as a new array; the input is left untouched."""
-    state = np.array(state, dtype=complex)
+    state = _as_complex(state, IndexOutOfRangeError).copy()
     n = num_qubits_of(state)
     validate_circuit(Circuit(n, [gate]), tol)
     _apply(state.reshape((2,) * n), gate)
@@ -167,7 +176,7 @@ def reduced_density(state: np.ndarray, keep) -> np.ndarray:
     dropped columns that hold a nonzero amplitude only.  Those are scanned
     for only when one whole-array count finds an exact zero.
     """
-    state = np.asarray(state, dtype=complex)
+    state = _as_complex(state, IndexOutOfRangeError)
     n = num_qubits_of(state)
     kept = _require_qubits(keep, n, IndexOutOfRangeError)
     m = np.moveaxis(state.reshape((2,) * n), kept, range(len(kept))).reshape(2 ** len(kept), -1)
@@ -196,7 +205,8 @@ def sample_pauli(state: np.ndarray, pauli_string: str, shots: int, seed: int):
         )
     _require_int(shots, "shots", 1, _MAX_SHOTS)
     _require_int(seed, "seed", 0)
-    hist = np.random.default_rng(seed).multinomial(shots, _setting_probabilities(state, label))
+    [probs] = next(_distributions(state, [(q, ch) for q, ch in enumerate(label) if ch in "XY"]))
+    hist = np.random.default_rng(seed).multinomial(shots, probs)
     est = _parity_estimate(hist, _odd_parity(n, _z_mask(label)), shots)
     counts = {format(int(i), f"0{n}b"): int(hist[i]) for i in np.flatnonzero(hist)}
     return ShotResult(counts=counts, shots=shots, seed=seed), est
@@ -212,9 +222,13 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     all-identity string is pinned to exactly 1.0 without sampling.
 
     The 4**k - 1 strings need only 3**k Z-basis distributions, one per
-    measurement setting (the full label with I read as Z).  The strings are
-    drawn grouped by setting, so each distribution is computed once and only
-    one is held at a time; each parity mask is built once per call.
+    measurement setting (the full label with I read as Z).  All of them
+    come from one batched rotation, in blocks of at most ``_CHUNK_BYTES``;
+    the strings are drawn grouped by setting, in setting order, so each
+    block is computed once and released when the next one is needed.  Each
+    string's setting, parity mask and place in that order are integer array
+    arithmetic on the string indices; each mask's parity vector is built
+    once per call.
     """
     state, n = _sampled(state)
     qubits = tuple(qubits)
@@ -225,28 +239,36 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
         )
     _require_int(shots, "shots", 1, _MAX_SHOTS)
     _require_int(seed, "seed", 0)
-    labels = ["".join(combo) for combo in product("IXYZ", repeat=len(qubits))]
-    out, odd, setting = dict.fromkeys(labels), {}, None
+    k = len(qubits)
+    labels = ["".join(combo) for combo in product("IXYZ", repeat=k)]
+    # String i's letter on qubits[j] is base-4 digit j of i (I, X, Y, Z = 0..3).
+    # Its setting's row is base 3 over the ascending qubits, X < Y < Z with I
+    # read as Z, the order the setting labels sort in; its mask has the bit
+    # of each qubit whose letter is not I.
+    place = {q: p for p, q in enumerate(sorted(int(q) for q in qubits))}
+    row = mask = np.zeros(1, dtype=np.int64)
+    for q in map(int, qubits):
+        row = np.add.outer(row, _SETTING_DIGIT * 3 ** (k - 1 - place[q])).ravel()
+        mask = np.add.outer(mask, _NOT_I * (1 << (n - 1 - q))).ravel()
+    rows, masks = row.tolist(), mask.tolist()
+    blocks = _distributions(state, [(q, "XYZ") for q in sorted(place)])
+    out, odd, start, end = dict.fromkeys(labels), {}, 0, 0
     out[labels[0]] = 1.0
-    for i in sorted(range(1, len(labels)), key=lambda j: labels[j].replace("I", "Z")):
-        full = ["I"] * n
-        for q, ch in zip(qubits, labels[i]):
-            full[q] = ch
-        full = "".join(full)
-        key = full.replace("I", "Z")
-        if key != setting:
-            setting, probs = key, _setting_probabilities(state, key)
-        mask = _z_mask(full)
-        if mask not in odd:
-            odd[mask] = _odd_parity(n, mask)
-        hist = np.random.default_rng(seed + i).multinomial(shots, probs)
-        out[labels[i]] = _parity_estimate(hist, odd[mask], shots)
+    for i in sorted(range(1, len(labels)), key=rows.__getitem__):  # stable: ties keep i order
+        r, m = rows[i], masks[i]
+        while r >= end:
+            probs = next(blocks)
+            start, end = end, end + len(probs)
+        if m not in odd:
+            odd[m] = _odd_parity(n, m)
+        hist = np.random.default_rng(seed + i).multinomial(shots, probs[r - start])
+        out[labels[i]] = _parity_estimate(hist, odd[m], shots)
     return out
 
 
 def _sampled(state) -> tuple:
     """``state`` as a complex array and its qubit count, once it has a finite, nonzero norm."""
-    state = np.asarray(state, dtype=complex)
+    state = _as_complex(state, IndexOutOfRangeError)
     n = num_qubits_of(state)
     norm = np.linalg.norm(state)
     if not 0.0 < norm < math.inf:  # NaN fails too
@@ -254,16 +276,58 @@ def _sampled(state) -> tuple:
     return state, n
 
 
-def _setting_probabilities(state: np.ndarray, label: str) -> np.ndarray:
-    """Z-basis distribution after rotating each X or Y qubit of ``label`` onto Z."""
-    rotated = state.copy()
-    ten = rotated.reshape((2,) * len(label))
-    for q, ch in enumerate(label):
-        if ch in "XY":
-            _apply_block(ten, (q,), _H if ch == "X" else _Y_TO_Z)
-    probs = np.abs(rotated) ** 2
-    probs /= probs.sum()
-    return probs
+def _distributions(state: np.ndarray, measured):
+    """Z-basis distributions of measurement settings, as (settings, 2**n) blocks.
+
+    ``measured`` lists ``(qubit, letters)`` in ascending qubit order, the
+    letters a string over X, Y, Z; the settings are every choice of one
+    letter per qubit, the first qubit's letter the most significant, and
+    their rows come in that order.  From the state, each measured qubit
+    multiplies the block's rows by its letter count: an X or Y row is the
+    2x2 product that rotates that qubit's eigenbasis onto Z, applied to the
+    whole block at once, and a Z row is the block unchanged.  Each row is
+    then divided by its own sum.
+
+    The leading qubits whose expansion would not fit in ``_CHUNK_BYTES``
+    (the block, its expansion and the probabilities stay under three
+    blocks) are looped over, one yielded block per choice of their letters;
+    only the trailing ones are expanded.  Every row sees the same products
+    and sums either way.
+    """
+    lead, rows = len(measured), 1
+    while lead and 3 * rows * len(measured[lead - 1][1]) * state.nbytes <= _CHUNK_BYTES:
+        lead -= 1
+        rows *= len(measured[lead][1])
+    for prefix in product(*(letters for _, letters in measured[:lead])):
+        block = state.reshape(1, -1)
+        for (q, _), ch in zip(measured, prefix):
+            block = _branches(block, q, ch)
+        for q, letters in measured[lead:]:
+            block = _branches(block, q, letters)
+        probs = np.abs(block) ** 2
+        del block  # not held while the caller draws from this chunk
+        probs /= probs.sum(axis=1, keepdims=True)
+        yield probs
+
+
+def _branches(block: np.ndarray, q: int, letters: str) -> np.ndarray:
+    """Each row of ``block`` once per letter, qubit ``q`` rotated onto Z for X and Y.
+
+    Row i's copies are rows i * len(letters) + j, in letter order.  The
+    rotation reads each row as (2, rest) with qubit ``q`` first, the rest in
+    order, so its products are those a single state's rotation forms.
+    """
+    s, size = block.shape
+    shape = (s, 2 ** q, 2, size >> (q + 1))
+    out = np.empty((s, len(letters), size), dtype=complex)
+    pairs = block.reshape(shape).swapaxes(1, 2).reshape(s, 2, -1)
+    for j, ch in enumerate(letters):
+        if ch == "Z":
+            out[:, j] = block
+        else:
+            rotated = (_H if ch == "X" else _Y_TO_Z) @ pairs
+            out[:, j].reshape(shape).swapaxes(1, 2)[...] = rotated.reshape(s, 2, *shape[1::2])
+    return out.reshape(-1, size)
 
 
 def _z_mask(label: str) -> int:

@@ -497,8 +497,10 @@ UNREADABLE = {
 @pytest.mark.parametrize(
     "call, error",
     [(require_density, NotDensityMatrixError), (density_factor, NotDensityMatrixError),
-     (eig_hermitian, NotHermitianError), (matrix_sqrt_psd, NotHermitianError)],
-    ids=["require_density", "density_factor", "eig_hermitian", "matrix_sqrt_psd"],
+     (eig_hermitian, NotHermitianError), (matrix_sqrt_psd, NotHermitianError),
+     (lambda m: partial_trace(m, {0}, 1), DimensionMismatchError)],
+    ids=["require_density", "density_factor", "eig_hermitian", "matrix_sqrt_psd",
+         "partial_trace"],
 )
 def test_a_matrix_numpy_cannot_read_is_the_callers_typed_error(call, error, value):
     with pytest.raises(error, match="cannot read a complex array"):

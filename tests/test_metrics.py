@@ -29,6 +29,7 @@ from mixedprep import (
     sample_pauli_expectations,
     tomography_reconstruct,
 )
+from mixedprep import metrics
 from mixedprep.metrics import PAULI_1Q
 
 
@@ -456,3 +457,79 @@ def test_fidelity_and_concurrence_read_their_arguments_through_the_typed_door(va
                  lambda: concurrence(value)):
         with pytest.raises(NotDensityMatrixError, match="cannot read a complex array"):
             call()
+
+
+# -- the stacked Pauli sum against the per-label loop --------------------------
+
+def oracle_tomography(expectations, n):
+    """Linear inversion with one ``raw += c * P`` per label, each P its own Kronecker fold."""
+    table = {k.upper(): float(v) for k, v in expectations.items()}
+    table.setdefault("I" * n, 1.0)
+    dim = 2 ** n
+    raw = np.zeros((dim, dim), dtype=complex)
+    for label in pauli_labels(n):
+        raw += table[label] * reduce(np.kron, [PAULI_1Q[ch] for ch in label])
+    total = raw.copy()
+    raw /= dim
+    raw = (raw + raw.conj().T) / 2
+    w, v = metrics._eigh(raw)
+    w = np.clip(w, 0.0, None)
+    w /= float(w.sum())
+    return total, (v * w) @ v.conj().T
+
+
+def tomography_tables():
+    for n in range(1, 6):
+        yield f"exact-n{n}", n, exact_pauli_expectations(ginibre_density(2 ** n, 30 + n))
+    for d in (2, 4, 8):
+        bundle = build_preparation_circuit(ginibre_density(d, 50 + d))
+        state = run(bundle.circuit)
+        n = len(bundle.system_qubits)
+        yield f"shots-d{d}", n, sample_pauli_expectations(state, bundle.system_qubits, 1000, d)
+
+
+TOMOGRAPHY_TABLES = {name: (n, table) for name, n, table in tomography_tables()}
+
+
+@pytest.mark.parametrize("budget", [None, 0, 2 ** 14], ids=["default", "one-label", "small"])
+@pytest.mark.parametrize("name", sorted(TOMOGRAPHY_TABLES))
+def test_stacked_pauli_sum_keeps_the_per_label_bytes(monkeypatch, name, budget):
+    n, table = TOMOGRAPHY_TABLES[name]
+    if budget is not None:
+        monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
+    coefficients = np.array([table.get(label, 1.0) for label in pauli_labels(n)], dtype=complex)
+    total, estimate = oracle_tomography(table, n)
+    assert metrics._pauli_sum(coefficients, n).tobytes() == total.tobytes()
+    assert tomography_reconstruct(table, n).tobytes() == estimate.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_pauli_sum_keeps_signed_zeros(n):
+    # a first term of -0.0 entries still starts from +0.0, as the loop's zeros did
+    rng = np.random.default_rng(n)
+    for trial in range(20):
+        values = rng.choice([-1.0, -0.0, 0.0], 4 ** n).tolist() if trial else [-0.0] * 4 ** n
+        raw = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        for c, label in zip(values, pauli_labels(n)):
+            raw += c * pauli_matrix(label)
+        got = metrics._pauli_sum(np.array(values, dtype=complex), n)
+        assert got.tobytes() == raw.tobytes()
+
+
+# tracemalloc peak of the per-label loop, which built one Pauli matrix at a
+# time, on the call below
+PER_LABEL_TOMOGRAPHY_PEAK = 996_957
+
+
+def test_tomography_peak_stays_within_the_chunk_budget():
+    # unbounded, the 4096 labels of n = 6 would be one 256 MiB stack
+    table = dict.fromkeys(pauli_labels(6), 0.0)
+    table["I" * 6] = 1.0
+    tracemalloc.start()
+    try:
+        rec = tomography_reconstruct(table, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= metrics._CHUNK_BYTES + PER_LABEL_TOMOGRAPHY_PEAK
+    npt.assert_allclose(rec, np.eye(64) / 64, atol=1e-15)

@@ -156,3 +156,22 @@ def test_zero_imaginary_parts_load_as_real():
 def test_branch_norms_rejects_a_level_that_is_not_an_integer(level):
     with pytest.raises(LevelOutOfRangeError):
         branch_norms([0.5, 0.5, 0.5, 0.5], level)
+
+
+@pytest.mark.parametrize("amps", [None, 0.5, [[1.0, 0.0], [0.0, 0.0]]],
+                         ids=["none", "scalar", "2-d"])
+def test_amplitudes_that_are_not_a_vector_are_a_dimension_error(amps):
+    # a 2-d array of unit norm would otherwise load as its row norms
+    with pytest.raises(DimensionMismatchError, match="1-d"):
+        compile_real_state(amps)
+    with pytest.raises(DimensionMismatchError, match="1-d"):
+        branch_norms(amps, 0)
+
+
+@pytest.mark.parametrize("amps", [[[0.6], [0.8, 0.0]], [10 ** 400, 0], {"a": 1}],
+                         ids=["ragged", "beyond-float", "dict"])
+def test_amplitudes_numpy_cannot_read_are_a_typed_error(amps):
+    with pytest.raises(NegativeAmplitudeError, match="real and non-negative"):
+        compile_real_state(amps)
+    with pytest.raises(NegativeAmplitudeError, match="real and non-negative"):
+        branch_norms(amps, 0)

@@ -1,4 +1,7 @@
 """Statevector simulator: gates, reduced density matrices, Pauli sampling."""
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -331,19 +334,33 @@ def test_odd_parity_matches_bit_count():
 
 
 def test_expectations_rotate_once_per_setting(monkeypatch):
-    # k = 3: one rotation per string is 96 block applications, one distribution
-    # per measurement setting 54 (27 settings, two of three letters rotate)
+    # k = 3: one rotation per string is 96 2x2 products and one per measurement
+    # setting 54 (27 settings, two of three letters rotate); the batched
+    # rotation forms one X and one Y product per measured qubit, 6 in all
     state, system = purification_state(8, 3)
-    calls = []
-    real = simulator._apply_block
-
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(simulator, "_apply_block", counted)
+    products = count_rotations(monkeypatch)
     sample_pauli_expectations(state, system, 100, 0)
-    assert len(calls) <= 54
+    assert len(products) == 6
+    # with every measured qubit looped over, each of the 27 settings is its own
+    # chunk of one row, rotated once per X or Y letter
+    products.clear()
+    monkeypatch.setattr(simulator, "_CHUNK_BYTES", 0)
+    sample_pauli_expectations(state, system, 100, 0)
+    assert len(products) == 54 and set(products) == {(1, 2, 32)}
+
+
+def count_rotations(monkeypatch) -> list:
+    """The shapes of the right-hand sides of the sampler's X and Y rotations."""
+    products = []
+
+    class Recorded(np.ndarray):
+        def __matmul__(self, other):
+            products.append(other.shape)
+            return np.asarray(self) @ other
+
+    for name in ("_H", "_Y_TO_Z"):
+        monkeypatch.setattr(simulator, name, getattr(simulator, name).view(Recorded))
+    return products
 
 
 @pytest.mark.parametrize(
@@ -632,3 +649,150 @@ def test_full_rank_circuit_and_sampling_run_no_scan(monkeypatch):
     work.scans.clear()
     sample_pauli_expectations(sparse, (0, 1, 2), 10, 0)
     assert work.scans == []
+
+
+# -- the batched readout against the per-setting loop --------------------------
+
+Y_TO_Z = H @ np.diag([1.0, -1.0j])
+
+
+def oracle_setting_probabilities(state, label):
+    """One setting's Z-basis distribution: a rotated copy of the state per setting."""
+    rotated = state.copy()
+    ten = rotated.reshape((2,) * len(label))
+    for q, ch in enumerate(label):
+        if ch in "XY":
+            view = np.moveaxis(ten, (q,), (0,))
+            rows = view.reshape(2, -1)
+            view[...] = ((H if ch == "X" else Y_TO_Z) @ rows).reshape(view.shape)
+    probs = np.abs(rotated) ** 2
+    probs /= probs.sum()
+    return probs
+
+
+def oracle_odd_parity(n, mask):
+    return np.array([bin(i & mask).count("1") & 1 == 1 for i in range(2 ** n)])
+
+
+def oracle_sample_pauli(state, label, shots, seed):
+    """The counts and estimate of one string from its own setting's distribution."""
+    n = len(label)
+    mask = sum(1 << (n - 1 - q) for q, ch in enumerate(label) if ch != "I")
+    hist = np.random.default_rng(seed).multinomial(
+        shots, oracle_setting_probabilities(state, label.replace("I", "Z")))
+    est = (shots - 2 * int(hist[oracle_odd_parity(n, mask)].sum())) / shots
+    return {format(int(i), f"0{n}b"): int(hist[i]) for i in np.flatnonzero(hist)}, est
+
+
+def oracle_expectations(state, qubits, shots, seed):
+    """The per-setting loop: strings drawn grouped by setting, one distribution at a time."""
+    n = int(state.size).bit_length() - 1
+    labels = pauli_labels(len(qubits))
+    out, setting = dict.fromkeys(labels), None
+    out[labels[0]] = 1.0
+    for i in sorted(range(1, len(labels)), key=lambda j: labels[j].replace("I", "Z")):
+        full = ["I"] * n
+        for q, ch in zip(qubits, labels[i]):
+            full[q] = ch
+        full = "".join(full)
+        if full.replace("I", "Z") != setting:
+            setting = full.replace("I", "Z")
+            probs = oracle_setting_probabilities(state, setting)
+        mask = sum(1 << (n - 1 - q) for q, ch in enumerate(full) if ch != "I")
+        hist = np.random.default_rng(seed + i).multinomial(shots, probs)
+        out[labels[i]] = (shots - 2 * int(hist[oracle_odd_parity(n, mask)].sum())) / shots
+    return out
+
+
+def readout_cases():
+    """Compiled states of d = 2..16 with their system qubits and reordered subsets."""
+    for d in range(2, 17):
+        bundle = build_preparation_circuit(ginibre_density(d, 40 + d))
+        state = run(bundle.circuit)
+        n = int(state.size).bit_length() - 1
+        subsets = [tuple(bundle.system_qubits), (1,), (n - 1, 0)]
+        subsets += [(2, 0)] if n > 2 else []
+        subsets += [(4, 1, 3), (3, 1)] if n > 4 else []
+        for qubits in subsets:
+            yield f"d={d}-q={qubits}", state, qubits
+
+
+READOUT_CASES = {name: (state, qubits) for name, state, qubits in readout_cases()}
+# None keeps the default budget (one chunk); 0 loops over every measured
+# qubit; the middle one expands a single trailing qubit per chunk.
+BUDGETS = {"default": None, "one-row": 0, "one-qubit": 3 * 48 * 2 ** 8}
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("name", sorted(READOUT_CASES))
+def test_batched_readout_keeps_the_per_setting_bytes(monkeypatch, name, budget):
+    state, qubits = READOUT_CASES[name]
+    if BUDGETS[budget] is not None:
+        monkeypatch.setattr(simulator, "_CHUNK_BYTES", BUDGETS[budget])
+    n = int(state.size).bit_length() - 1
+    measured = sorted(qubits)
+    blocks = list(simulator._distributions(state, [(q, "XYZ") for q in measured]))
+    assert budget != "default" or len(blocks) == 1
+    assert budget != "one-row" or len(blocks) == 3 ** len(qubits)
+    rows = np.concatenate(blocks)
+    assert rows.shape == (3 ** len(qubits), 2 ** n)
+    for row, combo in zip(rows, product("XYZ", repeat=len(qubits))):
+        full = ["Z"] * n
+        for q, ch in zip(measured, combo):
+            full[q] = ch
+        assert row.tobytes() == oracle_setting_probabilities(state, "".join(full)).tobytes()
+    table = sample_pauli_expectations(state, qubits, 257, 9)
+    oracle = oracle_expectations(state, qubits, 257, 9)
+    assert list(table) == list(oracle)
+    assert np.array(list(table.values())).tobytes() == np.array(list(oracle.values())).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_sample_pauli_keeps_the_per_setting_bytes_on_every_setting(d):
+    state = run(build_preparation_circuit(ginibre_density(d, 70 + d)).circuit)
+    n = int(state.size).bit_length() - 1
+    for seed, combo in enumerate(product("XYZ", repeat=n)):
+        for label in ("".join(combo), "".join(combo).replace("Z", "I")):
+            result, est = sample_pauli(state, label, 101, seed)
+            counts, oracle_est = oracle_sample_pauli(state, label, 101, seed)
+            assert result.counts == counts and est == oracle_est, label
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# tracemalloc peak of the per-setting loop, which held one setting's
+# distribution at a time, on the call below
+PER_SETTING_READOUT_PEAK = 1_242_972
+
+
+def test_readout_peak_stays_within_the_chunk_budget():
+    # unbounded, the 729 settings of 6 measured qubits on a 12-qubit state
+    # would be one 729 x 4096 block of amplitudes, 45.6 MiB
+    state = random_state(12, 12)
+    peak = traced_peak(lambda: sample_pauli_expectations(state, range(6), 10, 0))
+    assert peak <= simulator._CHUNK_BYTES + PER_SETTING_READOUT_PEAK
+
+
+# -- the typed door of the simulator's conversions -----------------------------
+
+UNREADABLE = {
+    "ragged": [[1, 0], [0]],
+    "dict": {"a": 1},
+    "string": "abc",
+    "beyond-float": [10 ** 400, 0],
+    "objects": np.array([object(), object()], dtype=object),
+}
+
+
+@pytest.mark.parametrize("value", list(UNREADABLE.values()), ids=list(UNREADABLE))
+@pytest.mark.parametrize("call", sorted(STATE_CALLS))
+def test_a_state_numpy_cannot_read_is_an_index_error(call, value):
+    with pytest.raises(IndexOutOfRangeError, match="cannot read a complex array"):
+        STATE_CALLS[call](value)
