@@ -12,7 +12,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, NotUnitaryError, OutOfRangeError, _is_finite_real, _is_int
+from .errors import (IndexOutOfRangeError, NotUnitaryError, OutOfRangeError, _as_complex,
+                     _is_finite_real, _is_int)
 from .linalg import DEFAULT_TOL, is_unitary
 
 
@@ -57,7 +58,7 @@ class UnitaryBlock:
 
     def __init__(self, qubits, matrix):
         self.qubits = tuple(qubits)
-        self.matrix = np.asarray(matrix, dtype=complex)
+        self.matrix = _as_complex(matrix, IndexOutOfRangeError)
         dim = 2 ** len(self.qubits)
         if self.matrix.shape != (dim, dim):
             raise IndexOutOfRangeError(

@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shots",
         default="exact",
         metavar="N|exact",
-        help="finite-shot tomography with N shots per string, or 'exact'",
+        help="finite-shot tomography with N shots per measurement setting, or 'exact'",
     )
     p.set_defaults(func=cmd_reproduce)
 

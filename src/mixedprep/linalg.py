@@ -56,6 +56,7 @@ from .errors import (
     NotHermitianError,
     NotOrthonormalError,
     NotPSDError,
+    NotUnitaryError,
     _as_complex,
     _is_int,
     _require_qubits,
@@ -187,7 +188,11 @@ def is_density(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    m = np.asarray(m)
+    """Whether ``m`` is a square matrix with orthonormal columns; False for an unreadable one."""
+    try:
+        m = _as_complex(m, NotUnitaryError)
+    except NotUnitaryError:
+        return False
     return m.ndim == 2 and m.shape[0] == m.shape[1] and _gram_deviation(m) <= tol
 
 
@@ -317,7 +322,7 @@ def orthonormal_completion(partial_cols, tol: float = DEFAULT_TOL) -> np.ndarray
     deterministic for a given LAPACK.  An empty ``(d, 0)`` input yields the
     identity; NaN or infinite entries raise :class:`NotOrthonormalError`.
     """
-    q = np.asarray(partial_cols, dtype=complex)
+    q = _as_complex(partial_cols, DimensionMismatchError)
     if q.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d array of columns, got ndim={q.ndim}")
     d, k = q.shape

@@ -7,6 +7,7 @@ is the most significant bit of the basis index.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from itertools import product
 
 import numpy as np
@@ -157,7 +158,8 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     """Linear-inversion estimate projected back onto the density-matrix set.
 
     ``expectations`` maps Pauli strings of length ``n``, an integer >= 1, to
-    finite real estimates; the all-identity entry may be omitted (implied 1).
+    finite real estimates; the all-identity entry may be omitted (implied 1),
+    and anything but a mapping is a ``MissingExpectationError``.
     The raw estimate 2**-n * sum(<P> P) is Hermitized, negative eigenvalues
     are clamped to zero, and the trace is rescaled to 1.
 
@@ -169,6 +171,9 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     """
     if not _is_int(n) or n < 1:
         raise DimensionMismatchError(f"qubit count must be an integer >= 1, got {n!r}")
+    if not isinstance(expectations, Mapping):
+        raise MissingExpectationError(
+            f"expectations must map Pauli strings to values, got {type(expectations).__name__}")
     values = _require_real(list(expectations.values()), OutOfRangeError,
                            "expectation values must be real")
     table = dict(zip((str(k).upper() for k in expectations), values.tolist()))

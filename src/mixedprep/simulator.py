@@ -16,14 +16,20 @@ mutate their input: ``apply_gate`` works on one copy, and the readout
 writes only new arrays.
 
 Finite-shot readout rotates the state into a measurement setting's Z
-basis and draws a multinomial histogram; a Pauli estimate is the
-histogram's parity balance.  ``sample_pauli_expectations`` computes all
-3**k settings' distributions for its 4**k - 1 strings in one batched
-rotation: a (settings, 2**n) block that triples per measured qubit, built
-in chunks of at most ``_CHUNK_BYTES`` (16 MiB: a k = 3 readout of up to
-13 qubits is one chunk; a larger one loops over its leading qubits).
-``sample_pauli`` reads its one setting from the same rotation.  Every
-distribution has the bytes of a single state rotated qubit by qubit.
+basis and draws a multinomial histogram.  ``sample_pauli_expectations``
+measures each of the 3**k settings of its k qubits once, with ``shots``
+shots (the linear-inversion scheme of James et al., PRA 64, 052312
+(2001)): the settings' distributions come from one batched rotation, a
+(settings, 2**n) block that triples per measured qubit, built in chunks
+of at most ``_CHUNK_BYTES`` (16 MiB: a k = 3 readout of up to 13 qubits
+is one chunk; a larger one loops over its leading qubits), each with the
+bytes of a single state rotated qubit by qubit, and each is reduced to its
+2**k-outcome marginal before its draw.  Every one of the 4**k Pauli
+estimates is then an exact integer balance of those counts.
+``sample_pauli`` reads its one setting from the same rotation and draws
+over the full register.  Both draw with every probability at or below the
+state's rounding floor 2**n * eps set to zero, so a rounding-level change
+in the state cannot move a count.
 Shot counts (1..2**63 - 1), seeds and register sizes are checked as
 integers (``bool`` excluded), so a bad one is an ``OutOfRangeError``, not a
 numpy traceback; a qubit index that is not an integer, or a state that is
@@ -50,9 +56,6 @@ _MAX_SHOTS = 2 ** 63 - 1  # the multinomial sampler draws int64 counts
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 # Rotates the Y eigenbasis onto the Z basis: (H @ Sdg) Y (H @ Sdg)^dagger = Z.
 _Y_TO_Z = _H @ np.diag([1.0, -1.0j])
-# Per letter I, X, Y, Z: its setting's base-3 digit (I is measured as Z), and whether it is not I.
-_SETTING_DIGIT = np.array([2, 0, 1, 2], dtype=np.int64)
-_NOT_I = np.array([0, 1, 1, 1], dtype=np.int64)
 
 
 @dataclass
@@ -192,10 +195,11 @@ def sample_pauli(state: np.ndarray, pauli_string: str, shots: int, seed: int):
 
     Returns ``(ShotResult, estimate)``.  Each qubit is rotated so its label's
     eigenbasis becomes the Z basis, the full register is sampled from the
-    resulting Z-basis distribution with ``default_rng(seed)``, and the
-    estimate is (even-parity counts - odd-parity counts) / shots, the parity
-    taken over the non-identity positions.  ``shots`` must be an integer in
-    1..2**63 - 1 and ``seed`` an integer >= 0.
+    resulting Z-basis distribution with ``default_rng(seed)``, after the
+    probabilities at or below the rounding floor 2**n * eps are zeroed, and
+    the estimate is (even-parity counts - odd-parity counts) / shots, the
+    parity taken over the non-identity positions.  ``shots`` must be an
+    integer in 1..2**63 - 1 and ``seed`` an integer >= 0.
     """
     state, n = _sampled(state)
     label = pauli_string.upper() if isinstance(pauli_string, str) else None
@@ -205,8 +209,8 @@ def sample_pauli(state: np.ndarray, pauli_string: str, shots: int, seed: int):
         )
     _require_int(shots, "shots", 1, _MAX_SHOTS)
     _require_int(seed, "seed", 0)
-    [probs] = next(_distributions(state, [(q, ch) for q, ch in enumerate(label) if ch in "XY"]))
-    hist = np.random.default_rng(seed).multinomial(shots, probs)
+    probs = next(_distributions(state, [(q, ch) for q, ch in enumerate(label) if ch in "XY"]))
+    [hist] = _draws(probs, state.size, shots, seed)
     est = _parity_estimate(hist, _odd_parity(n, _z_mask(label)), shots)
     counts = {format(int(i), f"0{n}b"): int(hist[i]) for i in np.flatnonzero(hist)}
     return ShotResult(counts=counts, shots=shots, seed=seed), est
@@ -216,19 +220,24 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     """Shot-based estimates of every Pauli string over ``qubits``.
 
     Labels in the result run over the given qubits in order; all other
-    qubits are measured as identity.  String number i uses seed ``seed + i``
-    so individual estimates are reproducible in isolation: each equals
-    ``sample_pauli(state, full_label, shots, seed + i)[1]``.  The
-    all-identity string is pinned to exactly 1.0 without sampling.
+    qubits are measured as identity.  The all-identity string is pinned to
+    exactly 1.0.
 
-    The 4**k - 1 strings need only 3**k Z-basis distributions, one per
-    measurement setting (the full label with I read as Z).  All of them
-    come from one batched rotation, in blocks of at most ``_CHUNK_BYTES``;
-    the strings are drawn grouped by setting, in setting order, so each
-    block is computed once and released when the next one is needed.  Each
-    string's setting, parity mask and place in that order are integer array
-    arithmetic on the string indices; each mask's parity vector is built
-    once per call.
+    Each of the 3**k measurement settings (one letter X, Y or Z per
+    measured qubit) is measured once with ``shots`` shots.  Setting s, in
+    base 3 over the ascending qubits with X < Y < Z, is drawn with
+    ``default_rng(seed + s)`` from its marginal distribution over the k
+    measured qubits, after the probabilities at or below the rounding floor
+    2**n * eps are zeroed.  A string with j identity letters is estimated
+    from the 3**j settings that agree with it on its other letters: the sum
+    of their even - odd parity balances over those letters, divided by
+    3**j * shots.  Sum and quotient are Python-int arithmetic, so each
+    estimate is the correctly rounded mean for any shot count; a string with
+    no identity letter is (shots - 2 * odd) / shots of its own setting.
+
+    The settings' distributions come in blocks of at most ``_CHUNK_BYTES``,
+    and each block is drawn and folded into the 4**k sums before the next
+    one is computed.
     """
     state, n = _sampled(state)
     qubits = tuple(qubits)
@@ -240,29 +249,17 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     _require_int(shots, "shots", 1, _MAX_SHOTS)
     _require_int(seed, "seed", 0)
     k = len(qubits)
+    measured = sorted(map(int, qubits))
+    sums, first = 0, 0
+    for probs in _distributions(state, [(q, "XYZ") for q in measured]):
+        counts = _draws(_marginal(probs, n, measured), state.size, shots, seed + first)
+        sums = sums + _string_sums(_balances(counts, k), first, k)
+        first += len(probs)
+    # sums runs over the ascending qubits; the labels over the given order
+    sums = sums.transpose([measured.index(q) for q in map(int, qubits)]).ravel().tolist()
     labels = ["".join(combo) for combo in product("IXYZ", repeat=k)]
-    # String i's letter on qubits[j] is base-4 digit j of i (I, X, Y, Z = 0..3).
-    # Its setting's row is base 3 over the ascending qubits, X < Y < Z with I
-    # read as Z, the order the setting labels sort in; its mask has the bit
-    # of each qubit whose letter is not I.
-    place = {q: p for p, q in enumerate(sorted(int(q) for q in qubits))}
-    row = mask = np.zeros(1, dtype=np.int64)
-    for q in map(int, qubits):
-        row = np.add.outer(row, _SETTING_DIGIT * 3 ** (k - 1 - place[q])).ravel()
-        mask = np.add.outer(mask, _NOT_I * (1 << (n - 1 - q))).ravel()
-    rows, masks = row.tolist(), mask.tolist()
-    blocks = _distributions(state, [(q, "XYZ") for q in sorted(place)])
-    out, odd, start, end = dict.fromkeys(labels), {}, 0, 0
+    out = {label: total / (3 ** label.count("I") * shots) for label, total in zip(labels, sums)}
     out[labels[0]] = 1.0
-    for i in sorted(range(1, len(labels)), key=rows.__getitem__):  # stable: ties keep i order
-        r, m = rows[i], masks[i]
-        while r >= end:
-            probs = next(blocks)
-            start, end = end, end + len(probs)
-        if m not in odd:
-            odd[m] = _odd_parity(n, m)
-        hist = np.random.default_rng(seed + i).multinomial(shots, probs[r - start])
-        out[labels[i]] = _parity_estimate(hist, odd[m], shots)
     return out
 
 
@@ -328,6 +325,86 @@ def _branches(block: np.ndarray, q: int, letters: str) -> np.ndarray:
             rotated = (_H if ch == "X" else _Y_TO_Z) @ pairs
             out[:, j].reshape(shape).swapaxes(1, 2)[...] = rotated.reshape(s, 2, *shape[1::2])
     return out.reshape(-1, size)
+
+
+def _marginal(probs: np.ndarray, n: int, measured) -> np.ndarray:
+    """Each row of ``probs`` summed over the qubits not in ``measured``, as (rows, 2**k).
+
+    The qubits are summed out one at a time from the last, each as one
+    elementwise addition of its two halves, so a row's marginal does not
+    depend on the rows beside it.  The outcomes run over the ascending
+    measured qubits, the first the most significant bit.
+    """
+    rows = len(probs)
+    for q in reversed(range(n)):
+        if q not in measured:
+            halves = probs.reshape(rows, 2 ** q, 2, -1)
+            probs = halves[:, :, 0] + halves[:, :, 1]
+    return probs.reshape(rows, -1)
+
+
+def _draws(probs: np.ndarray, dim: int, shots: int, seed: int) -> np.ndarray:
+    """One multinomial histogram per row of ``probs``, row s from ``default_rng(seed + s)``.
+
+    Every probability at or below the rounding floor ``dim * eps`` of a
+    ``dim``-amplitude state is zeroed first, with no renormalization: numpy
+    draws nothing for an exactly-zero category but a random number for a
+    tiny one, so a rounding-level change would otherwise re-draw every later
+    count.
+    """
+    probs = np.where(probs > dim * np.finfo(float).eps, probs, 0.0)
+    return np.array([np.random.default_rng(seed + s).multinomial(shots, row)
+                     for s, row in enumerate(probs)])
+
+
+def _balances(counts: np.ndarray, k: int) -> np.ndarray:
+    """Even - odd count of every outcome mask, per row of the (rows, 2**k) ``counts``, in place.
+
+    Entry (s, m) sums count (s, o) with the sign of the parity of o & m: the
+    Walsh-Hadamard transform along the k outcome bits.  Each partial sum is
+    a signed sum of distinct counts of one row, at most ``shots`` in size,
+    so int64 holds every step exactly.
+    """
+    for j in range(k):
+        pairs = counts.reshape(len(counts), 2 ** j, 2, -1)
+        even, odd = pairs[:, :, 0], pairs[:, :, 1]
+        diff = even - odd
+        even += odd
+        odd[...] = diff
+    return counts
+
+
+def _string_sums(balances: np.ndarray, first: int, k: int) -> np.ndarray:
+    """Each string's sum of balances over one block of settings, as a (4,)*k Python-int array.
+
+    The block is settings ``first`` onward: every letter choice of the
+    trailing t measured qubits (3**t = its row count) after the fixed
+    letters of the leading ones that ``first`` spells.  A string's letter on
+    a qubit is I, summed over that qubit's three setting letters with its
+    mask bit 0, or X, Y, Z, the setting's letter with its mask bit 1.  Each
+    qubit's axes are mapped to its four letters in turn, leading the array
+    and then appended to its end, so the letters come out in qubit order.
+    """
+    t = 0
+    while 3 ** t < len(balances):
+        t += 1
+    lead = k - t
+    digits = [first // 3 ** (k - 1 - p) % 3 for p in range(lead)]
+    # axes: each leading qubit's mask bit, then each trailing qubit's (letter, mask bit)
+    order = [t + p for p in range(lead)] + [a for p in range(t) for a in (p, t + lead + p)]
+    x = balances.reshape((3,) * t + (2,) * k).transpose(order).astype(object)
+    for p in range(k):
+        if p < lead:
+            x = x.reshape(2, -1)
+            letters = np.zeros((4, x.shape[1]), dtype=object)
+            letters[0], letters[1 + digits[p]] = x
+        else:
+            x = x.reshape(6, -1)  # (X, 0), (X, 1), (Y, 0), (Y, 1), (Z, 0), (Z, 1)
+            letters = np.empty((4, x.shape[1]), dtype=object)
+            letters[0] = x[0] + x[2] + x[4]
+            letters[1:] = x[1::2]
+        x = letters.T
+    return x.reshape((4,) * k)
 
 
 def _z_mask(label: str) -> int:

@@ -333,8 +333,8 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
 # sha256 of the 1000-shot CSVs (numpy 2.4, OpenBLAS): a change to the draws,
 # the estimates or the tomography shows here
 SHOT_CSV_SHA256 = {
-    "2": "a33d61e876a7def1c4abbd53faab1dcce889d3c1af28cd5e2bd08a41c5fcd95e",
-    "3": "d1e3594581470bade99c7974b571d3c17e69b7552b74c4efe5b245c9dfa76cd3",
+    "2": "3a0f4f79f8b433ed46e18753b75774455a91b3f5ddb3990bdefbcda0410700af",
+    "3": "aace35a8a5d0daef0990b8547ff4bc69b4f6d26bf80e6cabc23e3d63ffb583c6",
 }
 
 

@@ -506,3 +506,14 @@ def test_a_matrix_numpy_cannot_read_is_the_callers_typed_error(call, error, valu
     with pytest.raises(error, match="cannot read a complex array"):
         call(value)
     assert not is_density(value)
+
+
+@pytest.mark.parametrize("value", [[[1, 0], [0]], [1, 2]], ids=["ragged", "1-d"])
+def test_unitary_checks_end_in_a_typed_answer(value):
+    with pytest.raises(DimensionMismatchError):
+        orthonormal_completion(value)
+    assert is_unitary(value) is False
+
+
+def test_a_bool_identity_is_unitary():
+    assert is_unitary(np.eye(2, dtype=bool)) is True

@@ -459,6 +459,12 @@ def test_fidelity_and_concurrence_read_their_arguments_through_the_typed_door(va
             call()
 
 
+@pytest.mark.parametrize("value", [[[1, 0], [0]], [1, 2]], ids=["ragged", "list"])
+def test_tomography_refuses_expectations_that_are_not_a_mapping(value):
+    with pytest.raises(MissingExpectationError, match="must map Pauli strings"):
+        tomography_reconstruct(value, 1)
+
+
 # -- the stacked Pauli sum against the per-label loop --------------------------
 
 def oracle_tomography(expectations, n):

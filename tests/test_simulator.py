@@ -125,6 +125,12 @@ def test_unitary_block_rejects_non_unitary():
         apply_gate(basis(1, 0), UnitaryBlock((0,), np.ones((2, 2))))
 
 
+@pytest.mark.parametrize("matrix", [[[1, 0], [0]], [1, 2]], ids=["ragged", "1-d"])
+def test_unitary_block_refuses_a_matrix_it_cannot_read(matrix):
+    with pytest.raises(IndexOutOfRangeError):
+        UnitaryBlock((0,), matrix)
+
+
 def test_gate_index_bounds():
     with pytest.raises(IndexOutOfRangeError):
         apply_gate(basis(2, 0), Ry(2, 0.3))
@@ -311,18 +317,54 @@ def purification_state(d, seed):
     "d, qubits", [(2, None), (4, None), (8, None), (8, (2, 0))],
     ids=["k1", "k2", "k3", "non-ascending"],
 )
-def test_expectations_equal_sample_pauli_bit_for_bit(d, qubits):
+def test_expectations_equal_the_setting_loop_bit_for_bit(monkeypatch, d, qubits):
     state, system = purification_state(d, 17)
     qubits = system if qubits is None else qubits
-    n = int(state.size).bit_length() - 1
     labels = pauli_labels(len(qubits))
+    oracle = oracle_expectations(state, qubits, 300, 41)
+    for budget in BUDGETS.values():
+        with monkeypatch.context() as m:
+            if budget is not None:
+                m.setattr(simulator, "_CHUNK_BYTES", budget)
+            table = sample_pauli_expectations(state, qubits, 300, 41)
+        assert list(table) == labels and table[labels[0]] == 1.0
+        assert np.array(list(table.values())).tobytes() == np.array(list(oracle.values())).tobytes()
+
+
+@pytest.mark.parametrize("qubits", [(0, 1, 2), (2, 0, 1)], ids=["ascending", "reordered"])
+def test_full_weight_strings_equal_sample_pauli_when_every_qubit_is_measured(qubits):
+    # with no qubit summed out, setting s is sample_pauli's draw of its own
+    # label at seed + s, and a string without I is that draw's parity balance
+    state = random_state(3, 29)
     table = sample_pauli_expectations(state, qubits, 300, 41)
-    assert list(table) == labels and table[labels[0]] == 1.0
-    for i, label in enumerate(labels[1:], start=1):
-        full = ["I"] * n
-        for q, ch in zip(qubits, label):
-            full[q] = ch
-        assert table[label] == sample_pauli(state, "".join(full), 300, 41 + i)[1], label
+    for s, combo in enumerate(product("XYZ", repeat=3)):
+        label = "".join(combo[q] for q in qubits)
+        assert table[label] == sample_pauli(state, "".join(combo), 300, 41 + s)[1], label
+
+
+def test_expectations_at_the_largest_shot_count_are_exact():
+    # 3 * shots passes int64: the I-summed strings need Python-int sums
+    shots = 2 ** 63 - 1
+    table = sample_pauli_expectations(zero_state(2), (0, 1), shots, 3)
+    assert table["ZI"] == table["IZ"] == table["ZZ"] == table["II"] == 1.0
+    assert all(np.isfinite(v) and -1.0 <= v <= 1.0 for v in table.values())
+    assert table == oracle_expectations(zero_state(2), (0, 1), shots, 3)
+
+
+def test_a_rounding_level_probability_draws_as_zero():
+    # numpy's multinomial draws nothing for an exact zero but a random number
+    # for 4e-17, so without the floor every later count would move
+    exact, tiny = np.array([[0.3, 0.0, 0.2, 0.5]]), np.array([[0.3, 4e-17, 0.2, 0.5]])
+    raw = [np.random.default_rng(7).multinomial(1000, p[0]) for p in (exact, tiny)]
+    assert raw[0].tolist() != raw[1].tolist()
+    assert simulator._draws(tiny, 4, 1000, 7).tolist() == simulator._draws(exact, 4, 1000, 7).tolist()
+    # the same through both samplers: an amplitude of 1e-17 is a Z-basis
+    # probability of 1e-34, drawn as the exact zero beside it would be
+    exact, rounded = np.array([0.6, 0.0, 0.48, 0.64]), np.array([0.6, 1e-17, 0.48, 0.64])
+    for label in ("ZZ", "ZI", "IZ"):
+        assert sample_pauli(rounded, label, 1000, 5) == sample_pauli(exact, label, 1000, 5)
+    assert (sample_pauli_expectations(rounded, (0, 1), 1000, 5)
+            == sample_pauli_expectations(exact, (0, 1), 1000, 5))
 
 
 def test_odd_parity_matches_bit_count():
@@ -684,23 +726,41 @@ def oracle_sample_pauli(state, label, shots, seed):
     return {format(int(i), f"0{n}b"): int(hist[i]) for i in np.flatnonzero(hist)}, est
 
 
+def oracle_marginal(probs, measured):
+    """A distribution summed over the unmeasured qubits, the last first, as p0 + p1 each."""
+    n = int(probs.size).bit_length() - 1
+    ten = probs.reshape((2,) * n)
+    for q in reversed(range(n)):
+        if q not in measured:
+            ten = np.take(ten, 0, axis=q) + np.take(ten, 1, axis=q)
+    return ten.reshape(-1)
+
+
 def oracle_expectations(state, qubits, shots, seed):
-    """The per-setting loop: strings drawn grouped by setting, one distribution at a time."""
-    n = int(state.size).bit_length() - 1
-    labels = pauli_labels(len(qubits))
-    out, setting = dict.fromkeys(labels), None
-    out[labels[0]] = 1.0
-    for i in sorted(range(1, len(labels)), key=lambda j: labels[j].replace("I", "Z")):
-        full = ["I"] * n
-        for q, ch in zip(qubits, labels[i]):
+    """One draw per setting from its marginal; each string's balances summed in Python ints."""
+    n, k = int(state.size).bit_length() - 1, len(qubits)
+    measured = sorted(qubits)
+    draws = []
+    for s, combo in enumerate(product("XYZ", repeat=k)):
+        full = ["Z"] * n
+        for q, ch in zip(measured, combo):
             full[q] = ch
-        full = "".join(full)
-        if full.replace("I", "Z") != setting:
-            setting = full.replace("I", "Z")
-            probs = oracle_setting_probabilities(state, setting)
-        mask = sum(1 << (n - 1 - q) for q, ch in enumerate(full) if ch != "I")
-        hist = np.random.default_rng(seed + i).multinomial(shots, probs)
-        out[labels[i]] = (shots - 2 * int(hist[oracle_odd_parity(n, mask)].sum())) / shots
+        probs = oracle_marginal(oracle_setting_probabilities(state, "".join(full)), measured)
+        probs[probs <= state.size * np.finfo(float).eps] = 0.0
+        draws.append((combo, np.random.default_rng(seed + s).multinomial(shots, probs).tolist()))
+    out = {}
+    for label in pauli_labels(k):
+        letter = dict(zip(qubits, label))
+        support = [p for p, q in enumerate(measured) if letter[q] != "I"]
+        total = settings = 0
+        for combo, hist in draws:
+            if all(letter[q] in ("I", ch) for q, ch in zip(measured, combo)):
+                settings += 1
+                for outcome, count in enumerate(hist):
+                    odd = sum(outcome >> (k - 1 - p) & 1 for p in support) % 2
+                    total += -count if odd else count
+        out[label] = total / (settings * shots)
+    out["I" * k] = 1.0
     return out
 
 
