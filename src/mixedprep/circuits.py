@@ -107,8 +107,11 @@ def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
     The qubit count, every wire and every control bit must be integers (a
     ``bool`` is not one); anything else is an :class:`IndexOutOfRangeError`,
     as is a gate whose wires cannot be read: an object of no gate type, or
-    controls that are not ``(qubit, bit)`` pairs.
+    controls that are not ``(qubit, bit)`` pairs, and so is anything but a
+    :class:`Circuit`.
     """
+    if not isinstance(circuit, Circuit):
+        raise IndexOutOfRangeError(f"expected a Circuit, got {type(circuit).__name__}")
     n = circuit.num_qubits
     if not _is_int(n) or n < 1:
         raise IndexOutOfRangeError(f"circuit needs an integer number of qubits >= 1, got {n!r}")

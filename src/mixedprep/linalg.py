@@ -23,6 +23,9 @@ It is whole-array work but for the Gram-Schmidt of tied groups: one
 comparison finds the groups and one product fixes every column's phase.
 Square roots read the raw ``eigh``.
 
+Every Pauli-basis transform acts qubit by qubit, so each is one
+:func:`_fold` of a small per-qubit map; no stack of Pauli matrices is built.
+
 Every threshold of the package is a constant here:
 
 ==================  =====  ===================================================
@@ -69,9 +72,12 @@ RANK_TOL = 1e-12
 RENORM_TOL = 1e-12
 GS_DROP_TOL = 1e-8
 PROB_TOL = 1e-12
-# The most bytes one chunk of the batched Pauli readout or of the tomography
-# sum holds at a time: larger sets of settings or labels are looped over.
-_CHUNK_BYTES = 2 ** 24
+
+# Pauli I, X, Y, Z, and the per-qubit maps between rho's entries (2 * row +
+# column) and Tr(rho P) = sum_ij rho_ij P_ji, and back: rho = sum_P Tr(rho P) P / 2.
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_TO_PAULI = _PAULIS.transpose(0, 2, 1).reshape(4, 4)
+_FROM_PAULI = _PAULIS.reshape(4, 4).T / 2
 
 
 def _require_hermitian(m, tol: float, error: type) -> np.ndarray:
@@ -312,6 +318,33 @@ def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
     dd = 2 ** len(dropped)
     t = t.transpose(perm).reshape(dk, dd, dk, dd)
     return np.trace(t, axis1=1, axis2=3)
+
+
+def _fold(x, mats) -> np.ndarray:
+    """Contract axis q of ``x`` (one axis per matrix, read in C order) with ``mats[q]``.
+
+    Each step multiplies the leading axis by its matrix and moves the
+    product's axis to the end, so after the last step the axes are back in
+    order: O(k * 4**k) work on 4**k coefficients and 4 x 4 maps.
+    """
+    for m in mats:
+        x = (m @ x.reshape(m.shape[1], -1)).T
+    return x.reshape([m.shape[0] for m in mats])
+
+
+def _pauli_coefficients(rho: np.ndarray) -> np.ndarray:
+    """Tr(rho P) for every k-qubit Pauli string P, as a real (4,)*k array in label order."""
+    k = rho.shape[0].bit_length() - 1
+    pairs = rho.reshape((2,) * 2 * k).transpose([a for q in range(k) for a in (q, k + q)])
+    return _fold(pairs, [_TO_PAULI] * k).real
+
+
+def _pauli_density(coefficients: np.ndarray) -> np.ndarray:
+    """2**-k sum_P c_P P from the 4**k coefficients c_P of the k-qubit strings in label order."""
+    k = (coefficients.size.bit_length() - 1) // 2
+    pairs = _fold(coefficients, [_FROM_PAULI] * k).reshape((2,) * 2 * k)
+    # axes (row, column) per qubit, to the rows of every qubit, then the columns
+    return pairs.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)]).reshape(2 ** k, 2 ** k)
 
 
 def orthonormal_completion(partial_cols, tol: float = DEFAULT_TOL) -> np.ndarray:

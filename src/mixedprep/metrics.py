@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -15,15 +16,10 @@ import numpy as np
 from .errors import (BadLabelError, DimensionMismatchError, MissingExpectationError,
                      NotAProbabilityVectorError, NotDensityMatrixError, OutOfRangeError,
                      _as_complex, _is_int, _qubits_of_dim, _require_int, _require_real)
-from .linalg import (_CHUNK_BYTES, DEFAULT_TOL, _eigh, density_factor, partial_trace,
-                     require_density)
+from .linalg import (_PAULIS, DEFAULT_TOL, _eigh, _pauli_coefficients, _pauli_density,
+                     density_factor, partial_trace, require_density)
 
-PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
+PAULI_1Q = dict(zip("IXYZ", _PAULIS))
 
 
 def pauli_matrix(label: str) -> np.ndarray:
@@ -31,25 +27,8 @@ def pauli_matrix(label: str) -> np.ndarray:
     label = label.upper() if isinstance(label, str) else None
     if not label or any(ch not in PAULI_1Q for ch in label):
         raise BadLabelError(f"pauli label {label!r} must be a nonempty string over I, X, Y, Z")
-    return _pauli_stack(label)[0]
-
-
-def _pauli_stack(positions) -> np.ndarray:
-    """The matrices of every label with one letter from each of ``positions``, in order.
-
-    The first position's letter is the most significant, as in
-    :func:`pauli_labels`.  Each position is folded in from the left with the
-    products ``np.kron`` forms, without its per-call shape handling, so each
-    matrix has the bytes of the Kronecker fold of its letters.  The stack is
-    built afresh and never shares memory with ``PAULI_1Q``.
-    """
-    out = np.array([PAULI_1Q[ch] for ch in positions[0]])
-    for letters in positions[1:]:
-        b = np.array([PAULI_1Q[ch] for ch in letters])
-        m, d = out.shape[:2]
-        out = (out[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(
-            m * len(b), 2 * d, 2 * d)
-    return out
+    # the first letter is copied, so no result shares memory with PAULI_1Q
+    return reduce(np.kron, [PAULI_1Q[ch] for ch in label[1:]], PAULI_1Q[label[0]].copy())
 
 
 def pauli_labels(n: int) -> list:
@@ -59,13 +38,10 @@ def pauli_labels(n: int) -> list:
 
 
 def exact_pauli_expectations(rho, tol: float = DEFAULT_TOL) -> dict:
-    """Tr(rho P) for every Pauli string on the matrix's qubit count."""
+    """Tr(rho P) for every Pauli string on the matrix's qubit count, from one fold of rho."""
     rho = require_density(rho, tol)
     n = _qubits_of_dim(rho.shape[0], DimensionMismatchError, "dimension")
-    return {
-        label: float(np.trace(rho @ pauli_matrix(label)).real)
-        for label in pauli_labels(n)
-    }
+    return dict(zip(pauli_labels(n), _pauli_coefficients(rho).ravel().tolist()))
 
 
 def fidelity(rho, sigma, tol: float = DEFAULT_TOL) -> float:
@@ -163,11 +139,8 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     The raw estimate 2**-n * sum(<P> P) is Hermitized, negative eigenvalues
     are clamped to zero, and the trace is rescaled to 1.
 
-    The sum is one coefficient product over a stack of the 4**n Pauli
-    matrices, built for the call by :func:`pauli_matrix`'s fold, and one
-    sum along the stack in label order: the additions of a per-label loop.
-    The stack is built in chunks of at most ``_CHUNK_BYTES`` (n <= 4 is one
-    chunk), and no basis is cached between calls.
+    The raw estimate is one fold of the 4**n coefficients, qubit by qubit:
+    no Pauli matrix is built.
     """
     if not _is_int(n) or n < 1:
         raise DimensionMismatchError(f"qubit count must be an integer >= 1, got {n!r}")
@@ -189,9 +162,7 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
                 f"expectation value for pauli string {label!r} is {table[label]}, not finite"
             )
         coefficients.append(table[label])
-    dim = 2 ** n
-    raw = _pauli_sum(np.array(coefficients, dtype=complex), n)
-    raw /= dim
+    raw = _pauli_density(np.array(coefficients))
     raw = (raw + raw.conj().T) / 2
     w, v = _eigh(raw)
     w = np.clip(w, 0.0, None)
@@ -202,29 +173,3 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
         )
     w /= total
     return (v * w) @ v.conj().T
-
-
-def _pauli_sum(coefficients: np.ndarray, n: int) -> np.ndarray:
-    """sum_l c_l P_l over the 4**n labels in :func:`pauli_labels` order, added one by one.
-
-    The terms are one coefficient product over a stack of Pauli matrices
-    and one ``np.add.reduce`` along the label axis, which adds them in
-    label order.  A stack is kept to half of ``_CHUNK_BYTES``, so with the
-    fold's previous step (a sixteenth of its size) and the running total a
-    chunk stays within it: the labels are looped over by their leading
-    letters, and each chunk's sum starts from the running total, so the
-    additions are those of a single pass.
-    """
-    dim = 2 ** n
-    expand = n
-    while expand and 2 * 4 ** expand * dim * dim * 16 > _CHUNK_BYTES:  # complex128 entries
-        expand -= 1
-    total = np.zeros((dim, dim), dtype=complex)
-    size = 4 ** expand
-    for c, prefix in enumerate(product("IXYZ", repeat=n - expand)):
-        stack = _pauli_stack(prefix + ("IXYZ",) * expand)
-        np.multiply(coefficients[c * size:(c + 1) * size, None, None], stack, out=stack)
-        stack[0] += total
-        total = np.add.reduce(stack, axis=0)
-        del stack  # before the next chunk's stack is built
-    return total

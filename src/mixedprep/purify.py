@@ -89,8 +89,11 @@ def eigenvalue_amplitudes(spectral: SpectralDecomposition, tol: float = DEFAULT_
     Eigenvalues in [-tol, 0) are clamped to zero; anything lower, a sum away
     from 1 beyond tol, or a nonzero imaginary part is rejected.  If clamping
     moved the sum by more than :data:`~mixedprep.linalg.RENORM_TOL` the vector
-    is renormalized.
+    is renormalized.  Anything but a ``SpectralDecomposition`` is refused.
     """
+    if not isinstance(spectral, SpectralDecomposition):
+        raise NotAProbabilityVectorError(
+            f"expected a SpectralDecomposition, got {type(spectral).__name__}")
     w = _require_real(spectral.eigenvalues, NotAProbabilityVectorError,
                       "eigenvalues must be real")
     if float(w.min()) < -tol:

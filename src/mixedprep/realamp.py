@@ -15,7 +15,8 @@ import numpy as np
 
 from .circuits import Circuit, MultiControlledRy, Ry
 from .errors import (DimensionMismatchError, LevelOutOfRangeError, NegativeAmplitudeError,
-                     NotNormalizedError, _is_int, _qubits_of_dim, _require_real)
+                     NotNormalizedError, OutOfRangeError, _is_int, _qubits_of_dim,
+                     _require_real)
 from .linalg import DEFAULT_TOL
 
 
@@ -47,9 +48,13 @@ def _branch_norms(sq: np.ndarray, level: int) -> np.ndarray:
 def rotation_angle(r0: float, r1: float) -> float:
     """Angle in [0, pi] splitting a branch norm into (r0, r1) up to scale.
 
-    Follows atan2 conventions: (0, 0) gives 0, (0, positive) gives pi.
+    Follows atan2 conventions: (0, 0) gives 0, (0, positive) gives pi.  A
+    norm that is not a real float is an :class:`OutOfRangeError`.
     """
-    return 2.0 * math.atan2(r1, r0)
+    try:  # no cost until it raises on Python 3.11+, where the loader calls it per rotation
+        return 2.0 * math.atan2(r1, r0)
+    except (TypeError, OverflowError) as exc:
+        raise OutOfRangeError(f"branch norms must be real numbers: {exc}") from exc
 
 
 def compile_real_state(amps, tol: float = DEFAULT_TOL) -> Circuit:

@@ -16,7 +16,7 @@ import numbers
 import numpy as np
 
 from .circuits import Circuit, Cnot, MultiControlledRy, Ry, UnitaryBlock
-from .errors import FormatError, _is_int
+from .errors import FormatError, _as_complex, _is_int
 from .linalg import FILE_VALIDATE_TOL, require_density
 
 
@@ -39,7 +39,9 @@ def _parts_to_matrix(re, im, what: str) -> np.ndarray:
 
 
 def density_to_dict(rho) -> dict:
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_complex(rho, FormatError)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise FormatError(f"a density matrix is a square 2-d array, got shape {rho.shape}")
     re, im = _matrix_to_parts(rho)
     return {"dim": int(rho.shape[0]), "re": re, "im": im}
 
@@ -149,6 +151,8 @@ def _gate_from_dict(doc, pos: int):
 
 
 def circuit_to_dict(circuit: Circuit, meta: dict | None = None) -> dict:
+    if not isinstance(circuit, Circuit):
+        raise FormatError(f"expected a Circuit, got {type(circuit).__name__}")
     doc_meta = dict(meta or {})
     if circuit.label and "label" not in doc_meta:
         doc_meta["label"] = circuit.label

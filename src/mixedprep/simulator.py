@@ -15,21 +15,17 @@ but one whole-array count in the trace.  The public functions never
 mutate their input: ``apply_gate`` works on one copy, and the readout
 writes only new arrays.
 
-Finite-shot readout rotates the state into a measurement setting's Z
-basis and draws a multinomial histogram.  ``sample_pauli_expectations``
-measures each of the 3**k settings of its k qubits once, with ``shots``
-shots (the linear-inversion scheme of James et al., PRA 64, 052312
-(2001)): the settings' distributions come from one batched rotation, a
-(settings, 2**n) block that triples per measured qubit, built in chunks
-of at most ``_CHUNK_BYTES`` (16 MiB: a k = 3 readout of up to 13 qubits
-is one chunk; a larger one loops over its leading qubits), each with the
-bytes of a single state rotated qubit by qubit, and each is reduced to its
-2**k-outcome marginal before its draw.  Every one of the 4**k Pauli
-estimates is then an exact integer balance of those counts.
-``sample_pauli`` reads its one setting from the same rotation and draws
-over the full register.  Both draw with every probability at or below the
-state's rounding floor 2**n * eps set to zero, so a rounding-level change
-in the state cannot move a count.
+``sample_pauli_expectations`` measures each of the 3**k settings of its k
+qubits once, with ``shots`` shots (the linear-inversion scheme of James et
+al., PRA 64, 052312 (2001)), and rotates no amplitude: the measured
+qubits' reduced state is folded qubit by qubit into its Pauli coefficients,
+those into the settings' 2**k-outcome marginals, and the counts into the
+4**k strings' sums, in chunks of at most ``_CHUNK_BYTES``.
+``sample_pauli`` rotates a copy of the state into its one setting and draws
+over the full register.  Both zero every probability at or below the
+state's rounding floor 2**n * eps, so a rounding-level change in the state
+cannot move a count.
+
 Shot counts (1..2**63 - 1), seeds and register sizes are checked as
 integers (``bool`` excluded), so a bad one is an ``OutOfRangeError``, not a
 numpy traceback; a qubit index that is not an integer, or a state that is
@@ -47,7 +43,7 @@ import numpy as np
 from .circuits import Circuit, Cnot, Gate, MultiControlledRy, UnitaryBlock, validate_circuit
 from .errors import (BadLabelError, IndexOutOfRangeError, NotNormalizedError, _as_complex,
                      _is_int, _qubits_of_dim, _require_int, _require_qubits)
-from .linalg import _CHUNK_BYTES, DEFAULT_TOL
+from .linalg import DEFAULT_TOL, _fold, _pauli_coefficients
 
 MAX_QUBITS = 24
 MAX_TARGET_DIM = 2 ** (MAX_QUBITS // 2)  # the largest target whose purification fits
@@ -56,6 +52,15 @@ _MAX_SHOTS = 2 ** 63 - 1  # the multinomial sampler draws int64 counts
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 # Rotates the Y eigenbasis onto the Z basis: (H @ Sdg) Y (H @ Sdg)^dagger = Z.
 _Y_TO_Z = _H @ np.diag([1.0, -1.0j])
+# The readout's per-qubit maps on (setting letter X, Y, Z; outcome o), indexed
+# 2 * letter + o: p(l, o) = (c_I + (-1)**o c_l) / 2 from a unit-trace state's
+# Pauli coefficients, and the strings' sums of +-1 parity counts from them.
+_TO_SETTINGS = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, -0.5, 0.0, 0.0],
+                         [0.5, 0.0, 0.5, 0.0], [0.5, 0.0, -0.5, 0.0],
+                         [0.5, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, -0.5]])
+_TO_SUMS = (2 * _TO_SETTINGS.T).astype(np.int64)
+# The most bytes one chunk of the readout holds (k <= 6 is one chunk).
+_CHUNK_BYTES = 2 ** 24
 
 
 @dataclass
@@ -180,8 +185,12 @@ def reduced_density(state: np.ndarray, keep) -> np.ndarray:
     for only when one whole-array count finds an exact zero.
     """
     state = _as_complex(state, IndexOutOfRangeError)
-    n = num_qubits_of(state)
-    kept = _require_qubits(keep, n, IndexOutOfRangeError)
+    return _trace(state, _require_qubits(keep, num_qubits_of(state), IndexOutOfRangeError))
+
+
+def _trace(state: np.ndarray, kept: list) -> np.ndarray:
+    """:func:`reduced_density` of a checked 1-d ``state`` and its sorted ``kept`` qubits."""
+    n = state.size.bit_length() - 1
     m = np.moveaxis(state.reshape((2,) * n), kept, range(len(kept))).reshape(2 ** len(kept), -1)
     if np.count_nonzero(m) < m.size:
         live = _live(m.T)
@@ -193,13 +202,14 @@ def reduced_density(state: np.ndarray, keep) -> np.ndarray:
 def sample_pauli(state: np.ndarray, pauli_string: str, shots: int, seed: int):
     """Measure a Pauli string with finite shots.
 
-    Returns ``(ShotResult, estimate)``.  Each qubit is rotated so its label's
-    eigenbasis becomes the Z basis, the full register is sampled from the
-    resulting Z-basis distribution with ``default_rng(seed)``, after the
-    probabilities at or below the rounding floor 2**n * eps are zeroed, and
-    the estimate is (even-parity counts - odd-parity counts) / shots, the
-    parity taken over the non-identity positions.  ``shots`` must be an
-    integer in 1..2**63 - 1 and ``seed`` an integer >= 0.
+    Returns ``(ShotResult, estimate)``.  A copy of the state has each X or Y
+    qubit rotated so its label's eigenbasis becomes the Z basis, the full
+    register is sampled from the resulting Z-basis distribution with
+    ``default_rng(seed)``, after the probabilities at or below the rounding
+    floor 2**n * eps are zeroed, and the estimate is (even-parity counts -
+    odd-parity counts) / shots, the parity taken over the non-identity
+    positions.  ``shots`` must be an integer in 1..2**63 - 1 and ``seed`` an
+    integer >= 0.
     """
     state, n = _sampled(state)
     label = pauli_string.upper() if isinstance(pauli_string, str) else None
@@ -209,11 +219,19 @@ def sample_pauli(state: np.ndarray, pauli_string: str, shots: int, seed: int):
         )
     _require_int(shots, "shots", 1, _MAX_SHOTS)
     _require_int(seed, "seed", 0)
-    probs = next(_distributions(state, [(q, ch) for q, ch in enumerate(label) if ch in "XY"]))
-    [hist] = _draws(probs, state.size, shots, seed)
-    est = _parity_estimate(hist, _odd_parity(n, _z_mask(label)), shots)
+    rotated = state.copy()
+    for q, ch in enumerate(label):
+        if ch in "XY":
+            _apply_block(rotated.reshape((2,) * n), (q,), _H if ch == "X" else _Y_TO_Z)
+    probs = np.abs(rotated) ** 2
+    probs /= probs.sum()
+    [hist] = _draws(probs[None], state.size, shots, seed)
+    # each letter's row of the sums map on its setting's outcomes (I is measured
+    # as Z); a balance within +-shots is exact in int64
+    balance = _fold(hist, [_TO_SUMS["IXYZ".index(ch), None, _outcomes("XYZ".index(z))]
+                           for ch, z in zip(label, label.replace("I", "Z"))])
     counts = {format(int(i), f"0{n}b"): int(hist[i]) for i in np.flatnonzero(hist)}
-    return ShotResult(counts=counts, shots=shots, seed=seed), est
+    return ShotResult(counts=counts, shots=shots, seed=seed), int(balance.item()) / shots
 
 
 def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) -> dict:
@@ -235,9 +253,9 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     estimate is the correctly rounded mean for any shot count; a string with
     no identity letter is (shots - 2 * odd) / shots of its own setting.
 
-    The settings' distributions come in blocks of at most ``_CHUNK_BYTES``,
-    and each block is drawn and folded into the 4**k sums before the next
-    one is computed.
+    A table larger than ``_CHUNK_BYTES`` allows is folded, drawn and summed
+    per choice of the leading qubits' letters, with that letter's two rows of
+    the map, so every entry has the same bytes either way.
     """
     state, n = _sampled(state)
     qubits = tuple(qubits)
@@ -250,17 +268,37 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     _require_int(seed, "seed", 0)
     k = len(qubits)
     measured = sorted(map(int, qubits))
-    sums, first = 0, 0
-    for probs in _distributions(state, [(q, "XYZ") for q in measured]):
-        counts = _draws(_marginal(probs, n, measured), state.size, shots, seed + first)
-        sums = sums + _string_sums(_balances(counts, k), first, k)
-        first += len(probs)
+    coefficients = _pauli_coefficients(_trace(state, measured))
+    coefficients /= coefficients.flat[0]
+    # a chunk holds ~8 tables of 8-byte entries: marginals, copies, counts, sums
+    lead = 0
+    while lead < k and 64 * 2 ** lead * 6 ** (k - lead) > _CHUNK_BYTES:
+        lead += 1
+    t = k - lead
+    # each qubit's axes in the draws' (trailing letters, outcomes) layout
+    axes = [(t + q,) if q < lead else (q - lead, t + q) for q in range(k)]
+    forward = [a for qubit in axes for a in qubit]
+    backward = [a for qubit in reversed(axes) for a in qubit]
+    sums = 0
+    for c, prefix in enumerate(product(range(3), repeat=lead)):
+        rows = [_outcomes(letter) for letter in prefix] + [slice(None)] * t
+        probs = _fold(coefficients, [_TO_SETTINGS[r] for r in rows])
+        probs = probs.reshape((2,) * lead + (3, 2) * t).transpose(np.argsort(forward))
+        counts = _draws(probs.reshape(3 ** t, 2 ** k), state.size, shots, seed + c * 3 ** t)
+        # summed from the last qubit, where the table only shrinks
+        counts = counts.reshape((3,) * t + (2,) * k).transpose(backward).astype(object)
+        sums = sums + _fold(counts, [_TO_SUMS[:, r] for r in reversed(rows)]).T
     # sums runs over the ascending qubits; the labels over the given order
     sums = sums.transpose([measured.index(q) for q in map(int, qubits)]).ravel().tolist()
     labels = ["".join(combo) for combo in product("IXYZ", repeat=k)]
     out = {label: total / (3 ** label.count("I") * shots) for label, total in zip(labels, sums)}
     out[labels[0]] = 1.0
     return out
+
+
+def _outcomes(letter: int) -> slice:
+    """Setting letter ``letter``'s (0, 1, 2 for X, Y, Z) two outcomes on a map axis."""
+    return slice(2 * letter, 2 * letter + 2)
 
 
 def _sampled(state) -> tuple:
@@ -271,76 +309,6 @@ def _sampled(state) -> tuple:
     if not 0.0 < norm < math.inf:  # NaN fails too
         raise NotNormalizedError(f"state has no finite positive probability mass: norm {norm}")
     return state, n
-
-
-def _distributions(state: np.ndarray, measured):
-    """Z-basis distributions of measurement settings, as (settings, 2**n) blocks.
-
-    ``measured`` lists ``(qubit, letters)`` in ascending qubit order, the
-    letters a string over X, Y, Z; the settings are every choice of one
-    letter per qubit, the first qubit's letter the most significant, and
-    their rows come in that order.  From the state, each measured qubit
-    multiplies the block's rows by its letter count: an X or Y row is the
-    2x2 product that rotates that qubit's eigenbasis onto Z, applied to the
-    whole block at once, and a Z row is the block unchanged.  Each row is
-    then divided by its own sum.
-
-    The leading qubits whose expansion would not fit in ``_CHUNK_BYTES``
-    (the block, its expansion and the probabilities stay under three
-    blocks) are looped over, one yielded block per choice of their letters;
-    only the trailing ones are expanded.  Every row sees the same products
-    and sums either way.
-    """
-    lead, rows = len(measured), 1
-    while lead and 3 * rows * len(measured[lead - 1][1]) * state.nbytes <= _CHUNK_BYTES:
-        lead -= 1
-        rows *= len(measured[lead][1])
-    for prefix in product(*(letters for _, letters in measured[:lead])):
-        block = state.reshape(1, -1)
-        for (q, _), ch in zip(measured, prefix):
-            block = _branches(block, q, ch)
-        for q, letters in measured[lead:]:
-            block = _branches(block, q, letters)
-        probs = np.abs(block) ** 2
-        del block  # not held while the caller draws from this chunk
-        probs /= probs.sum(axis=1, keepdims=True)
-        yield probs
-
-
-def _branches(block: np.ndarray, q: int, letters: str) -> np.ndarray:
-    """Each row of ``block`` once per letter, qubit ``q`` rotated onto Z for X and Y.
-
-    Row i's copies are rows i * len(letters) + j, in letter order.  The
-    rotation reads each row as (2, rest) with qubit ``q`` first, the rest in
-    order, so its products are those a single state's rotation forms.
-    """
-    s, size = block.shape
-    shape = (s, 2 ** q, 2, size >> (q + 1))
-    out = np.empty((s, len(letters), size), dtype=complex)
-    pairs = block.reshape(shape).swapaxes(1, 2).reshape(s, 2, -1)
-    for j, ch in enumerate(letters):
-        if ch == "Z":
-            out[:, j] = block
-        else:
-            rotated = (_H if ch == "X" else _Y_TO_Z) @ pairs
-            out[:, j].reshape(shape).swapaxes(1, 2)[...] = rotated.reshape(s, 2, *shape[1::2])
-    return out.reshape(-1, size)
-
-
-def _marginal(probs: np.ndarray, n: int, measured) -> np.ndarray:
-    """Each row of ``probs`` summed over the qubits not in ``measured``, as (rows, 2**k).
-
-    The qubits are summed out one at a time from the last, each as one
-    elementwise addition of its two halves, so a row's marginal does not
-    depend on the rows beside it.  The outcomes run over the ascending
-    measured qubits, the first the most significant bit.
-    """
-    rows = len(probs)
-    for q in reversed(range(n)):
-        if q not in measured:
-            halves = probs.reshape(rows, 2 ** q, 2, -1)
-            probs = halves[:, :, 0] + halves[:, :, 1]
-    return probs.reshape(rows, -1)
 
 
 def _draws(probs: np.ndarray, dim: int, shots: int, seed: int) -> np.ndarray:
@@ -355,82 +323,3 @@ def _draws(probs: np.ndarray, dim: int, shots: int, seed: int) -> np.ndarray:
     probs = np.where(probs > dim * np.finfo(float).eps, probs, 0.0)
     return np.array([np.random.default_rng(seed + s).multinomial(shots, row)
                      for s, row in enumerate(probs)])
-
-
-def _balances(counts: np.ndarray, k: int) -> np.ndarray:
-    """Even - odd count of every outcome mask, per row of the (rows, 2**k) ``counts``, in place.
-
-    Entry (s, m) sums count (s, o) with the sign of the parity of o & m: the
-    Walsh-Hadamard transform along the k outcome bits.  Each partial sum is
-    a signed sum of distinct counts of one row, at most ``shots`` in size,
-    so int64 holds every step exactly.
-    """
-    for j in range(k):
-        pairs = counts.reshape(len(counts), 2 ** j, 2, -1)
-        even, odd = pairs[:, :, 0], pairs[:, :, 1]
-        diff = even - odd
-        even += odd
-        odd[...] = diff
-    return counts
-
-
-def _string_sums(balances: np.ndarray, first: int, k: int) -> np.ndarray:
-    """Each string's sum of balances over one block of settings, as a (4,)*k Python-int array.
-
-    The block is settings ``first`` onward: every letter choice of the
-    trailing t measured qubits (3**t = its row count) after the fixed
-    letters of the leading ones that ``first`` spells.  A string's letter on
-    a qubit is I, summed over that qubit's three setting letters with its
-    mask bit 0, or X, Y, Z, the setting's letter with its mask bit 1.  Each
-    qubit's axes are mapped to its four letters in turn, leading the array
-    and then appended to its end, so the letters come out in qubit order.
-    """
-    t = 0
-    while 3 ** t < len(balances):
-        t += 1
-    lead = k - t
-    digits = [first // 3 ** (k - 1 - p) % 3 for p in range(lead)]
-    # axes: each leading qubit's mask bit, then each trailing qubit's (letter, mask bit)
-    order = [t + p for p in range(lead)] + [a for p in range(t) for a in (p, t + lead + p)]
-    x = balances.reshape((3,) * t + (2,) * k).transpose(order).astype(object)
-    for p in range(k):
-        if p < lead:
-            x = x.reshape(2, -1)
-            letters = np.zeros((4, x.shape[1]), dtype=object)
-            letters[0], letters[1 + digits[p]] = x
-        else:
-            x = x.reshape(6, -1)  # (X, 0), (X, 1), (Y, 0), (Y, 1), (Z, 0), (Z, 1)
-            letters = np.empty((4, x.shape[1]), dtype=object)
-            letters[0] = x[0] + x[2] + x[4]
-            letters[1:] = x[1::2]
-        x = letters.T
-    return x.reshape((4,) * k)
-
-
-def _z_mask(label: str) -> int:
-    """Basis-index bits of the non-identity positions (qubit 0 = most significant)."""
-    n = len(label)
-    return sum(1 << (n - 1 - q) for q, ch in enumerate(label) if ch != "I")
-
-
-def _odd_parity(n: int, mask: int) -> np.ndarray:
-    """Boolean vector over the 2**n basis indices: True where ``i & mask`` has odd weight.
-
-    XOR-folding halves the width each pass, so bit 0 ends up holding the
-    parity of every bit (no ``np.bitwise_count``, which needs numpy >= 2).
-    The indices take the narrowest unsigned type that holds them.
-    """
-    bits = np.arange(2 ** n, dtype=np.min_scalar_type(2 ** n - 1)) & mask
-    shift = 1
-    while shift < n:
-        bits ^= bits >> shift
-        shift *= 2
-    return (bits & 1).astype(bool)
-
-
-def _parity_estimate(hist: np.ndarray, odd: np.ndarray, shots: int) -> float:
-    """(even-parity counts - odd-parity counts) / shots, summed as Python ints.
-
-    The counts add up to ``shots``, so even - odd = shots - 2 * odd.
-    """
-    return (int(shots) - 2 * int(hist[odd].sum())) / shots

@@ -58,8 +58,10 @@ def x_state(params: XStateParams) -> np.ndarray:
 
     The four probabilities must be real and finite, none below
     ``-PROB_TOL``, summing to 1 within ``PROB_TOL``; otherwise
-    :class:`BadProbabilitiesError`.
+    :class:`BadProbabilitiesError`, as is anything but an :class:`XStateParams`.
     """
+    if not isinstance(params, XStateParams):
+        raise BadProbabilitiesError(f"expected XStateParams, got {type(params).__name__}")
     probs = _require_real(params.probs, BadProbabilitiesError, "probabilities must be real")
     if probs.shape != (4,):
         raise BadProbabilitiesError(f"expected 4 probabilities, got shape {probs.shape}")

@@ -333,8 +333,8 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
 # sha256 of the 1000-shot CSVs (numpy 2.4, OpenBLAS): a change to the draws,
 # the estimates or the tomography shows here
 SHOT_CSV_SHA256 = {
-    "2": "3a0f4f79f8b433ed46e18753b75774455a91b3f5ddb3990bdefbcda0410700af",
-    "3": "aace35a8a5d0daef0990b8547ff4bc69b4f6d26bf80e6cabc23e3d63ffb583c6",
+    "2": "9714b6d1b0979360ef2b585d589dd429f187bfa4f02f16bd658737180b990cd7",
+    "3": "fd637a1d8b2c883901667ade8342b6c5b526419a9da3a06ef03eb5bbdefb0c51",
 }
 
 

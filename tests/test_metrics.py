@@ -29,7 +29,7 @@ from mixedprep import (
     sample_pauli_expectations,
     tomography_reconstruct,
 )
-from mixedprep import metrics
+from mixedprep import linalg, metrics
 from mixedprep.metrics import PAULI_1Q
 
 
@@ -465,7 +465,7 @@ def test_tomography_refuses_expectations_that_are_not_a_mapping(value):
         tomography_reconstruct(value, 1)
 
 
-# -- the stacked Pauli sum against the per-label loop --------------------------
+# -- the Pauli folds against the per-label loop --------------------------------
 
 def oracle_tomography(expectations, n):
     """Linear inversion with one ``raw += c * P`` per label, each P its own Kronecker fold."""
@@ -497,29 +497,24 @@ def tomography_tables():
 TOMOGRAPHY_TABLES = {name: (n, table) for name, n, table in tomography_tables()}
 
 
-@pytest.mark.parametrize("budget", [None, 0, 2 ** 14], ids=["default", "one-label", "small"])
 @pytest.mark.parametrize("name", sorted(TOMOGRAPHY_TABLES))
-def test_stacked_pauli_sum_keeps_the_per_label_bytes(monkeypatch, name, budget):
+def test_tomography_fold_matches_the_per_label_sum(name):
     n, table = TOMOGRAPHY_TABLES[name]
-    if budget is not None:
-        monkeypatch.setattr(metrics, "_CHUNK_BYTES", budget)
-    coefficients = np.array([table.get(label, 1.0) for label in pauli_labels(n)], dtype=complex)
+    coefficients = np.array([table.get(label, 1.0) for label in pauli_labels(n)])
     total, estimate = oracle_tomography(table, n)
-    assert metrics._pauli_sum(coefficients, n).tobytes() == total.tobytes()
-    assert tomography_reconstruct(table, n).tobytes() == estimate.tobytes()
+    npt.assert_allclose(linalg._pauli_density(coefficients), total / 2 ** n, rtol=0, atol=1e-15)
+    npt.assert_allclose(tomography_reconstruct(table, n), estimate, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_stacked_pauli_sum_keeps_signed_zeros(n):
-    # a first term of -0.0 entries still starts from +0.0, as the loop's zeros did
-    rng = np.random.default_rng(n)
-    for trial in range(20):
-        values = rng.choice([-1.0, -0.0, 0.0], 4 ** n).tolist() if trial else [-0.0] * 4 ** n
-        raw = np.zeros((2 ** n, 2 ** n), dtype=complex)
-        for c, label in zip(values, pauli_labels(n)):
-            raw += c * pauli_matrix(label)
-        got = metrics._pauli_sum(np.array(values, dtype=complex), n)
-        assert got.tobytes() == raw.tobytes()
+def test_pauli_coefficients_fold_matches_the_trace_with_each_kron(n):
+    for seed in range(5):
+        rho = ginibre_density(2 ** n, 90 + seed)
+        got = linalg._pauli_coefficients(rho).ravel()
+        for c, label in zip(got, pauli_labels(n)):
+            kron = reduce(np.kron, [PAULI_1Q[ch] for ch in label])
+            assert abs(c - np.trace(rho @ kron)) <= 1e-15, label
+        assert got.tolist() == list(exact_pauli_expectations(rho).values())
 
 
 # tracemalloc peak of the per-label loop, which built one Pauli matrix at a
@@ -537,5 +532,5 @@ def test_tomography_peak_stays_within_the_chunk_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= metrics._CHUNK_BYTES + PER_LABEL_TOMOGRAPHY_PEAK
+    assert peak <= PER_LABEL_TOMOGRAPHY_PEAK
     npt.assert_allclose(rec, np.eye(64) / 64, atol=1e-15)

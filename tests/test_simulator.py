@@ -321,34 +321,44 @@ def test_expectations_equal_the_setting_loop_bit_for_bit(monkeypatch, d, qubits)
     state, system = purification_state(d, 17)
     qubits = system if qubits is None else qubits
     labels = pauli_labels(len(qubits))
-    oracle = oracle_expectations(state, qubits, 300, 41)
+    first = None
     for budget in BUDGETS.values():
         with monkeypatch.context() as m:
             if budget is not None:
                 m.setattr(simulator, "_CHUNK_BYTES", budget)
-            table = sample_pauli_expectations(state, qubits, 300, 41)
+            table, blocks = recorded_draws(
+                m, lambda: sample_pauli_expectations(state, qubits, 300, 41))
+        probs = np.concatenate(blocks)
+        npt.assert_allclose(probs, oracle_probabilities(state, qubits), rtol=0, atol=1e-15)
+        oracle = oracle_expectations(probs, state.size, qubits, 300, 41)
         assert list(table) == labels and table[labels[0]] == 1.0
         assert np.array(list(table.values())).tobytes() == np.array(list(oracle.values())).tobytes()
+        first = first or (probs.tobytes(), table)
+        assert (probs.tobytes(), table) == first  # the budget moves no byte
 
 
 @pytest.mark.parametrize("qubits", [(0, 1, 2), (2, 0, 1)], ids=["ascending", "reordered"])
-def test_full_weight_strings_equal_sample_pauli_when_every_qubit_is_measured(qubits):
-    # with no qubit summed out, setting s is sample_pauli's draw of its own
-    # label at seed + s, and a string without I is that draw's parity balance
+def test_full_weight_strings_equal_sample_pauli_when_every_qubit_is_measured(monkeypatch, qubits):
+    # with no qubit summed out, setting s is the distribution sample_pauli
+    # draws for its own label, within the rounding of the two routes
     state = random_state(3, 29)
-    table = sample_pauli_expectations(state, qubits, 300, 41)
+    _, [probs] = recorded_draws(
+        monkeypatch, lambda: sample_pauli_expectations(state, qubits, 300, 41))
     for s, combo in enumerate(product("XYZ", repeat=3)):
-        label = "".join(combo[q] for q in qubits)
-        assert table[label] == sample_pauli(state, "".join(combo), 300, 41 + s)[1], label
+        label = "".join(combo)
+        _, [own] = recorded_draws(monkeypatch, lambda: sample_pauli(state, label, 300, 41 + s))
+        npt.assert_allclose(probs[s], own[0], rtol=0, atol=1e-15, err_msg=label)
 
 
-def test_expectations_at_the_largest_shot_count_are_exact():
+def test_expectations_at_the_largest_shot_count_are_exact(monkeypatch):
     # 3 * shots passes int64: the I-summed strings need Python-int sums
     shots = 2 ** 63 - 1
-    table = sample_pauli_expectations(zero_state(2), (0, 1), shots, 3)
+    table, [probs] = recorded_draws(
+        monkeypatch, lambda: sample_pauli_expectations(zero_state(2), (0, 1), shots, 3))
     assert table["ZI"] == table["IZ"] == table["ZZ"] == table["II"] == 1.0
     assert all(np.isfinite(v) and -1.0 <= v <= 1.0 for v in table.values())
-    assert table == oracle_expectations(zero_state(2), (0, 1), shots, 3)
+    npt.assert_allclose(probs, oracle_probabilities(zero_state(2), (0, 1)), rtol=0, atol=1e-15)
+    assert table == oracle_expectations(probs, 4, (0, 1), shots, 3)
 
 
 def test_a_rounding_level_probability_draws_as_zero():
@@ -367,28 +377,19 @@ def test_a_rounding_level_probability_draws_as_zero():
             == sample_pauli_expectations(exact, (0, 1), 1000, 5))
 
 
-def test_odd_parity_matches_bit_count():
-    for n in range(1, 7):
-        for mask in range(2 ** n):
-            odd = simulator._odd_parity(n, mask)
-            assert odd.dtype == bool
-            assert odd.tolist() == [bin(i & mask).count("1") & 1 == 1 for i in range(2 ** n)]
-
-
-def test_expectations_rotate_once_per_setting(monkeypatch):
-    # k = 3: one rotation per string is 96 2x2 products and one per measurement
-    # setting 54 (27 settings, two of three letters rotate); the batched
-    # rotation forms one X and one Y product per measured qubit, 6 in all
+@pytest.mark.parametrize("budget", [None, 0], ids=["default", "one-row"])
+def test_expectations_trace_once_and_rotate_no_amplitude(monkeypatch, budget):
+    # k = 3: one rotation per measurement setting was 54 2x2 products over the
+    # whole register; the readout folds the measured qubits' reduced state
+    # instead, traced once whatever the chunking
     state, system = purification_state(8, 3)
+    if budget is not None:
+        monkeypatch.setattr(simulator, "_CHUNK_BYTES", budget)
     products = count_rotations(monkeypatch)
+    traces, trace = [], simulator._trace
+    monkeypatch.setattr(simulator, "_trace", lambda s, kept: traces.append(kept) or trace(s, kept))
     sample_pauli_expectations(state, system, 100, 0)
-    assert len(products) == 6
-    # with every measured qubit looped over, each of the 27 settings is its own
-    # chunk of one row, rotated once per X or Y letter
-    products.clear()
-    monkeypatch.setattr(simulator, "_CHUNK_BYTES", 0)
-    sample_pauli_expectations(state, system, 100, 0)
-    assert len(products) == 54 and set(products) == {(1, 2, 32)}
+    assert products == [] and traces == [sorted(system)]
 
 
 def count_rotations(monkeypatch) -> list:
@@ -686,11 +687,11 @@ def test_full_rank_circuit_and_sampling_run_no_scan(monkeypatch):
     reduced_density(state, bundle.ancilla_qubits)
     assert work.scans == [] and work.products == [(8, 8)]
     assert len(work.pairs) == 7 + 3  # every rotation and CNOT
-    # the sampler's basis rotations never scan, even on a state with zeros
+    # the sampler scans only in its one trace, for the state's zero columns
     sparse = run(build_preparation_circuit(low_rank(8, 1, 2)).circuit)
     work.scans.clear()
     sample_pauli_expectations(sparse, (0, 1, 2), 10, 0)
-    assert work.scans == []
+    assert work.scans == [(8, 8)]
 
 
 # -- the batched readout against the per-setting loop --------------------------
@@ -736,18 +737,26 @@ def oracle_marginal(probs, measured):
     return ten.reshape(-1)
 
 
-def oracle_expectations(state, qubits, shots, seed):
-    """One draw per setting from its marginal; each string's balances summed in Python ints."""
-    n, k = int(state.size).bit_length() - 1, len(qubits)
-    measured = sorted(qubits)
-    draws = []
-    for s, combo in enumerate(product("XYZ", repeat=k)):
+def oracle_probabilities(state, qubits):
+    """Each setting's rotated distribution marginalized to its measured qubits, in setting order."""
+    n, measured = int(state.size).bit_length() - 1, sorted(qubits)
+    rows = []
+    for combo in product("XYZ", repeat=len(qubits)):
         full = ["Z"] * n
         for q, ch in zip(measured, combo):
             full[q] = ch
-        probs = oracle_marginal(oracle_setting_probabilities(state, "".join(full)), measured)
-        probs[probs <= state.size * np.finfo(float).eps] = 0.0
-        draws.append((combo, np.random.default_rng(seed + s).multinomial(shots, probs).tolist()))
+        rows.append(oracle_marginal(oracle_setting_probabilities(state, "".join(full)), measured))
+    return np.array(rows)
+
+
+def oracle_expectations(probs, dim, qubits, shots, seed):
+    """One draw per setting row of ``probs``; each string's balances summed in Python ints."""
+    k = len(qubits)
+    measured = sorted(qubits)
+    draws = []
+    for s, combo in enumerate(product("XYZ", repeat=k)):
+        row = np.where(probs[s] <= dim * np.finfo(float).eps, 0.0, probs[s])
+        draws.append((combo, np.random.default_rng(seed + s).multinomial(shots, row).tolist()))
     out = {}
     for label in pauli_labels(k):
         letter = dict(zip(qubits, label))
@@ -762,6 +771,19 @@ def oracle_expectations(state, qubits, shots, seed):
         out[label] = total / (settings * shots)
     out["I" * k] = 1.0
     return out
+
+
+def recorded_draws(monkeypatch, call) -> tuple:
+    """``call()``'s result and the probability blocks its sampler drew from, in order."""
+    blocks, draws = [], simulator._draws
+
+    def recorded(probs, dim, shots, seed):
+        blocks.append(probs.copy())
+        return draws(probs, dim, shots, seed)
+
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "_draws", recorded)
+        return call(), blocks
 
 
 def readout_cases():
@@ -779,7 +801,7 @@ def readout_cases():
 
 READOUT_CASES = {name: (state, qubits) for name, state, qubits in readout_cases()}
 # None keeps the default budget (one chunk); 0 loops over every measured
-# qubit; the middle one expands a single trailing qubit per chunk.
+# qubit, one setting per chunk; the middle one splits a k = 4 readout.
 BUDGETS = {"default": None, "one-row": 0, "one-qubit": 3 * 48 * 2 ** 8}
 
 
@@ -789,20 +811,14 @@ def test_batched_readout_keeps_the_per_setting_bytes(monkeypatch, name, budget):
     state, qubits = READOUT_CASES[name]
     if BUDGETS[budget] is not None:
         monkeypatch.setattr(simulator, "_CHUNK_BYTES", BUDGETS[budget])
-    n = int(state.size).bit_length() - 1
-    measured = sorted(qubits)
-    blocks = list(simulator._distributions(state, [(q, "XYZ") for q in measured]))
+    table, blocks = recorded_draws(
+        monkeypatch, lambda: sample_pauli_expectations(state, qubits, 257, 9))
     assert budget != "default" or len(blocks) == 1
     assert budget != "one-row" or len(blocks) == 3 ** len(qubits)
     rows = np.concatenate(blocks)
-    assert rows.shape == (3 ** len(qubits), 2 ** n)
-    for row, combo in zip(rows, product("XYZ", repeat=len(qubits))):
-        full = ["Z"] * n
-        for q, ch in zip(measured, combo):
-            full[q] = ch
-        assert row.tobytes() == oracle_setting_probabilities(state, "".join(full)).tobytes()
-    table = sample_pauli_expectations(state, qubits, 257, 9)
-    oracle = oracle_expectations(state, qubits, 257, 9)
+    assert rows.shape == (3 ** len(qubits), 2 ** len(qubits))
+    npt.assert_allclose(rows, oracle_probabilities(state, qubits), rtol=0, atol=1e-15)
+    oracle = oracle_expectations(rows, state.size, qubits, 257, 9)
     assert list(table) == list(oracle)
     assert np.array(list(table.values())).tobytes() == np.array(list(oracle.values())).tobytes()
 
@@ -838,6 +854,54 @@ def test_readout_peak_stays_within_the_chunk_budget():
     state = random_state(12, 12)
     peak = traced_peak(lambda: sample_pauli_expectations(state, range(6), 10, 0))
     assert peak <= simulator._CHUNK_BYTES + PER_SETTING_READOUT_PEAK
+
+
+# tracemalloc peak of the batched rotation readout, which expanded the
+# settings' amplitudes in chunks, on the call below under the same budget
+ROTATED_READOUT_PEAK = 1_004_440
+
+
+def test_chunked_readout_peak_stays_below_the_rotated_readout(monkeypatch):
+    # unchunked, the 729 settings of 6 measured qubits are a 729 x 64 table
+    # of marginals, which with its copies and counts passes a 1 MiB budget
+    monkeypatch.setattr(simulator, "_CHUNK_BYTES", 2 ** 20)
+    state = random_state(6, 6)
+    _, blocks = recorded_draws(
+        monkeypatch, lambda: sample_pauli_expectations(state, range(6), 10, 0))
+    assert len(blocks) > 1
+    peak = traced_peak(lambda: sample_pauli_expectations(state, range(6), 10, 0))
+    assert peak <= ROTATED_READOUT_PEAK
+
+
+# -- the readout's per-qubit maps against Kronecker oracles --------------------
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_settings_fold_matches_the_rotated_marginals(k):
+    for seed in range(5):
+        state = random_state(k + 1, 60 + seed)
+        coefficients = simulator._pauli_coefficients(reduced_density(state, range(k)))
+        folded = simulator._fold(coefficients / coefficients.flat[0], [simulator._TO_SETTINGS] * k)
+        # (letter, outcome) per qubit, to the letters of every qubit, then the outcomes
+        probs = folded.reshape((3, 2) * k).transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
+        npt.assert_allclose(probs.reshape(3 ** k, 2 ** k), oracle_probabilities(state, range(k)),
+                            rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sums_fold_of_one_count_is_its_parity_sign(k):
+    labels = pauli_labels(k)
+    for s, combo in enumerate(product("XYZ", repeat=k)):
+        for o in range(2 ** k):
+            counts = np.zeros((3 ** k, 2 ** k), dtype=np.int64)
+            counts[s, o] = 1
+            # letters of every qubit, then the outcomes, to (letter, outcome) per qubit
+            pairs = counts.reshape((3,) * k + (2,) * k).transpose(
+                [a for q in range(k) for a in (q, k + q)])
+            sums = simulator._fold(pairs, [simulator._TO_SUMS] * k).ravel().tolist()
+            for label, total in zip(labels, sums):
+                agrees = all(ch in ("I", c) for ch, c in zip(label, combo))
+                odd = sum(o >> (k - 1 - q) & 1 for q, ch in enumerate(label) if ch != "I") % 2
+                assert total == (0 if not agrees else -1 if odd else 1), (combo, o, label)
 
 
 # -- the typed door of the simulator's conversions -----------------------------
