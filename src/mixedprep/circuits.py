@@ -89,16 +89,20 @@ class Circuit:
 
 
 def gate_qubits(gate: Gate) -> tuple[int, ...]:
-    """All qubit indices a gate touches, controls first."""
+    """The qubits a gate touches, controls first; unreadable wires raise IndexOutOfRangeError."""
     if isinstance(gate, Ry):
         return (gate.target,)
     if isinstance(gate, Cnot):
         return (gate.control, gate.target)
     if isinstance(gate, MultiControlledRy):
-        return tuple(q for q, _ in gate.controls) + (gate.target,)
+        try:
+            return tuple(q for q, _ in gate.controls) + (gate.target,)
+        except (TypeError, ValueError) as exc:
+            raise IndexOutOfRangeError(f"MultiControlledRy has unreadable wires: controls "
+                                       f"{gate.controls!r} are not (qubit, bit) pairs") from exc
     if isinstance(gate, UnitaryBlock):
         return gate.qubits
-    raise TypeError(f"unknown gate type: {type(gate).__name__}")
+    raise IndexOutOfRangeError(f"{type(gate).__name__} has unreadable wires: not a gate type")
 
 
 def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
@@ -106,9 +110,8 @@ def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
 
     The qubit count, every wire and every control bit must be integers (a
     ``bool`` is not one); anything else is an :class:`IndexOutOfRangeError`,
-    as is a gate whose wires cannot be read: an object of no gate type, or
-    controls that are not ``(qubit, bit)`` pairs, and so is anything but a
-    :class:`Circuit`.
+    as is a gate whose wires cannot be read (see :func:`gate_qubits`), and so
+    is anything but a :class:`Circuit`.
     """
     if not isinstance(circuit, Circuit):
         raise IndexOutOfRangeError(f"expected a Circuit, got {type(circuit).__name__}")
@@ -116,23 +119,15 @@ def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
     if not _is_int(n) or n < 1:
         raise IndexOutOfRangeError(f"circuit needs an integer number of qubits >= 1, got {n!r}")
     for pos, gate in enumerate(circuit.gates):
-        try:
-            qs = gate_qubits(gate)
-            reused = len(set(qs)) != len(qs)
-        except (TypeError, ValueError) as exc:
-            raise IndexOutOfRangeError(
-                f"gate {pos} ({type(gate).__name__}) has unreadable wires: {exc}"
-            ) from exc
-        if reused:
-            raise IndexOutOfRangeError(
-                f"gate {pos} ({type(gate).__name__}) reuses a qubit: {qs}"
-            )
+        qs = gate_qubits(gate)
         for q in qs:
             if not (_is_int(q) and 0 <= q < n):
                 raise IndexOutOfRangeError(
                     f"gate {pos} ({type(gate).__name__}) touches qubit {q!r}, "
                     f"not an integer in 0..{n - 1}"
                 )
+        if len(set(qs)) != len(qs):
+            raise IndexOutOfRangeError(f"gate {pos} ({type(gate).__name__}) reuses a qubit: {qs}")
         if isinstance(gate, MultiControlledRy):
             for q, b in gate.controls:
                 if not (_is_int(b) and b in (0, 1)):

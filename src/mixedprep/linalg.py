@@ -203,10 +203,11 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _gram_deviation(q: np.ndarray) -> float:
-    """max |Q^dagger Q - I| over the columns of ``q``: 0 for none, NaN for a NaN entry."""
-    gram = q.conj().T @ q
-    gram.reshape(-1)[:: q.shape[1] + 1] -= 1  # without an identity array
-    return float(np.abs(gram).max(initial=0.0))
+    """max |Q^dagger Q - I| over ``q``'s columns: 0 for none, unwarned NaN or inf past floats."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = q.conj().T @ q
+        gram.reshape(-1)[:: q.shape[1] + 1] -= 1  # without an identity array
+        return float(np.abs(gram).max(initial=0.0))
 
 
 @dataclass

@@ -9,15 +9,15 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from functools import reduce
-from itertools import product
 
 import numpy as np
 
 from .errors import (BadLabelError, DimensionMismatchError, MissingExpectationError,
                      NotAProbabilityVectorError, NotDensityMatrixError, OutOfRangeError,
-                     _as_complex, _is_int, _qubits_of_dim, _require_int, _require_real)
+                     _as_complex, _is_int, _qubits_of_dim, _require_real)
 from .linalg import (_PAULIS, DEFAULT_TOL, _eigh, _pauli_coefficients, _pauli_density,
                      density_factor, partial_trace, require_density)
+from .simulator import _pauli_strings
 
 PAULI_1Q = dict(zip("IXYZ", _PAULIS))
 
@@ -32,9 +32,8 @@ def pauli_matrix(label: str) -> np.ndarray:
 
 
 def pauli_labels(n: int) -> list:
-    """All 4**n labels in lexicographic I < X < Y < Z order per position; ``n`` an integer >= 0."""
-    _require_int(n, "n", 0)
-    return ["".join(combo) for combo in product("IXYZ", repeat=n)]
+    """All 4**n labels, I < X < Y < Z at every position; ``n`` an integer in 0..12."""
+    return list(_pauli_strings(n))
 
 
 def exact_pauli_expectations(rho, tol: float = DEFAULT_TOL) -> dict:
@@ -133,7 +132,7 @@ def concurrence(rho, tol: float = DEFAULT_TOL) -> float:
 def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     """Linear-inversion estimate projected back onto the density-matrix set.
 
-    ``expectations`` maps Pauli strings of length ``n``, an integer >= 1, to
+    ``expectations`` maps Pauli strings of length ``n``, an integer in 1..12, to
     finite real estimates; the all-identity entry may be omitted (implied 1),
     and anything but a mapping is a ``MissingExpectationError``.
     The raw estimate 2**-n * sum(<P> P) is Hermitized, negative eigenvalues
@@ -144,6 +143,7 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     """
     if not _is_int(n) or n < 1:
         raise DimensionMismatchError(f"qubit count must be an integer >= 1, got {n!r}")
+    labels = _pauli_strings(n)  # bounds n before any string of length n is made
     if not isinstance(expectations, Mapping):
         raise MissingExpectationError(
             f"expectations must map Pauli strings to values, got {type(expectations).__name__}")
@@ -154,7 +154,7 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     # Checked lazily before any d x d array: a gap stops the scan within
     # len(table) + 1 labels, so a short table costs only its own size.
     coefficients = []
-    for label in map("".join, product("IXYZ", repeat=n)):
+    for label in labels:
         if label not in table:
             raise MissingExpectationError(f"no expectation value for pauli string {label!r}")
         if not math.isfinite(table[label]):

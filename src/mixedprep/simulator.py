@@ -22,9 +22,10 @@ qubits' reduced state is folded qubit by qubit into its Pauli coefficients,
 those into the settings' 2**k-outcome marginals, and the counts into the
 4**k strings' sums, in chunks of at most ``_CHUNK_BYTES``.
 ``sample_pauli`` rotates a copy of the state into its one setting and draws
-over the full register.  Both zero every probability at or below the
-state's rounding floor 2**n * eps, so a rounding-level change in the state
-cannot move a count.
+over the full register.  Each call draws from one ``default_rng(seed)``,
+its settings in order, after every probability at or below the state's
+rounding floor 2**n * eps is zeroed, so a rounding-level change cannot move
+a count.
 
 Shot counts (1..2**63 - 1), seeds and register sizes are checked as
 integers (``bool`` excluded), so a bad one is an ``OutOfRangeError``, not a
@@ -204,28 +205,22 @@ def sample_pauli(state: np.ndarray, pauli_string: str, shots: int, seed: int):
 
     Returns ``(ShotResult, estimate)``.  A copy of the state has each X or Y
     qubit rotated so its label's eigenbasis becomes the Z basis, the full
-    register is sampled from the resulting Z-basis distribution with
-    ``default_rng(seed)``, after the probabilities at or below the rounding
-    floor 2**n * eps are zeroed, and the estimate is (even-parity counts -
-    odd-parity counts) / shots, the parity taken over the non-identity
-    positions.  ``shots`` must be an integer in 1..2**63 - 1 and ``seed`` an
-    integer >= 0.
+    register is drawn once from ``default_rng(seed)``, and the estimate is
+    (even-parity counts - odd-parity counts) / shots, the parity taken over
+    the non-identity positions.  ``shots`` must be an integer in
+    1..2**63 - 1 and ``seed`` an integer >= 0.
     """
-    state, n = _sampled(state)
+    state, n, rng = _sampled(state, shots, seed)
     label = pauli_string.upper() if isinstance(pauli_string, str) else None
     if label is None or len(label) != n or any(ch not in "IXYZ" for ch in label):
-        raise BadLabelError(
-            f"pauli string {pauli_string!r} is not {n} characters over I, X, Y, Z"
-        )
-    _require_int(shots, "shots", 1, _MAX_SHOTS)
-    _require_int(seed, "seed", 0)
+        raise BadLabelError(f"pauli string {pauli_string!r} is not {n} characters over I, X, Y, Z")
     rotated = state.copy()
     for q, ch in enumerate(label):
         if ch in "XY":
             _apply_block(rotated.reshape((2,) * n), (q,), _H if ch == "X" else _Y_TO_Z)
     probs = np.abs(rotated) ** 2
     probs /= probs.sum()
-    [hist] = _draws(probs[None], state.size, shots, seed)
+    hist = _draws(probs, state.size, shots, rng)
     # each letter's row of the sums map on its setting's outcomes (I is measured
     # as Z); a balance within +-shots is exact in int64
     balance = _fold(hist, [_TO_SUMS["IXYZ".index(ch), None, _outcomes("XYZ".index(z))]
@@ -242,11 +237,11 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     exactly 1.0.
 
     Each of the 3**k measurement settings (one letter X, Y or Z per
-    measured qubit) is measured once with ``shots`` shots.  Setting s, in
-    base 3 over the ascending qubits with X < Y < Z, is drawn with
-    ``default_rng(seed + s)`` from its marginal distribution over the k
-    measured qubits, after the probabilities at or below the rounding floor
-    2**n * eps are zeroed.  A string with j identity letters is estimated
+    measured qubit) is measured once with ``shots`` shots, from its marginal
+    distribution over the k measured qubits, after the probabilities at or
+    below the rounding floor 2**n * eps are zeroed.  All settings draw from
+    one ``default_rng(seed)``, in order: base 3 over the ascending qubits
+    with X < Y < Z.  A string with j identity letters is estimated
     from the 3**j settings that agree with it on its other letters: the sum
     of their even - odd parity balances over those letters, divided by
     3**j * shots.  Sum and quotient are Python-int arithmetic, so each
@@ -255,18 +250,18 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
 
     A table larger than ``_CHUNK_BYTES`` allows is folded, drawn and summed
     per choice of the leading qubits' letters, with that letter's two rows of
-    the map, so every entry has the same bytes either way.
+    the map, so every entry has the same bytes either way.  At most 12 qubits
+    are measured (``OutOfRangeError``).
     """
-    state, n = _sampled(state)
+    state, n, rng = _sampled(state, shots, seed)
     qubits = tuple(qubits)
-    if (not qubits or len(set(qubits)) != len(qubits)
-            or not all(_is_int(q) and 0 <= q < n for q in qubits)):
+    if (not qubits or not all(_is_int(q) and 0 <= q < n for q in qubits)
+            or len(set(qubits)) != len(qubits)):
         raise IndexOutOfRangeError(
             f"qubits {qubits} must be distinct integer indices in 0..{n - 1}, at least one"
         )
-    _require_int(shots, "shots", 1, _MAX_SHOTS)
-    _require_int(seed, "seed", 0)
     k = len(qubits)
+    labels = _pauli_strings(k)  # bounds k before any draw
     measured = sorted(map(int, qubits))
     coefficients = _pauli_coefficients(_trace(state, measured))
     coefficients /= coefficients.flat[0]
@@ -280,20 +275,28 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     forward = [a for qubit in axes for a in qubit]
     backward = [a for qubit in reversed(axes) for a in qubit]
     sums = 0
-    for c, prefix in enumerate(product(range(3), repeat=lead)):
+    for prefix in product(range(3), repeat=lead):
         rows = [_outcomes(letter) for letter in prefix] + [slice(None)] * t
         probs = _fold(coefficients, [_TO_SETTINGS[r] for r in rows])
         probs = probs.reshape((2,) * lead + (3, 2) * t).transpose(np.argsort(forward))
-        counts = _draws(probs.reshape(3 ** t, 2 ** k), state.size, shots, seed + c * 3 ** t)
+        counts = _draws(probs.reshape(3 ** t, 2 ** k), state.size, shots, rng)
         # summed from the last qubit, where the table only shrinks
         counts = counts.reshape((3,) * t + (2,) * k).transpose(backward).astype(object)
         sums = sums + _fold(counts, [_TO_SUMS[:, r] for r in reversed(rows)]).T
     # sums runs over the ascending qubits; the labels over the given order
     sums = sums.transpose([measured.index(q) for q in map(int, qubits)]).ravel().tolist()
-    labels = ["".join(combo) for combo in product("IXYZ", repeat=k)]
     out = {label: total / (3 ** label.count("I") * shots) for label, total in zip(labels, sums)}
-    out[labels[0]] = 1.0
+    out["I" * k] = 1.0
     return out
+
+
+def _pauli_strings(n: int):
+    """The 4**n strings on ``n`` qubits, lazily, I < X < Y < Z at every position.
+
+    ``n`` is checked at the call: at most 12, the largest system register that compiles.
+    """
+    _require_int(n, "qubit count", 0, MAX_QUBITS // 2)
+    return map("".join, product("IXYZ", repeat=n))
 
 
 def _outcomes(letter: int) -> slice:
@@ -301,18 +304,20 @@ def _outcomes(letter: int) -> slice:
     return slice(2 * letter, 2 * letter + 2)
 
 
-def _sampled(state) -> tuple:
-    """``state`` as a complex array and its qubit count, once it has a finite, nonzero norm."""
+def _sampled(state, shots: int, seed: int) -> tuple:
+    """The checked ``state`` as a complex array, its qubit count and the call's one generator."""
     state = _as_complex(state, IndexOutOfRangeError)
     n = num_qubits_of(state)
     norm = np.linalg.norm(state)
     if not 0.0 < norm < math.inf:  # NaN fails too
         raise NotNormalizedError(f"state has no finite positive probability mass: norm {norm}")
-    return state, n
+    _require_int(shots, "shots", 1, _MAX_SHOTS)
+    _require_int(seed, "seed", 0)
+    return state, n, np.random.default_rng(seed)
 
 
-def _draws(probs: np.ndarray, dim: int, shots: int, seed: int) -> np.ndarray:
-    """One multinomial histogram per row of ``probs``, row s from ``default_rng(seed + s)``.
+def _draws(probs: np.ndarray, dim: int, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """A multinomial histogram per row of ``probs`` (or of 1-d ``probs``), in order, from ``rng``.
 
     Every probability at or below the rounding floor ``dim * eps`` of a
     ``dim``-amplitude state is zeroed first, with no renormalization: numpy
@@ -320,6 +325,4 @@ def _draws(probs: np.ndarray, dim: int, shots: int, seed: int) -> np.ndarray:
     tiny one, so a rounding-level change would otherwise re-draw every later
     count.
     """
-    probs = np.where(probs > dim * np.finfo(float).eps, probs, 0.0)
-    return np.array([np.random.default_rng(seed + s).multinomial(shots, row)
-                     for s, row in enumerate(probs)])
+    return rng.multinomial(shots, np.where(probs > dim * np.finfo(float).eps, probs, 0.0))

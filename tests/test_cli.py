@@ -333,8 +333,8 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
 # sha256 of the 1000-shot CSVs (numpy 2.4, OpenBLAS): a change to the draws,
 # the estimates or the tomography shows here
 SHOT_CSV_SHA256 = {
-    "2": "9714b6d1b0979360ef2b585d589dd429f187bfa4f02f16bd658737180b990cd7",
-    "3": "fd637a1d8b2c883901667ade8342b6c5b526419a9da3a06ef03eb5bbdefb0c51",
+    "2": "0032babda5a18364b6aa00a88140ea7e873b0f42d1d96eee7b029bfa6b7a559c",
+    "3": "1cea25b0b792421f7d3b6badb2f17c531b5fb88501aa54f036d34320edb5705d",
 }
 
 

@@ -1,4 +1,10 @@
-"""Every public entry point ends a hostile argument in a result or a ``StatePrepError``."""
+"""Every public entry point ends a hostile argument in a result or a ``StatePrepError``.
+
+The CLI half: every subcommand that reads a file ends a malformed one in
+exit code 2 and an ``error:`` line, with no traceback.
+"""
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +25,7 @@ from mixedprep import (
     eigenvalue_amplitudes,
     exact_pauli_expectations,
     fidelity,
+    gate_qubits,
     ginibre_density,
     is_density,
     is_unitary,
@@ -45,6 +52,7 @@ from mixedprep import (
     x_state_eigenvectors,
     zero_state,
 )
+from mixedprep.cli import main
 
 HOSTILE = {
     "ragged": [[1, 0], [0]],
@@ -70,6 +78,7 @@ ENTRY_POINTS = {
     "partial_trace": lambda v: partial_trace(v, [0], 1),
     "require_density": require_density,
     "validate_circuit": validate_circuit,
+    "gate_qubits": gate_qubits,
     "branch_norms": lambda v: branch_norms(v, 0),
     "compile_real_state": compile_real_state,
     "rotation_angle": lambda v: rotation_angle(v, 1.0),
@@ -97,17 +106,14 @@ ENTRY_POINTS = {
     "pauli_labels": pauli_labels,
     "pauli_matrix": pauli_matrix,
     "tomography_reconstruct": lambda v: tomography_reconstruct(v, 1),
+    "tomography_reconstruct-n": lambda v: tomography_reconstruct({}, v),
     "circuit_from_dict": circuit_from_dict,
     "circuit_to_dict": circuit_to_dict,
     "density_from_dict": density_from_dict,
     "density_to_dict": density_to_dict,
 }
 
-# Still open, so left out: pauli_labels accepts any integer n >= 0, and the
-# 4**n labels of an n beyond the index range end in itertools' OverflowError.
-OPEN = {("pauli_labels", "beyond-float")}
-CASES = [(call, value) for call in sorted(ENTRY_POINTS) for value in sorted(HOSTILE)
-         if (call, value) not in OPEN]
+CASES = [(call, value) for call in sorted(ENTRY_POINTS) for value in sorted(HOSTILE)]
 
 
 @pytest.mark.parametrize("call, value", CASES, ids=[f"{c}-{v}" for c, v in CASES])
@@ -116,3 +122,64 @@ def test_a_hostile_argument_ends_in_a_result_or_a_typed_error(call, value):
         ENTRY_POINTS[call](HOSTILE[value])
     except StatePrepError:
         pass
+
+
+# -- the CLI: a malformed file ends in exit 2 and one error line --------------
+
+ZEROS = [[0, 0], [0, 0]]
+BAD_DENSITY_FILES = {
+    "top-level-array": "[[1, 0], [0, 0]]",
+    "ragged": json.dumps({"dim": 2, "re": [[1, 0], [0]], "im": ZEROS}),
+    "string-entries": json.dumps({"dim": 2, "re": [["a", "b"], ["c", "d"]], "im": ZEROS}),
+    "beyond-float": '{"dim": 2, "re": [[1e400, 0], [0, 0]], "im": [[0, 0], [0, 0]]}',
+    "dim-true": json.dumps({"dim": True, "re": [[1]], "im": [[0]]}),
+    "3-d": json.dumps({"dim": 1, "re": [[[1]]], "im": [[[0]]]}),
+}
+
+
+def circuit_text(*gates) -> str:
+    return json.dumps({"num_qubits": 2, "gates": list(gates)})
+
+
+def unitary(re, qubits=(0,)) -> dict:
+    return {"kind": "unitary", "qubits": list(qubits), "re": re, "im": ZEROS}
+
+
+BAD_CIRCUIT_FILES = {
+    "top-level-array": json.dumps([{"kind": "ry", "target": 0, "theta": 0.1}]),
+    "gates-not-a-list": json.dumps({"num_qubits": 2, "gates": {"kind": "ry"}}),
+    "gate-not-an-object": circuit_text(5),
+    "ragged-unitary": circuit_text(unitary([[1, 0], [0]])),
+    "string-entries": circuit_text(unitary([["a", "b"], ["c", "d"]])),
+    "beyond-float": circuit_text(unitary([[1, 0], [0, 1]])).replace("1,", "1e400,", 1),
+    "string-qubits": circuit_text(unitary([[1, 0], [0, 1]], qubits=["0"])),
+    "integer-controls": circuit_text(
+        {"kind": "mcry", "controls": 1, "bits": [1], "target": 1, "theta": 0.1}),
+}
+
+GOOD_DENSITY = json.dumps({"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": ZEROS})
+DENSITY_COMMANDS = {
+    "prepare": ("prepare", "--input", "{bad}", "--out", "{out}"),
+    "metrics-state": ("metrics", "--state", "{bad}", "--metric", "coherence"),
+    "metrics-target": ("metrics", "--state", "{good}", "--target", "{bad}", "--metric", "fidelity"),
+}
+CIRCUIT_COMMANDS = {
+    "simulate": ("simulate", "--circuit", "{bad}", "--out", "{out}"),
+    "simulate-traced": ("simulate", "--circuit", "{bad}", "--trace-ancillas", "--out", "{out}"),
+}
+CLI_CASES = ([(c, f, BAD_DENSITY_FILES[f], DENSITY_COMMANDS[c])
+              for c in sorted(DENSITY_COMMANDS) for f in sorted(BAD_DENSITY_FILES)]
+             + [(c, f, BAD_CIRCUIT_FILES[f], CIRCUIT_COMMANDS[c])
+                for c in sorted(CIRCUIT_COMMANDS) for f in sorted(BAD_CIRCUIT_FILES)])
+
+
+@pytest.mark.parametrize("command, file, text, argv", CLI_CASES,
+                         ids=[f"{c}-{f}" for c, f, _, _ in CLI_CASES])
+def test_a_malformed_file_exits_2_with_an_error_line(tmp_path, capsys, command, file, text, argv):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(text)
+    good.write_text(GOOD_DENSITY)
+    paths = {"bad": bad, "good": good, "out": tmp_path / "out.json"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -73,6 +73,14 @@ def test_is_unitary_tolerance_edge(d):
     assert is_unitary(np.zeros((0, 0)), tol) is True
 
 
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, 1e200], ids=["inf", "-inf", "overflowing"])
+def test_is_unitary_answers_false_without_a_warning_for_a_huge_entry(entry):
+    # pytest turns numpy's RuntimeWarning into an error, as a CLI user would see it
+    u = np.eye(2, dtype=complex)
+    u[0, 0] = entry
+    assert not is_unitary(u)
+
+
 def test_density_factor_reproduces_the_matrix():
     def padded(seed, rank):  # a Haar-rotated rank-deficient density matrix
         u = haar_unitary(8, seed)

@@ -347,8 +347,12 @@ def test_tomography_missing_entry():
 
 
 def test_tomography_refuses_short_table_before_allocating():
-    with pytest.raises(MissingExpectationError, match=repr("I" * 39 + "X")):
-        tomography_reconstruct({}, 40)
+    with pytest.raises(MissingExpectationError, match=repr("I" * 11 + "X")):
+        tomography_reconstruct({}, 12)
+    # past the largest system register that compiles, before any label is made
+    for n in (13, 40, 2 ** 40, 10 ** 400):
+        with pytest.raises(OutOfRangeError, match="qubit count must be an integer in 0..12"):
+            tomography_reconstruct({}, n)
     tracemalloc.start()
     try:
         with pytest.raises(MissingExpectationError, match=repr("I" * 8 + "X")):
@@ -431,7 +435,14 @@ def test_label_that_is_not_a_string_is_a_bad_label(call):
 
 @pytest.mark.parametrize("n", [-1, 1.5, True, None], ids=["negative", "float", "bool", "none"])
 def test_pauli_labels_rejects_a_count_that_is_not_an_integer(n):
-    with pytest.raises(OutOfRangeError, match="n must be an integer >= 0"):
+    with pytest.raises(OutOfRangeError, match="qubit count must be an integer in 0..12"):
+        pauli_labels(n)
+
+
+@pytest.mark.parametrize("n", [13, 2 ** 40, 10 ** 400], ids=["13", "2**40", "beyond-float"])
+def test_pauli_labels_stop_at_the_largest_system_register(n):
+    # 12 qubits, MAX_QUBITS // 2, is the largest target that compiles
+    with pytest.raises(OutOfRangeError, match="qubit count must be an integer in 0..12"):
         pauli_labels(n)
 
 

@@ -177,21 +177,22 @@ def test_run_validates():
 
 
 @pytest.mark.parametrize(
-    "gate",
+    "gate, message",
     [
-        "x",
-        MultiControlledRy(((0,),), 1, 0.3),
-        MultiControlledRy(((0, 1, 1),), 1, 0.3),
-        MultiControlledRy((0, 1), 1, 0.3),
-        MultiControlledRy(None, 1, 0.3),
-        MultiControlledRy((([0], 1),), 1, 0.3),
-        UnitaryBlock([[0]], np.eye(2)),
+        ("x", "unreadable wires"),
+        (MultiControlledRy(((0,),), 1, 0.3), "unreadable wires"),
+        (MultiControlledRy(((0, 1, 1),), 1, 0.3), "unreadable wires"),
+        (MultiControlledRy((0, 1), 1, 0.3), "unreadable wires"),
+        (MultiControlledRy(None, 1, 0.3), "unreadable wires"),
+        # a list is a readable wire, but not an integer one
+        (MultiControlledRy((([0], 1),), 1, 0.3), r"touches qubit \[0\], not an integer"),
+        (UnitaryBlock([[0]], np.eye(2)), r"touches qubit \[0\], not an integer"),
     ],
     ids=["not-a-gate", "short-pair", "long-pair", "bare-ints", "none", "list-qubit",
          "list-block-qubit"],
 )
-def test_run_rejects_unreadable_wires(gate):
-    with pytest.raises(IndexOutOfRangeError, match="unreadable wires"):
+def test_run_rejects_unreadable_wires(gate, message):
+    with pytest.raises(IndexOutOfRangeError, match=message):
         run(Circuit(2, [gate]))
 
 
@@ -330,7 +331,7 @@ def test_expectations_equal_the_setting_loop_bit_for_bit(monkeypatch, d, qubits)
                 m, lambda: sample_pauli_expectations(state, qubits, 300, 41))
         probs = np.concatenate(blocks)
         npt.assert_allclose(probs, oracle_probabilities(state, qubits), rtol=0, atol=1e-15)
-        oracle = oracle_expectations(probs, state.size, qubits, 300, 41)
+        oracle = oracle_expectations(probs, state.size, qubits, 300, np.random.default_rng(41))
         assert list(table) == labels and table[labels[0]] == 1.0
         assert np.array(list(table.values())).tobytes() == np.array(list(oracle.values())).tobytes()
         first = first or (probs.tobytes(), table)
@@ -347,7 +348,7 @@ def test_full_weight_strings_equal_sample_pauli_when_every_qubit_is_measured(mon
     for s, combo in enumerate(product("XYZ", repeat=3)):
         label = "".join(combo)
         _, [own] = recorded_draws(monkeypatch, lambda: sample_pauli(state, label, 300, 41 + s))
-        npt.assert_allclose(probs[s], own[0], rtol=0, atol=1e-15, err_msg=label)
+        npt.assert_allclose(probs[s], own, rtol=0, atol=1e-15, err_msg=label)
 
 
 def test_expectations_at_the_largest_shot_count_are_exact(monkeypatch):
@@ -358,7 +359,7 @@ def test_expectations_at_the_largest_shot_count_are_exact(monkeypatch):
     assert table["ZI"] == table["IZ"] == table["ZZ"] == table["II"] == 1.0
     assert all(np.isfinite(v) and -1.0 <= v <= 1.0 for v in table.values())
     npt.assert_allclose(probs, oracle_probabilities(zero_state(2), (0, 1)), rtol=0, atol=1e-15)
-    assert table == oracle_expectations(probs, 4, (0, 1), shots, 3)
+    assert table == oracle_expectations(probs, 4, (0, 1), shots, np.random.default_rng(3))
 
 
 def test_a_rounding_level_probability_draws_as_zero():
@@ -367,7 +368,8 @@ def test_a_rounding_level_probability_draws_as_zero():
     exact, tiny = np.array([[0.3, 0.0, 0.2, 0.5]]), np.array([[0.3, 4e-17, 0.2, 0.5]])
     raw = [np.random.default_rng(7).multinomial(1000, p[0]) for p in (exact, tiny)]
     assert raw[0].tolist() != raw[1].tolist()
-    assert simulator._draws(tiny, 4, 1000, 7).tolist() == simulator._draws(exact, 4, 1000, 7).tolist()
+    drawn = [simulator._draws(p, 4, 1000, np.random.default_rng(7)) for p in (tiny, exact)]
+    assert drawn[0].tolist() == drawn[1].tolist()
     # the same through both samplers: an amplitude of 1e-17 is a Z-basis
     # probability of 1e-34, drawn as the exact zero beside it would be
     exact, rounded = np.array([0.6, 0.0, 0.48, 0.64]), np.array([0.6, 1e-17, 0.48, 0.64])
@@ -433,11 +435,20 @@ def test_reduced_density_rejects_non_integer_qubits(keep):
         reduced_density(random_state(2, 3), keep)
 
 
-@pytest.mark.parametrize("qubits", [(0.7,), ("1",), (True,), (0, 1.0)],
-                         ids=["float", "str", "bool", "mixed"])
+@pytest.mark.parametrize("qubits", [(0.7,), ("1",), (True,), (0, 1.0), ([0],)],
+                         ids=["float", "str", "bool", "mixed", "list"])
 def test_sample_expectations_rejects_non_integer_qubits(qubits):
     with pytest.raises(IndexOutOfRangeError, match="integer"):
         sample_pauli_expectations(bell_state(), qubits, 100, 0)
+
+
+def test_sample_expectations_measure_at_most_twelve_qubits(monkeypatch):
+    # 4**13 labels pass any system register that compiles: refused before a draw
+    draws = []
+    monkeypatch.setattr(simulator, "_draws", lambda *args: draws.append(args))
+    with pytest.raises(OutOfRangeError, match="qubit count must be an integer in 0..12"):
+        sample_pauli_expectations(zero_state(13), range(13), 1, 0)
+    assert draws == []
 
 
 @pytest.mark.parametrize(
@@ -749,14 +760,14 @@ def oracle_probabilities(state, qubits):
     return np.array(rows)
 
 
-def oracle_expectations(probs, dim, qubits, shots, seed):
-    """One draw per setting row of ``probs``; each string's balances summed in Python ints."""
+def oracle_expectations(probs, dim, qubits, shots, rng):
+    """One draw per setting row of ``probs``, in order, from ``rng``; Python-int balance sums."""
     k = len(qubits)
     measured = sorted(qubits)
     draws = []
     for s, combo in enumerate(product("XYZ", repeat=k)):
         row = np.where(probs[s] <= dim * np.finfo(float).eps, 0.0, probs[s])
-        draws.append((combo, np.random.default_rng(seed + s).multinomial(shots, row).tolist()))
+        draws.append((combo, rng.multinomial(shots, row).tolist()))
     out = {}
     for label in pauli_labels(k):
         letter = dict(zip(qubits, label))
@@ -777,9 +788,9 @@ def recorded_draws(monkeypatch, call) -> tuple:
     """``call()``'s result and the probability blocks its sampler drew from, in order."""
     blocks, draws = [], simulator._draws
 
-    def recorded(probs, dim, shots, seed):
+    def recorded(probs, dim, shots, rng):
         blocks.append(probs.copy())
-        return draws(probs, dim, shots, seed)
+        return draws(probs, dim, shots, rng)
 
     with monkeypatch.context() as m:
         m.setattr(simulator, "_draws", recorded)
@@ -818,7 +829,7 @@ def test_batched_readout_keeps_the_per_setting_bytes(monkeypatch, name, budget):
     rows = np.concatenate(blocks)
     assert rows.shape == (3 ** len(qubits), 2 ** len(qubits))
     npt.assert_allclose(rows, oracle_probabilities(state, qubits), rtol=0, atol=1e-15)
-    oracle = oracle_expectations(rows, state.size, qubits, 257, 9)
+    oracle = oracle_expectations(rows, state.size, qubits, 257, np.random.default_rng(9))
     assert list(table) == list(oracle)
     assert np.array(list(table.values())).tobytes() == np.array(list(oracle.values())).tobytes()
 
@@ -832,6 +843,36 @@ def test_sample_pauli_keeps_the_per_setting_bytes_on_every_setting(d):
             result, est = sample_pauli(state, label, 101, seed)
             counts, oracle_est = oracle_sample_pauli(state, label, 101, seed)
             assert result.counts == counts and est == oracle_est, label
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+def test_each_sampler_call_makes_one_generator(monkeypatch, budget):
+    # every setting draws from one default_rng(seed), in setting order, however
+    # the readout is chunked: k = 4 is one, 3 and 81 chunks under the budgets
+    state = random_state(5, 31)
+    if BUDGETS[budget] is not None:
+        monkeypatch.setattr(simulator, "_CHUNK_BYTES", BUDGETS[budget])
+    seeds, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: seeds.append(seed) or default_rng(seed))
+    sample_pauli_expectations(state, (4, 0, 2, 1), 50, 11)
+    assert seeds == [11]
+    sample_pauli(state, "XYZIX", 50, 12)
+    assert seeds == [11, 12]
+
+
+@pytest.mark.parametrize("shots", [1, 1000, 2 ** 62])
+def test_a_block_draw_equals_a_row_by_row_loop_on_one_generator(shots):
+    # the readout draws a chunk of settings in one multinomial call: numpy draws
+    # its rows in order, as a loop on the same generator does (the numpy-floor
+    # CI job checks this on the oldest supported numpy)
+    probs = np.random.default_rng(0).dirichlet(np.ones(8), size=27)
+    probs[::4, 2] = 0.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    rng = np.random.default_rng(5)
+    loop = [rng.multinomial(shots, row).tolist() for row in probs]
+    assert np.random.default_rng(5).multinomial(shots, probs).tolist() == loop
+    assert simulator._draws(probs, 8, shots, np.random.default_rng(5)).tolist() == loop
 
 
 def traced_peak(call) -> int:
