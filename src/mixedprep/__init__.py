@@ -81,11 +81,9 @@ from .serialize import (
 )
 from .simulator import (
     MAX_QUBITS,
-    ShotResult,
     apply_gate,
     reduced_density,
     run,
-    sample_pauli,
     sample_pauli_expectations,
     zero_state,
 )
@@ -146,11 +144,9 @@ __all__ = [
     "rotation_angle",
     # simulator
     "MAX_QUBITS",
-    "ShotResult",
     "apply_gate",
     "reduced_density",
     "run",
-    "sample_pauli",
     "sample_pauli_expectations",
     "zero_state",
     # purification

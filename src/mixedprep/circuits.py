@@ -13,7 +13,7 @@ from typing import Union
 import numpy as np
 
 from .errors import (IndexOutOfRangeError, NotUnitaryError, OutOfRangeError, _as_complex,
-                     _is_finite_real, _is_int)
+                     _is_finite_real, _is_int, _qubit_tuple, _require_tol)
 from .linalg import DEFAULT_TOL, is_unitary
 
 
@@ -57,7 +57,7 @@ class UnitaryBlock:
     __slots__ = ("qubits", "matrix")
 
     def __init__(self, qubits, matrix):
-        self.qubits = tuple(qubits)
+        self.qubits = _qubit_tuple(qubits, IndexOutOfRangeError, "unitary block qubits")
         self.matrix = _as_complex(matrix, IndexOutOfRangeError)
         dim = 2 ** len(self.qubits)
         if self.matrix.shape != (dim, dim):
@@ -111,8 +111,10 @@ def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
     The qubit count, every wire and every control bit must be integers (a
     ``bool`` is not one); anything else is an :class:`IndexOutOfRangeError`,
     as is a gate whose wires cannot be read (see :func:`gate_qubits`), and so
-    is anything but a :class:`Circuit`.
+    is anything but a :class:`Circuit`.  ``tol`` must be a finite real >= 0
+    (``OutOfRangeError``).
     """
+    _require_tol(tol)
     if not isinstance(circuit, Circuit):
         raise IndexOutOfRangeError(f"expected a Circuit, got {type(circuit).__name__}")
     n = circuit.num_qubits

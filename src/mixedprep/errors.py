@@ -4,7 +4,8 @@ Everything derives from :class:`StatePrepError` (itself a ``ValueError``)
 so callers can catch the whole family at once.  The argument checks live
 here too: :func:`_is_int` and :func:`_is_finite_real` are the one tests of
 an integer (a ``bool`` is not one) and of a finite real; :func:`_require_int`
-checks counts and seeds, :func:`_qubits_of_dim` register lengths,
+checks counts and seeds, :func:`_require_tol` tolerances,
+:func:`_qubits_of_dim` register lengths, :func:`_qubit_tuple` and
 :func:`_require_qubits` qubit subsets and :func:`_require_real` real arrays.
 """
 import math
@@ -88,6 +89,13 @@ def _is_finite_real(value) -> bool:
         return False
 
 
+def _require_tol(tol) -> None:
+    """Raise unless ``tol`` is a finite real >= 0: a NaN or infinite one passes every check."""
+    # a plain float, the common case, is decided without the ABC check
+    if not (0.0 <= tol < math.inf if type(tol) is float else _is_finite_real(tol) and tol >= 0):
+        raise OutOfRangeError(f"tol must be a finite number >= 0, got {tol!r:.40}")
+
+
 def _qubits_of_dim(dim: int, error: type, what: str) -> int:
     """n for ``dim`` = 2**n with n >= 1; any other ``dim`` raises ``error`` naming ``what``."""
     n = int(dim).bit_length() - 1
@@ -103,9 +111,17 @@ def _require_int(value, name: str, minimum: int, maximum: int | None = None) -> 
         raise OutOfRangeError(f"{name} must be an integer {bound}, got {value!r}")
 
 
+def _qubit_tuple(qubits, error: type, what: str) -> tuple:
+    """``qubits`` as a tuple; a value that cannot be iterated raises ``error`` naming ``what``."""
+    try:
+        return tuple(qubits)
+    except TypeError:
+        raise error(f"{what} must be an iterable of qubits, got {type(qubits).__name__}") from None
+
+
 def _require_qubits(keep, n: int, error: type) -> list:
     """``keep`` as a sorted list of distinct integer qubits in ``0..n-1``, at least one."""
-    keep = list(keep)
+    keep = _qubit_tuple(keep, error, "keep")
     if not all(_is_int(q) for q in keep):
         raise error(f"keep must hold integer qubit indices, got {keep!r}")
     kept = sorted(set(int(q) for q in keep))

@@ -63,6 +63,7 @@ from .errors import (
     _as_complex,
     _is_int,
     _require_qubits,
+    _require_tol,
 )
 
 DEFAULT_TOL = 1e-10
@@ -129,7 +130,9 @@ def density_factor(m, tol: float = DEFAULT_TOL) -> tuple:
     above -``tol``.  Only a matrix that fails this certificate, an indefinite
     one, is solved, to name its least eigenvalue; if that is still within
     ``tol``, ``a`` is the support columns ``v * sqrt(w)`` of ``eigh``.
+    ``tol`` must be a finite real >= 0 (``OutOfRangeError``).
     """
+    _require_tol(tol)
     m = _require_unit_trace(m, tol)
     d = m.shape[0]
     floor = d * np.finfo(float).eps

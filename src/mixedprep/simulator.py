@@ -20,39 +20,34 @@ qubits once, with ``shots`` shots (the linear-inversion scheme of James et
 al., PRA 64, 052312 (2001)), and rotates no amplitude: the measured
 qubits' reduced state is folded qubit by qubit into its Pauli coefficients,
 those into the settings' 2**k-outcome marginals, and the counts into the
-4**k strings' sums, in chunks of at most ``_CHUNK_BYTES``.
-``sample_pauli`` rotates a copy of the state into its one setting and draws
-over the full register.  Each call draws from one ``default_rng(seed)``,
-its settings in order, after every probability at or below the state's
-rounding floor 2**n * eps is zeroed, so a rounding-level change cannot move
-a count.
+4**k strings' sums, in chunks of at most ``_CHUNK_BYTES``.  Each call
+draws from one ``default_rng(seed)``, its settings in order, after every
+probability at or below the state's rounding floor 2**n * eps is zeroed, so
+a rounding-level change cannot move a count.
 
 Shot counts (1..2**63 - 1), seeds and register sizes are checked as
 integers (``bool`` excluded), so a bad one is an ``OutOfRangeError``, not a
-numpy traceback; a qubit index that is not an integer, or a state that is
-not 1-d, is an ``IndexOutOfRangeError``.  The sampler refuses a state with
-no finite positive probability mass (``NotNormalizedError``).
+numpy traceback; a qubit index that is not an integer, a qubit set that
+cannot be iterated, or a state that is not 1-d, is an
+``IndexOutOfRangeError``.  The sampler refuses a state with no finite
+positive probability mass (``NotNormalizedError``).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .circuits import Circuit, Cnot, Gate, MultiControlledRy, UnitaryBlock, validate_circuit
-from .errors import (BadLabelError, IndexOutOfRangeError, NotNormalizedError, _as_complex,
-                     _is_int, _qubits_of_dim, _require_int, _require_qubits)
+from .errors import (IndexOutOfRangeError, NotNormalizedError, _as_complex, _is_int,
+                     _qubit_tuple, _qubits_of_dim, _require_int, _require_qubits)
 from .linalg import DEFAULT_TOL, _fold, _pauli_coefficients
 
 MAX_QUBITS = 24
 MAX_TARGET_DIM = 2 ** (MAX_QUBITS // 2)  # the largest target whose purification fits
 _MAX_SHOTS = 2 ** 63 - 1  # the multinomial sampler draws int64 counts
 
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-# Rotates the Y eigenbasis onto the Z basis: (H @ Sdg) Y (H @ Sdg)^dagger = Z.
-_Y_TO_Z = _H @ np.diag([1.0, -1.0j])
 # The readout's per-qubit maps on (setting letter X, Y, Z; outcome o), indexed
 # 2 * letter + o: p(l, o) = (c_I + (-1)**o c_l) / 2 from a unit-trace state's
 # Pauli coefficients, and the strings' sums of +-1 parity counts from them.
@@ -62,15 +57,6 @@ _TO_SETTINGS = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, -0.5, 0.0, 0.0],
 _TO_SUMS = (2 * _TO_SETTINGS.T).astype(np.int64)
 # The most bytes one chunk of the readout holds (k <= 6 is one chunk).
 _CHUNK_BYTES = 2 ** 24
-
-
-@dataclass
-class ShotResult:
-    """Z-basis measurement record: bitstring -> count, plus the RNG seed used."""
-
-    counts: dict
-    shots: int
-    seed: int
 
 
 def zero_state(num_qubits: int) -> np.ndarray:
@@ -200,35 +186,6 @@ def _trace(state: np.ndarray, kept: list) -> np.ndarray:
     return m @ m.conj().T
 
 
-def sample_pauli(state: np.ndarray, pauli_string: str, shots: int, seed: int):
-    """Measure a Pauli string with finite shots.
-
-    Returns ``(ShotResult, estimate)``.  A copy of the state has each X or Y
-    qubit rotated so its label's eigenbasis becomes the Z basis, the full
-    register is drawn once from ``default_rng(seed)``, and the estimate is
-    (even-parity counts - odd-parity counts) / shots, the parity taken over
-    the non-identity positions.  ``shots`` must be an integer in
-    1..2**63 - 1 and ``seed`` an integer >= 0.
-    """
-    state, n, rng = _sampled(state, shots, seed)
-    label = pauli_string.upper() if isinstance(pauli_string, str) else None
-    if label is None or len(label) != n or any(ch not in "IXYZ" for ch in label):
-        raise BadLabelError(f"pauli string {pauli_string!r} is not {n} characters over I, X, Y, Z")
-    rotated = state.copy()
-    for q, ch in enumerate(label):
-        if ch in "XY":
-            _apply_block(rotated.reshape((2,) * n), (q,), _H if ch == "X" else _Y_TO_Z)
-    probs = np.abs(rotated) ** 2
-    probs /= probs.sum()
-    hist = _draws(probs, state.size, shots, rng)
-    # each letter's row of the sums map on its setting's outcomes (I is measured
-    # as Z); a balance within +-shots is exact in int64
-    balance = _fold(hist, [_TO_SUMS["IXYZ".index(ch), None, _outcomes("XYZ".index(z))]
-                           for ch, z in zip(label, label.replace("I", "Z"))])
-    counts = {format(int(i), f"0{n}b"): int(hist[i]) for i in np.flatnonzero(hist)}
-    return ShotResult(counts=counts, shots=shots, seed=seed), int(balance.item()) / shots
-
-
 def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) -> dict:
     """Shot-based estimates of every Pauli string over ``qubits``.
 
@@ -253,8 +210,14 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     the map, so every entry has the same bytes either way.  At most 12 qubits
     are measured (``OutOfRangeError``).
     """
-    state, n, rng = _sampled(state, shots, seed)
-    qubits = tuple(qubits)
+    state = _as_complex(state, IndexOutOfRangeError)
+    n = num_qubits_of(state)
+    norm = np.linalg.norm(state)
+    if not 0.0 < norm < math.inf:  # NaN fails too
+        raise NotNormalizedError(f"state has no finite positive probability mass: norm {norm}")
+    _require_int(shots, "shots", 1, _MAX_SHOTS)
+    _require_int(seed, "seed", 0)
+    qubits = _qubit_tuple(qubits, IndexOutOfRangeError, "qubits")
     if (not qubits or not all(_is_int(q) and 0 <= q < n for q in qubits)
             or len(set(qubits)) != len(qubits)):
         raise IndexOutOfRangeError(
@@ -274,9 +237,9 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     axes = [(t + q,) if q < lead else (q - lead, t + q) for q in range(k)]
     forward = [a for qubit in axes for a in qubit]
     backward = [a for qubit in reversed(axes) for a in qubit]
-    sums = 0
+    rng, sums = np.random.default_rng(seed), 0
     for prefix in product(range(3), repeat=lead):
-        rows = [_outcomes(letter) for letter in prefix] + [slice(None)] * t
+        rows = [slice(2 * letter, 2 * letter + 2) for letter in prefix] + [slice(None)] * t
         probs = _fold(coefficients, [_TO_SETTINGS[r] for r in rows])
         probs = probs.reshape((2,) * lead + (3, 2) * t).transpose(np.argsort(forward))
         counts = _draws(probs.reshape(3 ** t, 2 ** k), state.size, shots, rng)
@@ -299,25 +262,8 @@ def _pauli_strings(n: int):
     return map("".join, product("IXYZ", repeat=n))
 
 
-def _outcomes(letter: int) -> slice:
-    """Setting letter ``letter``'s (0, 1, 2 for X, Y, Z) two outcomes on a map axis."""
-    return slice(2 * letter, 2 * letter + 2)
-
-
-def _sampled(state, shots: int, seed: int) -> tuple:
-    """The checked ``state`` as a complex array, its qubit count and the call's one generator."""
-    state = _as_complex(state, IndexOutOfRangeError)
-    n = num_qubits_of(state)
-    norm = np.linalg.norm(state)
-    if not 0.0 < norm < math.inf:  # NaN fails too
-        raise NotNormalizedError(f"state has no finite positive probability mass: norm {norm}")
-    _require_int(shots, "shots", 1, _MAX_SHOTS)
-    _require_int(seed, "seed", 0)
-    return state, n, np.random.default_rng(seed)
-
-
 def _draws(probs: np.ndarray, dim: int, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """A multinomial histogram per row of ``probs`` (or of 1-d ``probs``), in order, from ``rng``.
+    """A multinomial histogram per row of ``probs``, in order, from ``rng``.
 
     Every probability at or below the rounding floor ``dim * eps`` of a
     ``dim``-amplitude state is zeroed first, with no renormalization: numpy

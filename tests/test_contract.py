@@ -1,7 +1,8 @@
 """Every public entry point ends a hostile argument in a result or a ``StatePrepError``.
 
 The CLI half: every subcommand that reads a file ends a malformed one in
-exit code 2 and an ``error:`` line, with no traceback.
+exit code 2 and an ``error:`` line, with no traceback, and so does every
+subcommand that takes ``--tol`` given one that is not a finite number >= 0.
 """
 import json
 
@@ -11,6 +12,7 @@ import pytest
 from mixedprep import (
     Ry,
     StatePrepError,
+    UnitaryBlock,
     apply_gate,
     branch_norms,
     build_preparation_circuit,
@@ -44,7 +46,6 @@ from mixedprep import (
     require_density,
     rotation_angle,
     run,
-    sample_pauli,
     sample_pauli_expectations,
     tomography_reconstruct,
     validate_circuit,
@@ -68,7 +69,8 @@ HOSTILE = {
     "string": "abc",
 }
 
-# the hostile value goes into the first argument; the others are valid
+# the hostile value goes into the first argument, or into the one a suffix
+# names (-n, -qubits); the others are valid
 ENTRY_POINTS = {
     "eig_hermitian": eig_hermitian,
     "is_density": is_density,
@@ -76,6 +78,7 @@ ENTRY_POINTS = {
     "matrix_sqrt_psd": matrix_sqrt_psd,
     "orthonormal_completion": orthonormal_completion,
     "partial_trace": lambda v: partial_trace(v, [0], 1),
+    "partial_trace-qubits": lambda v: partial_trace(np.eye(2) / 2, v, 1),
     "require_density": require_density,
     "validate_circuit": validate_circuit,
     "gate_qubits": gate_qubits,
@@ -84,9 +87,12 @@ ENTRY_POINTS = {
     "rotation_angle": lambda v: rotation_angle(v, 1.0),
     "apply_gate": lambda v: apply_gate(v, Ry(0, 0.1)),
     "reduced_density": lambda v: reduced_density(v, [0]),
+    "reduced_density-qubits": lambda v: reduced_density(np.array([1.0, 0.0]), v),
     "run": run,
-    "sample_pauli": lambda v: sample_pauli(v, "Z", 10, 0),
+    "UnitaryBlock-qubits": lambda v: UnitaryBlock(v, np.eye(2)),
     "sample_pauli_expectations": lambda v: sample_pauli_expectations(v, [0], 10, 0),
+    "sample_pauli_expectations-qubits":
+        lambda v: sample_pauli_expectations(np.array([1.0, 0.0]), v, 10, 0),
     "zero_state": zero_state,
     "build_preparation_circuit": build_preparation_circuit,
     "eigenvalue_amplitudes": eigenvalue_amplitudes,
@@ -163,6 +169,7 @@ DENSITY_COMMANDS = {
     "metrics-state": ("metrics", "--state", "{bad}", "--metric", "coherence"),
     "metrics-target": ("metrics", "--state", "{good}", "--target", "{bad}", "--metric", "fidelity"),
 }
+GOOD_CIRCUIT = circuit_text({"kind": "ry", "target": 0, "theta": 0.1})
 CIRCUIT_COMMANDS = {
     "simulate": ("simulate", "--circuit", "{bad}", "--out", "{out}"),
     "simulate-traced": ("simulate", "--circuit", "{bad}", "--trace-ancillas", "--out", "{out}"),
@@ -183,3 +190,27 @@ def test_a_malformed_file_exits_2_with_an_error_line(tmp_path, capsys, command, 
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# a NaN or infinite tol passes every comparison, and a negative one fails every check
+BAD_TOLS = ("nan", "inf", "-1")
+TOL_COMMANDS = {
+    "prepare": ("prepare", "--input", "{good}", "--out", "{out}"),
+    "simulate": ("simulate", "--circuit", "{circuit}", "--out", "{out}"),
+    "metrics": ("metrics", "--state", "{good}", "--metric", "coherence"),
+    "reproduce": ("reproduce", "--figure", "2", "--out", "{out}"),
+}
+TOL_CASES = [(c, tol) for c in sorted(TOL_COMMANDS) for tol in BAD_TOLS]
+
+
+@pytest.mark.parametrize("command, tol", TOL_CASES, ids=[f"{c}-{t}" for c, t in TOL_CASES])
+def test_a_tolerance_that_turns_the_checks_off_exits_2(tmp_path, capsys, command, tol):
+    good, circuit = tmp_path / "good.json", tmp_path / "circuit.json"
+    good.write_text(GOOD_DENSITY)
+    circuit.write_text(GOOD_CIRCUIT)
+    paths = {"good": good, "circuit": circuit, "out": tmp_path / "out"}
+    argv = [arg.format(**paths) for arg in TOL_COMMANDS[command]]
+    assert main(argv + ["--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tol must be a finite number >= 0") and "Traceback" not in err
+    assert err.count("\n") == 1 and not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 """Linear-algebra layer: eigendecomposition, square roots, partial trace."""
+import math
 import re
 
 import numpy as np
@@ -6,12 +7,15 @@ import numpy.testing as npt
 import pytest
 
 from mixedprep import (
+    Circuit,
     DimensionMismatchError,
     NotDensityMatrixError,
     NotHermitianError,
     NotOrthonormalError,
     NotPSDError,
+    OutOfRangeError,
     SpectralDecomposition,
+    UnitaryBlock,
     eig_hermitian,
     is_density,
     is_unitary,
@@ -19,6 +23,7 @@ from mixedprep import (
     orthonormal_completion,
     partial_trace,
     require_density,
+    validate_circuit,
 )
 from mixedprep.linalg import (
     DEFAULT_TOL,
@@ -525,3 +530,25 @@ def test_unitary_checks_end_in_a_typed_answer(value):
 
 def test_a_bool_identity_is_unitary():
     assert is_unitary(np.eye(2, dtype=bool)) is True
+
+
+@pytest.mark.parametrize(
+    "tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300, np.float64(np.nan), 1e-8j, "1e-8",
+            None, 10 ** 400],
+    ids=["nan", "inf", "-inf", "negative", "tiny-negative", "np-nan", "complex", "str", "none",
+         "beyond-float"],
+)
+def test_a_tolerance_that_turns_the_checks_off_is_refused(tol):
+    # a NaN or infinite tol passed every comparison: this non-Hermitian,
+    # trace-3 matrix was a density, and 2 I a unitary block
+    with pytest.raises(OutOfRangeError, match="tol must be a finite number >= 0"):
+        density_factor(np.array([[5, 3], [-7, -2]]), tol)
+    with pytest.raises(OutOfRangeError, match="tol must be a finite number >= 0"):
+        validate_circuit(Circuit(1, [UnitaryBlock((0,), 2 * np.eye(2))]), tol)
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, 1e-8, np.float64(1e-8), np.float32(0.5), 1],
+                         ids=["int-0", "zero", "float", "np-float64", "np-float32", "int"])
+def test_every_finite_nonnegative_tolerance_is_taken(tol):
+    density_factor(np.eye(2) / 2, tol)
+    validate_circuit(Circuit(1, [UnitaryBlock((0,), np.eye(2))]), tol)

@@ -25,7 +25,6 @@ from mixedprep import (
     pauli_labels,
     pauli_matrix,
     run,
-    sample_pauli,
     sample_pauli_expectations,
     tomography_reconstruct,
 )
@@ -424,13 +423,9 @@ def test_tomography_reads_zero_imaginary_parts_as_real():
                            tomography_reconstruct(est, 1))
 
 
-@pytest.mark.parametrize(
-    "call", [lambda: pauli_matrix(5), lambda: sample_pauli(np.array([1.0, 0.0]), 3, 10, 0)],
-    ids=["pauli_matrix", "sample_pauli"],
-)
-def test_label_that_is_not_a_string_is_a_bad_label(call):
+def test_label_that_is_not_a_string_is_a_bad_label():
     with pytest.raises(BadLabelError):
-        call()
+        pauli_matrix(5)
 
 
 @pytest.mark.parametrize("n", [-1, 1.5, True, None], ids=["negative", "float", "bool", "none"])

@@ -7,7 +7,8 @@ import mixedprep
 
 MODULES = ("circuits", "cli", "errors", "linalg", "metrics", "purify", "realamp",
            "serialize", "simulator", "states")
-REMOVED = ("kron", "is_hermitian", "purity", "pauli_decompose_2q", "PauliDecomposition2Q")
+REMOVED = ("kron", "is_hermitian", "purity", "pauli_decompose_2q", "PauliDecomposition2Q",
+           "sample_pauli", "ShotResult")
 
 
 def test_all_is_unique_and_resolves():

@@ -8,9 +8,9 @@ import pytest
 
 from mixedprep import simulator
 from mixedprep import (
-    BadLabelError,
     Circuit,
     Cnot,
+    DimensionMismatchError,
     IndexOutOfRangeError,
     MultiControlledRy,
     NotNormalizedError,
@@ -27,7 +27,6 @@ from mixedprep import (
     pauli_labels,
     reduced_density,
     run,
-    sample_pauli,
     sample_pauli_expectations,
     zero_state,
 )
@@ -236,22 +235,20 @@ def test_reduced_density_errors():
 
 
 def test_sample_z_on_basis_state():
-    res, est = sample_pauli(basis(1, 0), "Z", 100, 3)
-    assert est == 1.0
-    assert res.counts == {"0": 100}
-    assert res.shots == 100 and res.seed == 3
+    table = sample_pauli_expectations(basis(1, 0), (0,), 100, 3)
+    assert table["Z"] == 1.0 and table["I"] == 1.0
 
 
 def test_sample_xx_on_bell():
-    _, est = sample_pauli(bell_state(), "XX", 100_000, 7)
-    assert abs(est - 1.0) <= 0.02
+    table = sample_pauli_expectations(bell_state(), (0, 1), 100_000, 7)
+    assert abs(table["XX"] - 1.0) <= 0.02
 
 
 def test_sample_z_on_superposition():
     shots = 40_000
     psi = apply_gate(basis(1, 0), Ry(0, np.pi / 2))
-    _, est = sample_pauli(psi, "Z", shots, 5)
-    assert abs(est) <= 3 / np.sqrt(shots)
+    table = sample_pauli_expectations(psi, (0,), shots, 5)
+    assert abs(table["Z"]) <= 3 / np.sqrt(shots)
 
 
 def test_sampling_unbiased():
@@ -259,31 +256,22 @@ def test_sampling_unbiased():
     theta = 0.8
     shots = 2000
     psi = apply_gate(basis(1, 0), Ry(0, theta))
-    ests = [sample_pauli(psi, "Z", shots, seed)[1] for seed in range(50)]
+    ests = [sample_pauli_expectations(psi, (0,), shots, seed)["Z"] for seed in range(50)]
     se = np.sqrt((1 - np.cos(theta) ** 2) / shots / 50)
     assert abs(np.mean(ests) - np.cos(theta)) <= 5 * se
 
 
 def test_sample_reproducible():
     psi = bell_state()
-    a = sample_pauli(psi, "ZZ", 500, 42)
-    b = sample_pauli(psi, "ZZ", 500, 42)
-    assert a[0].counts == b[0].counts and a[1] == b[1]
-
-
-def test_sample_label_validation():
-    with pytest.raises(BadLabelError):
-        sample_pauli(bell_state(), "XQ", 10, 0)
-    with pytest.raises(BadLabelError):
-        sample_pauli(bell_state(), "X", 10, 0)  # wrong length
-    with pytest.raises(OutOfRangeError):
-        sample_pauli(bell_state(), "XX", 0, 0)
+    a = sample_pauli_expectations(psi, (0, 1), 500, 42)
+    b = sample_pauli_expectations(psi, (0, 1), 500, 42)
+    assert a == b
 
 
 @pytest.mark.parametrize("shots", [2.5, "10"], ids=["float", "str"])
 def test_sample_rejects_non_integer_shots(shots):
     with pytest.raises(OutOfRangeError, match="integer"):
-        sample_pauli(bell_state(), "ZZ", shots, 1)
+        sample_pauli_expectations(bell_state(), (0, 1), shots, 1)
 
 
 @pytest.mark.parametrize(
@@ -296,16 +284,12 @@ def test_sample_rejects_non_integer_shots(shots):
 )
 def test_sampling_rejects_bad_shots_and_seeds(shots, seed, name):
     with pytest.raises(OutOfRangeError, match=f"{name} must be an integer"):
-        sample_pauli(bell_state(), "ZZ", shots, seed)
-    with pytest.raises(OutOfRangeError, match=f"{name} must be an integer"):
         sample_pauli_expectations(bell_state(), (0, 1), shots, seed)
 
 
 def test_sampling_accepts_the_largest_shot_count():
     # numpy's multinomial draws int64 counts, so 2**63 - 1 is the most it takes
     shots = 2 ** 63 - 1
-    result, est = sample_pauli(zero_state(2), "ZZ", shots, 1)
-    assert result.counts == {"00": shots} and est == 1.0
     assert sample_pauli_expectations(zero_state(2), (0,), shots, 1)["Z"] == 1.0
 
 
@@ -339,15 +323,16 @@ def test_expectations_equal_the_setting_loop_bit_for_bit(monkeypatch, d, qubits)
 
 
 @pytest.mark.parametrize("qubits", [(0, 1, 2), (2, 0, 1)], ids=["ascending", "reordered"])
-def test_full_weight_strings_equal_sample_pauli_when_every_qubit_is_measured(monkeypatch, qubits):
-    # with no qubit summed out, setting s is the distribution sample_pauli
-    # draws for its own label, within the rounding of the two routes
+def test_full_weight_strings_equal_their_rotated_setting_when_every_qubit_is_measured(
+        monkeypatch, qubits):
+    # with no qubit summed out, setting s is the distribution of a state copy
+    # rotated into its own label, within the rounding of the two routes
     state = random_state(3, 29)
     _, [probs] = recorded_draws(
         monkeypatch, lambda: sample_pauli_expectations(state, qubits, 300, 41))
     for s, combo in enumerate(product("XYZ", repeat=3)):
         label = "".join(combo)
-        _, [own] = recorded_draws(monkeypatch, lambda: sample_pauli(state, label, 300, 41 + s))
+        own = oracle_setting_probabilities(state, label)
         npt.assert_allclose(probs[s], own, rtol=0, atol=1e-15, err_msg=label)
 
 
@@ -370,11 +355,9 @@ def test_a_rounding_level_probability_draws_as_zero():
     assert raw[0].tolist() != raw[1].tolist()
     drawn = [simulator._draws(p, 4, 1000, np.random.default_rng(7)) for p in (tiny, exact)]
     assert drawn[0].tolist() == drawn[1].tolist()
-    # the same through both samplers: an amplitude of 1e-17 is a Z-basis
+    # the same through the sampler: an amplitude of 1e-17 is a Z-basis
     # probability of 1e-34, drawn as the exact zero beside it would be
     exact, rounded = np.array([0.6, 0.0, 0.48, 0.64]), np.array([0.6, 1e-17, 0.48, 0.64])
-    for label in ("ZZ", "ZI", "IZ"):
-        assert sample_pauli(rounded, label, 1000, 5) == sample_pauli(exact, label, 1000, 5)
     assert (sample_pauli_expectations(rounded, (0, 1), 1000, 5)
             == sample_pauli_expectations(exact, (0, 1), 1000, 5))
 
@@ -387,25 +370,11 @@ def test_expectations_trace_once_and_rotate_no_amplitude(monkeypatch, budget):
     state, system = purification_state(8, 3)
     if budget is not None:
         monkeypatch.setattr(simulator, "_CHUNK_BYTES", budget)
-    products = count_rotations(monkeypatch)
-    traces, trace = [], simulator._trace
+    rotations, traces, trace = [], [], simulator._trace
+    monkeypatch.setattr(simulator, "_apply_block", lambda *args: rotations.append(args))
     monkeypatch.setattr(simulator, "_trace", lambda s, kept: traces.append(kept) or trace(s, kept))
     sample_pauli_expectations(state, system, 100, 0)
-    assert products == [] and traces == [sorted(system)]
-
-
-def count_rotations(monkeypatch) -> list:
-    """The shapes of the right-hand sides of the sampler's X and Y rotations."""
-    products = []
-
-    class Recorded(np.ndarray):
-        def __matmul__(self, other):
-            products.append(other.shape)
-            return np.asarray(self) @ other
-
-    for name in ("_H", "_Y_TO_Z"):
-        monkeypatch.setattr(simulator, name, getattr(simulator, name).view(Recorded))
-    return products
+    assert rotations == [] and traces == [sorted(system)]
 
 
 @pytest.mark.parametrize(
@@ -440,6 +409,18 @@ def test_reduced_density_rejects_non_integer_qubits(keep):
 def test_sample_expectations_rejects_non_integer_qubits(qubits):
     with pytest.raises(IndexOutOfRangeError, match="integer"):
         sample_pauli_expectations(bell_state(), qubits, 100, 0)
+
+
+@pytest.mark.parametrize("qubits", [3, None, 1.5], ids=["int", "none", "float"])
+def test_a_qubit_set_that_cannot_be_iterated_is_a_typed_error(qubits):
+    with pytest.raises(IndexOutOfRangeError, match="iterable"):
+        reduced_density(bell_state(), qubits)
+    with pytest.raises(DimensionMismatchError, match="iterable"):
+        partial_trace(np.eye(4) / 4, qubits, 2)
+    with pytest.raises(IndexOutOfRangeError, match="iterable"):
+        sample_pauli_expectations(bell_state(), qubits, 10, 0)
+    with pytest.raises(IndexOutOfRangeError, match="iterable"):
+        UnitaryBlock(qubits, np.eye(2))
 
 
 def test_sample_expectations_measure_at_most_twelve_qubits(monkeypatch):
@@ -500,7 +481,6 @@ def test_numpy_integer_wires_and_subsets_still_run():
 STATE_CALLS = {
     "reduced_density": lambda s: reduced_density(s, [0]),
     "apply_gate": lambda s: apply_gate(s, Ry(0, 0.1)),
-    "sample_pauli": lambda s: sample_pauli(s, "Z", 10, 0),
     "sample_pauli_expectations": lambda s: sample_pauli_expectations(s, [0], 10, 0),
 }
 
@@ -512,15 +492,14 @@ def test_state_must_be_one_dimensional(call, state):
         STATE_CALLS[call](state)
 
 
-@pytest.mark.parametrize("call", ["sample_pauli", "sample_pauli_expectations"])
 @pytest.mark.parametrize(
     "state", [np.zeros(2, dtype=complex), np.array([np.nan, 1.0]), np.array([np.inf, 0.0])],
     ids=["zero", "nan", "inf"],
 )
-def test_sampling_needs_finite_probability_mass(call, state):
+def test_sampling_needs_finite_probability_mass(state):
     # refused before the draw, with no warning and no NaN reaching the sampler
     with pytest.raises(NotNormalizedError, match="probability mass"):
-        STATE_CALLS[call](state)
+        sample_pauli_expectations(state, [0], 10, 0)
 
 
 # -- the work run and reduced_density skip ------------------------------------
@@ -724,20 +703,6 @@ def oracle_setting_probabilities(state, label):
     return probs
 
 
-def oracle_odd_parity(n, mask):
-    return np.array([bin(i & mask).count("1") & 1 == 1 for i in range(2 ** n)])
-
-
-def oracle_sample_pauli(state, label, shots, seed):
-    """The counts and estimate of one string from its own setting's distribution."""
-    n = len(label)
-    mask = sum(1 << (n - 1 - q) for q, ch in enumerate(label) if ch != "I")
-    hist = np.random.default_rng(seed).multinomial(
-        shots, oracle_setting_probabilities(state, label.replace("I", "Z")))
-    est = (shots - 2 * int(hist[oracle_odd_parity(n, mask)].sum())) / shots
-    return {format(int(i), f"0{n}b"): int(hist[i]) for i in np.flatnonzero(hist)}, est
-
-
 def oracle_marginal(probs, measured):
     """A distribution summed over the unmeasured qubits, the last first, as p0 + p1 each."""
     n = int(probs.size).bit_length() - 1
@@ -834,17 +799,6 @@ def test_batched_readout_keeps_the_per_setting_bytes(monkeypatch, name, budget):
     assert np.array(list(table.values())).tobytes() == np.array(list(oracle.values())).tobytes()
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 8])
-def test_sample_pauli_keeps_the_per_setting_bytes_on_every_setting(d):
-    state = run(build_preparation_circuit(ginibre_density(d, 70 + d)).circuit)
-    n = int(state.size).bit_length() - 1
-    for seed, combo in enumerate(product("XYZ", repeat=n)):
-        for label in ("".join(combo), "".join(combo).replace("Z", "I")):
-            result, est = sample_pauli(state, label, 101, seed)
-            counts, oracle_est = oracle_sample_pauli(state, label, 101, seed)
-            assert result.counts == counts and est == oracle_est, label
-
-
 @pytest.mark.parametrize("budget", sorted(BUDGETS))
 def test_each_sampler_call_makes_one_generator(monkeypatch, budget):
     # every setting draws from one default_rng(seed), in setting order, however
@@ -857,8 +811,6 @@ def test_each_sampler_call_makes_one_generator(monkeypatch, budget):
                         lambda seed: seeds.append(seed) or default_rng(seed))
     sample_pauli_expectations(state, (4, 0, 2, 1), 50, 11)
     assert seeds == [11]
-    sample_pauli(state, "XYZIX", 50, 12)
-    assert seeds == [11, 12]
 
 
 @pytest.mark.parametrize("shots", [1, 1000, 2 ** 62])
