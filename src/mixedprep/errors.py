@@ -91,9 +91,10 @@ def _is_finite_real(value) -> bool:
 
 def _require_tol(tol) -> None:
     """Raise unless ``tol`` is a finite real >= 0: a NaN or infinite one passes every check."""
-    # a plain float, the common case, is decided without the ABC check
-    if not (0.0 <= tol < math.inf if type(tol) is float else _is_finite_real(tol) and tol >= 0):
-        raise OutOfRangeError(f"tol must be a finite number >= 0, got {tol!r:.40}")
+    if not (_is_finite_real(tol) and tol >= 0):
+        # repr of an int past Python's digit limit raises, so only a float is printed
+        shown = repr(tol) if isinstance(tol, float) else type(tol).__name__
+        raise OutOfRangeError(f"tol must be a finite number >= 0, got {shown:.40}")
 
 
 def _qubits_of_dim(dim: int, error: type, what: str) -> int:

@@ -188,7 +188,8 @@ def require_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def is_density(m, tol: float = DEFAULT_TOL) -> bool:
-    """Whether :func:`require_density` accepts ``m``."""
+    """Whether :func:`require_density` accepts ``m``; raises ``OutOfRangeError``
+    for a ``tol`` that is not a finite number >= 0."""
     try:
         density_factor(m, tol)
     except NotDensityMatrixError:
