@@ -13,7 +13,7 @@ from typing import Union
 import numpy as np
 
 from .errors import (IndexOutOfRangeError, NotUnitaryError, OutOfRangeError, _as_complex,
-                     _is_finite_real, _is_int, _qubit_tuple, _require_tol)
+                     _is_finite_real, _is_int, _qubit_tuple, _require_tol, _shown)
 from .linalg import DEFAULT_TOL, is_unitary
 
 
@@ -98,8 +98,9 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
         try:
             return tuple(q for q, _ in gate.controls) + (gate.target,)
         except (TypeError, ValueError) as exc:
-            raise IndexOutOfRangeError(f"MultiControlledRy has unreadable wires: controls "
-                                       f"{gate.controls!r} are not (qubit, bit) pairs") from exc
+            raise IndexOutOfRangeError(
+                f"MultiControlledRy has unreadable wires: controls {_shown(gate.controls)} "
+                f"are not (qubit, bit) pairs") from exc
     if isinstance(gate, UnitaryBlock):
         return gate.qubits
     raise IndexOutOfRangeError(f"{type(gate).__name__} has unreadable wires: not a gate type")
@@ -119,13 +120,14 @@ def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
         raise IndexOutOfRangeError(f"expected a Circuit, got {type(circuit).__name__}")
     n = circuit.num_qubits
     if not _is_int(n) or n < 1:
-        raise IndexOutOfRangeError(f"circuit needs an integer number of qubits >= 1, got {n!r}")
+        raise IndexOutOfRangeError(
+            f"circuit needs an integer number of qubits >= 1, got {_shown(n)}")
     for pos, gate in enumerate(circuit.gates):
         qs = gate_qubits(gate)
         for q in qs:
             if not (_is_int(q) and 0 <= q < n):
                 raise IndexOutOfRangeError(
-                    f"gate {pos} ({type(gate).__name__}) touches qubit {q!r}, "
+                    f"gate {pos} ({type(gate).__name__}) touches qubit {_shown(q)}, "
                     f"not an integer in 0..{n - 1}"
                 )
         if len(set(qs)) != len(qs):
@@ -134,11 +136,11 @@ def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
             for q, b in gate.controls:
                 if not (_is_int(b) and b in (0, 1)):
                     raise IndexOutOfRangeError(
-                        f"gate {pos} control on qubit {q} has bit {b!r}, expected 0 or 1"
+                        f"gate {pos} control on qubit {q} has bit {_shown(b)}, expected 0 or 1"
                     )
         if isinstance(gate, (Ry, MultiControlledRy)) and not _is_finite_real(gate.theta):
             raise OutOfRangeError(
-                f"gate {pos} angle {gate.theta!r:.40} is not finite or not a real number"
+                f"gate {pos} angle {_shown(gate.theta)} is not finite or not a real number"
             )
         if isinstance(gate, UnitaryBlock) and not is_unitary(gate.matrix, tol):
             raise NotUnitaryError(

@@ -7,6 +7,7 @@ an integer (a ``bool`` is not one) and of a finite real; :func:`_require_int`
 checks counts and seeds, :func:`_require_tol` tolerances,
 :func:`_qubits_of_dim` register lengths, :func:`_qubit_tuple` and
 :func:`_require_qubits` qubit subsets and :func:`_require_real` real arrays.
+A message shows a refused value through :func:`_shown`, which cannot raise.
 """
 import math
 import numbers
@@ -89,12 +90,19 @@ def _is_finite_real(value) -> bool:
         return False
 
 
+def _shown(value) -> str:
+    """``repr(value)`` cut to 40 characters, for a message; the type's name where
+    ``repr`` raises, as it does for an int past Python's 4300-digit limit."""
+    try:
+        return f"{value!r:.40}"
+    except ValueError:
+        return type(value).__name__
+
+
 def _require_tol(tol) -> None:
     """Raise unless ``tol`` is a finite real >= 0: a NaN or infinite one passes every check."""
     if not (_is_finite_real(tol) and tol >= 0):
-        # repr of an int past Python's digit limit raises, so only a float is printed
-        shown = repr(tol) if isinstance(tol, float) else type(tol).__name__
-        raise OutOfRangeError(f"tol must be a finite number >= 0, got {shown:.40}")
+        raise OutOfRangeError(f"tol must be a finite number >= 0, got {_shown(tol)}")
 
 
 def _qubits_of_dim(dim: int, error: type, what: str) -> int:
@@ -109,7 +117,7 @@ def _require_int(value, name: str, minimum: int, maximum: int | None = None) -> 
     """Raise unless ``value`` is an integer in ``minimum..maximum``."""
     if not _is_int(value) or value < minimum or (maximum is not None and value > maximum):
         bound = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
-        raise OutOfRangeError(f"{name} must be an integer {bound}, got {value!r}")
+        raise OutOfRangeError(f"{name} must be an integer {bound}, got {_shown(value)}")
 
 
 def _qubit_tuple(qubits, error: type, what: str) -> tuple:
@@ -124,12 +132,12 @@ def _require_qubits(keep, n: int, error: type) -> list:
     """``keep`` as a sorted list of distinct integer qubits in ``0..n-1``, at least one."""
     keep = _qubit_tuple(keep, error, "keep")
     if not all(_is_int(q) for q in keep):
-        raise error(f"keep must hold integer qubit indices, got {keep!r}")
+        raise error(f"keep must hold integer qubit indices, got {_shown(keep)}")
     kept = sorted(set(int(q) for q in keep))
     if not kept:
         raise error("keep must name at least one qubit")
     if kept[0] < 0 or kept[-1] >= n:
-        raise error(f"keep indices {kept} out of range for {n} qubits")
+        raise error(f"keep indices {_shown(kept)} out of range for {n} qubits")
     return kept
 
 

@@ -14,6 +14,16 @@ every caller, compile included, and compile solves for the spectrum on its
 factor's support: one d x d ``eigh`` for a full-rank matrix, one r x r
 ``eigh`` for a rank-r one.
 
+One pipeline verifies the same matrix more than once (compile and then
+``fidelity`` the target, ``fidelity``, ``concurrence`` and the coherences
+the prepared state), so :func:`density_factor` keeps the factors of its last
+``_MEMO_ENTRIES`` = 8 accepted inputs, within the process only.  The key is
+the content: shape, ``tol`` and the bytes of the complex array, so a changed
+input is a new key and is checked again, and a rejected one is never stored.
+Memoized factors are read-only, on a miss too, so no caller can alter a
+stored one.  An input over ``_MEMO_BYTES`` = 64 KiB (d > 64) bypasses the
+memo and gets a writable factor.
+
 The canonical eigenbasis is built, by :func:`canonical_eigenvectors`, only
 where a basis leaves the library: :func:`eig_hermitian` and the compiled
 block, whose every column is an eigenvector from compile's one solve: the
@@ -48,6 +58,7 @@ that is within the same d * eps of 1.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +75,7 @@ from .errors import (
     _is_int,
     _require_qubits,
     _require_tol,
+    _shown,
 )
 
 DEFAULT_TOL = 1e-10
@@ -79,6 +91,13 @@ PROB_TOL = 1e-12
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _TO_PAULI = _PAULIS.transpose(0, 2, 1).reshape(4, 4)
 _FROM_PAULI = _PAULIS.reshape(4, 4).T / 2
+
+# density_factor's memo: the factors of the last accepted inputs of at most
+# _MEMO_BYTES, oldest first; the lock makes insert-and-evict one step.
+_MEMO_ENTRIES = 8
+_MEMO_BYTES = 2 ** 16
+_memo: dict = {}
+_memo_lock = threading.Lock()
 
 
 def _require_hermitian(m, tol: float, error: type) -> np.ndarray:
@@ -131,29 +150,49 @@ def density_factor(m, tol: float = DEFAULT_TOL) -> tuple:
     one, is solved, to name its least eigenvalue; if that is still within
     ``tol``, ``a`` is the support columns ``v * sqrt(w)`` of ``eigh``.
     ``tol`` must be a finite real >= 0 (``OutOfRangeError``).
+
+    Up to 64 KiB the factor is memoized and read-only (see the module
+    docstring): a repeated input is checked and factored once.
     """
     _require_tol(tol)
+    m = _as_complex(m, NotDensityMatrixError)
+    if m.nbytes > _MEMO_BYTES:
+        return m, _factor(m, tol)
+    key = (m.shape, tol, m.tobytes())
+    a = _memo.get(key)
+    if a is None:
+        a = _factor(m, tol)
+        a.flags.writeable = False
+        with _memo_lock:
+            _memo[key] = a
+            while len(_memo) > _MEMO_ENTRIES:
+                del _memo[next(iter(_memo))]
+    return m, a
+
+
+def _factor(m: np.ndarray, tol: float) -> np.ndarray:
+    """The factor ``a`` of :func:`density_factor`, with every check, for a complex ``m``."""
     m = _require_unit_trace(m, tol)
     d = m.shape[0]
     floor = d * np.finfo(float).eps
     try:
         a = np.linalg.cholesky(m)
         if np.diagonal(a).real.min() ** 2 > floor:
-            return m, a
+            return a
     except np.linalg.LinAlgError:
         pass
     a = _pivoted_cholesky(m, floor)
     resid = a @ a.conj().T
     resid -= m
     if d * float(np.abs(resid).max()) <= tol:
-        return m, a
+        return a
     w, v = _eigh(m)
     if w[0] < -tol:
         raise NotDensityMatrixError(
             f"matrix is not positive semidefinite: minimum eigenvalue {w[0]:.3e} < -{tol:g}"
         )
     keep = w > floor
-    return m, v[:, keep] * np.sqrt(w[keep])
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def _pivoted_cholesky(m: np.ndarray, floor: float) -> np.ndarray:
@@ -198,7 +237,11 @@ def is_density(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``m`` is a square matrix with orthonormal columns; False for an unreadable one."""
+    """Whether ``m`` is a square matrix with orthonormal columns; False for an unreadable one.
+
+    A ``tol`` that is not a finite number >= 0 raises ``OutOfRangeError``.
+    """
+    _require_tol(tol)
     try:
         m = _as_complex(m, NotUnitaryError)
     except NotUnitaryError:
@@ -229,6 +272,7 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     :func:`canonical_eigenvectors`, so the result depends only on the input
     matrix, not on solver internals.
     """
+    _require_tol(tol)
     m = _require_hermitian(m, tol, NotHermitianError)
     return SpectralDecomposition(*canonical_eigenvectors(*_eigh(m), m.shape[0]))
 
@@ -289,6 +333,7 @@ def matrix_sqrt_psd(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     Eigenvalues in ``[-tol, 0)`` are clamped to 0; anything below ``-tol``
     raises :class:`NotPSDError`.
     """
+    _require_tol(tol)
     m = _require_hermitian(m, tol, NotHermitianError)
     w, v = _eigh(m)
     if w[0] < -tol:
@@ -306,13 +351,13 @@ def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
     """
     if not _is_int(total_qubits) or total_qubits < 1:
         raise DimensionMismatchError(
-            f"total_qubits must be an integer >= 1, got {total_qubits!r}"
+            f"total_qubits must be an integer >= 1, got {_shown(total_qubits)}"
         )
     m = _as_complex(state, DimensionMismatchError)
-    dim = 2 ** total_qubits
+    dim = 2 ** total_qubits if total_qubits < 63 else None  # no array has 2**63 rows
     if m.shape != (dim, dim):
         raise DimensionMismatchError(
-            f"expected a {dim}x{dim} matrix for {total_qubits} qubits, got {m.shape}"
+            f"expected a 2**{_shown(total_qubits)} square matrix, got shape {m.shape}"
         )
     kept = _require_qubits(keep, total_qubits, DimensionMismatchError)
     dropped = [q for q in range(total_qubits) if q not in kept]
@@ -360,6 +405,7 @@ def orthonormal_completion(partial_cols, tol: float = DEFAULT_TOL) -> np.ndarray
     deterministic for a given LAPACK.  An empty ``(d, 0)`` input yields the
     identity; NaN or infinite entries raise :class:`NotOrthonormalError`.
     """
+    _require_tol(tol)
     q = _as_complex(partial_cols, DimensionMismatchError)
     if q.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d array of columns, got ndim={q.ndim}")

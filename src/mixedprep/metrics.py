@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (BadLabelError, DimensionMismatchError, MissingExpectationError,
                      NotAProbabilityVectorError, NotDensityMatrixError, OutOfRangeError,
-                     _as_complex, _is_int, _qubits_of_dim, _require_real)
+                     _as_complex, _is_int, _qubits_of_dim, _require_real, _shown)
 from .linalg import (_PAULIS, DEFAULT_TOL, _eigh, _pauli_coefficients, _pauli_density,
                      density_factor, partial_trace, require_density)
 from .simulator import _pauli_strings
@@ -103,7 +103,7 @@ def _subsystem_qubit(subsystem) -> int:
             return 1
     elif _is_int(subsystem) and subsystem in (0, 1):
         return int(subsystem)
-    raise BadLabelError(f"subsystem must be 'A', 'B', 0, or 1; got {subsystem!r}")
+    raise BadLabelError(f"subsystem must be 'A', 'B', 0, or 1; got {_shown(subsystem)}")
 
 
 _YY = pauli_matrix("YY")
@@ -142,7 +142,7 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     no Pauli matrix is built.
     """
     if not _is_int(n) or n < 1:
-        raise DimensionMismatchError(f"qubit count must be an integer >= 1, got {n!r}")
+        raise DimensionMismatchError(f"qubit count must be an integer >= 1, got {_shown(n)}")
     labels = _pauli_strings(n)  # bounds n before any string of length n is made
     if not isinstance(expectations, Mapping):
         raise MissingExpectationError(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .circuits import Circuit, Cnot, UnitaryBlock
 from .errors import (NotAProbabilityVectorError, NotDensityMatrixError, OutOfRangeError,
-                     _as_complex, _require_real)
+                     _as_complex, _require_real, _require_tol)
 from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
@@ -91,6 +91,7 @@ def eigenvalue_amplitudes(spectral: SpectralDecomposition, tol: float = DEFAULT_
     moved the sum by more than :data:`~mixedprep.linalg.RENORM_TOL` the vector
     is renormalized.  Anything but a ``SpectralDecomposition`` is refused.
     """
+    _require_tol(tol)
     if not isinstance(spectral, SpectralDecomposition):
         raise NotAProbabilityVectorError(
             f"expected a SpectralDecomposition, got {type(spectral).__name__}")

@@ -16,7 +16,7 @@ import numpy as np
 from .circuits import Circuit, MultiControlledRy, Ry
 from .errors import (DimensionMismatchError, LevelOutOfRangeError, NegativeAmplitudeError,
                      NotNormalizedError, OutOfRangeError, _is_int, _qubits_of_dim,
-                     _require_real)
+                     _require_real, _require_tol, _shown)
 from .linalg import DEFAULT_TOL
 
 
@@ -29,7 +29,7 @@ def branch_norms(amps: np.ndarray, level: int) -> np.ndarray:
     """
     amps, n = _amplitude_vector(amps)
     if not (_is_int(level) and 0 <= level < n):
-        raise LevelOutOfRangeError(f"level {level} outside 0..{n - 1}")
+        raise LevelOutOfRangeError(f"level {_shown(level)} outside 0..{n - 1}")
     return _branch_norms(amps ** 2, level)
 
 
@@ -64,6 +64,7 @@ def compile_real_state(amps, tol: float = DEFAULT_TOL) -> Circuit:
     normalized within ``tol``, its entries real and non-negative; starting
     from |0...0> the circuit reproduces it exactly.
     """
+    _require_tol(tol)
     amps, _ = _amplitude_vector(amps)
     if amps.min() < -tol:
         raise NegativeAmplitudeError(

@@ -16,7 +16,7 @@ import numbers
 import numpy as np
 
 from .circuits import Circuit, Cnot, MultiControlledRy, Ry, UnitaryBlock
-from .errors import FormatError, _as_complex, _is_int
+from .errors import FormatError, _as_complex, _is_int, _shown
 from .linalg import FILE_VALIDATE_TOL, require_density
 
 
@@ -55,10 +55,10 @@ def density_from_dict(doc, validate_tol: float | None = FILE_VALIDATE_TOL) -> np
             raise FormatError(f"density document is missing key {key!r}")
     dim = doc["dim"]
     if type(dim) is not int or dim < 1:  # a JSON true is a bool, and no size
-        raise FormatError(f"dim must be a positive integer, got {dim!r}")
+        raise FormatError(f"dim must be a positive integer, got {_shown(dim)}")
     m = _parts_to_matrix(doc["re"], doc["im"], "density document")
     if m.shape != (dim, dim):
-        raise FormatError(f"declared dim {dim} does not match matrix shape {m.shape}")
+        raise FormatError(f"declared dim {_shown(dim)} does not match matrix shape {m.shape}")
     if validate_tol is not None:
         m = require_density(m, validate_tol)
     return m
@@ -72,7 +72,9 @@ def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_constant=reject)
-        except json.JSONDecodeError as exc:
+        except FormatError:  # from reject
+            raise
+        except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -171,7 +173,7 @@ def circuit_from_dict(doc) -> Circuit:
             raise FormatError(f"circuit document is missing key {key!r}")
     n = doc["num_qubits"]
     if type(n) is not int or n < 1:  # a JSON true is a bool, and no size
-        raise FormatError(f"num_qubits must be a positive integer, got {n!r}")
+        raise FormatError(f"num_qubits must be a positive integer, got {_shown(n)}")
     if not isinstance(doc["gates"], list):
         raise FormatError("gates must be a list")
     gates = [_gate_from_dict(g, i) for i, g in enumerate(doc["gates"])]

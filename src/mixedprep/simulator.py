@@ -41,7 +41,7 @@ import numpy as np
 
 from .circuits import Circuit, Cnot, Gate, MultiControlledRy, UnitaryBlock, validate_circuit
 from .errors import (IndexOutOfRangeError, NotNormalizedError, _as_complex, _is_int,
-                     _qubit_tuple, _qubits_of_dim, _require_int, _require_qubits)
+                     _qubit_tuple, _qubits_of_dim, _require_int, _require_qubits, _shown)
 from .linalg import DEFAULT_TOL, _fold, _pauli_coefficients
 
 MAX_QUBITS = 24
@@ -55,6 +55,9 @@ _TO_SETTINGS = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, -0.5, 0.0, 0.0],
                          [0.5, 0.0, 0.5, 0.0], [0.5, 0.0, -0.5, 0.0],
                          [0.5, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, -0.5]])
 _TO_SUMS = (2 * _TO_SETTINGS.T).astype(np.int64)
+# Every partial sum of a readout's counts is at most 3**k * shots in size;
+# up to this bound int64 holds it exactly, past it Python ints do.
+_INT64_MAX = np.iinfo(np.int64).max
 # The most bytes one chunk of the readout holds (k <= 6 is one chunk).
 _CHUNK_BYTES = 2 ** 24
 
@@ -201,9 +204,10 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     with X < Y < Z.  A string with j identity letters is estimated
     from the 3**j settings that agree with it on its other letters: the sum
     of their even - odd parity balances over those letters, divided by
-    3**j * shots.  Sum and quotient are Python-int arithmetic, so each
-    estimate is the correctly rounded mean for any shot count; a string with
-    no identity letter is (shots - 2 * odd) / shots of its own setting.
+    3**j * shots.  The sums are exact: int64 where 3**k * shots fits it,
+    Python ints beyond; the quotient is Python-int division, so each
+    estimate is the correctly rounded mean for any shot count.  A string
+    with no identity letter is (shots - 2 * odd) / shots of its own setting.
 
     A table larger than ``_CHUNK_BYTES`` allows is folded, drawn and summed
     per choice of the leading qubits' letters, with that letter's two rows of
@@ -221,7 +225,7 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     if (not qubits or not all(_is_int(q) and 0 <= q < n for q in qubits)
             or len(set(qubits)) != len(qubits)):
         raise IndexOutOfRangeError(
-            f"qubits {qubits} must be distinct integer indices in 0..{n - 1}, at least one"
+            f"qubits {_shown(qubits)} must be distinct integer indices in 0..{n - 1}, at least one"
         )
     k = len(qubits)
     labels = _pauli_strings(k)  # bounds k before any draw
@@ -237,6 +241,7 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     axes = [(t + q,) if q < lead else (q - lead, t + q) for q in range(k)]
     forward = [a for qubit in axes for a in qubit]
     backward = [a for qubit in reversed(axes) for a in qubit]
+    exact = np.int64 if 3 ** k * shots <= _INT64_MAX else object
     rng, sums = np.random.default_rng(seed), 0
     for prefix in product(range(3), repeat=lead):
         rows = [slice(2 * letter, 2 * letter + 2) for letter in prefix] + [slice(None)] * t
@@ -244,7 +249,7 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
         probs = probs.reshape((2,) * lead + (3, 2) * t).transpose(np.argsort(forward))
         counts = _draws(probs.reshape(3 ** t, 2 ** k), state.size, shots, rng)
         # summed from the last qubit, where the table only shrinks
-        counts = counts.reshape((3,) * t + (2,) * k).transpose(backward).astype(object)
+        counts = counts.reshape((3,) * t + (2,) * k).transpose(backward).astype(exact)
         sums = sums + _fold(counts, [_TO_SUMS[:, r] for r in reversed(rows)]).T
     # sums runs over the ascending qubits; the labels over the given order
     sums = sums.transpose([measured.index(q) for q in map(int, qubits)]).ravel().tolist()

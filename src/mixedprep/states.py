@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BadProbabilitiesError, NotPSDError, OutOfRangeError, _is_finite_real,
-                     _require_int, _require_real)
+                     _require_int, _require_real, _require_tol, _shown)
 from .linalg import DEFAULT_TOL, PROB_TOL
 from .simulator import MAX_TARGET_DIM
 
@@ -39,7 +39,8 @@ def x_state_eigenvectors(theta: float, phi: float) -> np.ndarray:
     number raises :class:`OutOfRangeError`.
     """
     if not (_is_finite_real(theta) and _is_finite_real(phi)):
-        raise OutOfRangeError(f"angles must be finite, got theta={theta}, phi={phi}")
+        raise OutOfRangeError(
+            f"angles must be finite, got theta={_shown(theta)}, phi={_shown(phi)}")
     ct, st = math.cos(theta), math.sin(theta)
     cf, sf = math.cos(phi), math.sin(phi)
     return np.array(
@@ -80,7 +81,7 @@ def x_state(params: XStateParams) -> np.ndarray:
 def p00_family_probs(p00: float) -> tuple:
     """The eigenvector probabilities (p00/3, (1-p00)/3, 2*p00/3, 2*(1-p00)/3)."""
     if not (_is_finite_real(p00) and 0.0 <= p00 <= 1.0):
-        raise OutOfRangeError(f"p00 must be a real number in [0, 1], got {p00!r}")
+        raise OutOfRangeError(f"p00 must be a real number in [0, 1], got {_shown(p00)}")
     return (p00 / 3.0, (1.0 - p00) / 3.0, 2.0 * p00 / 3.0, 2.0 * (1.0 - p00) / 3.0)
 
 
@@ -114,8 +115,9 @@ def c1_state(c1: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     finite real number :class:`OutOfRangeError`.  Separable for c1 >= -0.2612 or so;
     concurrence grows toward the negative PSD edge.
     """
+    _require_tol(tol)
     if not _is_finite_real(c1):
-        raise OutOfRangeError(f"c1 must be a finite real number, got {c1!r}")
+        raise OutOfRangeError(f"c1 must be a finite real number, got {_shown(c1)}")
     lo = (1 - 3 * abs(float(c1))) / 4  # the least eigenvalue, see c1_valid_range
     if lo < -tol:
         raise NotPSDError(
@@ -144,7 +146,8 @@ def ginibre_density(d: int, seed: int) -> np.ndarray:
     """
     _require_int(d, "dimension", 2)
     if d > MAX_TARGET_DIM:
-        raise OutOfRangeError(f"dimension {d} exceeds {MAX_TARGET_DIM}, the largest that compiles")
+        raise OutOfRangeError(
+            f"dimension {_shown(d)} exceeds {MAX_TARGET_DIM}, the largest that compiles")
     _require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((2, d, d))

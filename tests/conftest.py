@@ -2,12 +2,17 @@
 import numpy as np
 import pytest
 
+from mixedprep import linalg
+
 
 def _counted(monkeypatch, *names):
     """A list that gains one entry per call of any of the named ``np.linalg`` functions.
 
     The entry is the shape of the call's first argument, the matrix solved.
+    ``density_factor``'s memo is emptied first, so a factor stored by an
+    earlier test cannot hide a solve that this one counts.
     """
+    linalg._memo.clear()
     calls = []
     for name in names:
         real = getattr(np.linalg, name)
@@ -24,6 +29,12 @@ def _counted(monkeypatch, *names):
 def hermitian_solves(monkeypatch):
     """The shapes of the matrices passed to ``np.linalg.eigh`` or ``eigvalsh``."""
     return _counted(monkeypatch, "eigh", "eigvalsh")
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """The shapes of the matrices passed to ``np.linalg.cholesky``: one per factorization."""
+    return _counted(monkeypatch, "cholesky")
 
 
 @pytest.fixture

@@ -66,11 +66,12 @@ HOSTILE = {
     "bool-matrix": np.eye(2, dtype=bool),
     "dict": {"a": 1},
     "beyond-float": 10 ** 400,
+    "too-long-to-print": 10 ** 5000,
     "string": "abc",
 }
 
 # the hostile value goes into the first argument, or into the one a suffix
-# names (-n, -qubits); the others are valid
+# names (-n, -qubits, -level, -shots, -subsystem); the others are valid
 ENTRY_POINTS = {
     "eig_hermitian": eig_hermitian,
     "is_density": is_density,
@@ -79,10 +80,12 @@ ENTRY_POINTS = {
     "orthonormal_completion": orthonormal_completion,
     "partial_trace": lambda v: partial_trace(v, [0], 1),
     "partial_trace-qubits": lambda v: partial_trace(np.eye(2) / 2, v, 1),
+    "partial_trace-n": lambda v: partial_trace(np.eye(2) / 2, [0], v),
     "require_density": require_density,
     "validate_circuit": validate_circuit,
     "gate_qubits": gate_qubits,
     "branch_norms": lambda v: branch_norms(v, 0),
+    "branch_norms-level": lambda v: branch_norms([1.0, 0.0], v),
     "compile_real_state": compile_real_state,
     "rotation_angle": lambda v: rotation_angle(v, 1.0),
     "apply_gate": lambda v: apply_gate(v, Ry(0, 0.1)),
@@ -93,6 +96,8 @@ ENTRY_POINTS = {
     "sample_pauli_expectations": lambda v: sample_pauli_expectations(v, [0], 10, 0),
     "sample_pauli_expectations-qubits":
         lambda v: sample_pauli_expectations(np.array([1.0, 0.0]), v, 10, 0),
+    "sample_pauli_expectations-shots":
+        lambda v: sample_pauli_expectations(np.array([1.0, 0.0]), [0], v, 0),
     "zero_state": zero_state,
     "build_preparation_circuit": build_preparation_circuit,
     "eigenvalue_amplitudes": eigenvalue_amplitudes,
@@ -109,6 +114,7 @@ ENTRY_POINTS = {
     "fidelity": lambda v: fidelity(v, np.eye(2) / 2),
     "l1_coherence": l1_coherence,
     "local_l1_coherence": lambda v: local_l1_coherence(v, "A"),
+    "local_l1_coherence-subsystem": lambda v: local_l1_coherence(np.eye(4) / 4, v),
     "pauli_labels": pauli_labels,
     "pauli_matrix": pauli_matrix,
     "tomography_reconstruct": lambda v: tomography_reconstruct(v, 1),
@@ -139,6 +145,8 @@ BAD_DENSITY_FILES = {
     "string-entries": json.dumps({"dim": 2, "re": [["a", "b"], ["c", "d"]], "im": ZEROS}),
     "beyond-float": '{"dim": 2, "re": [[1e400, 0], [0, 0]], "im": [[0, 0], [0, 0]]}',
     "dim-true": json.dumps({"dim": True, "re": [[1]], "im": [[0]]}),
+    # json reads an int past Python's 4300-digit limit with a plain ValueError
+    "too-long-to-print": '{"dim": 1%s, "re": [[1]], "im": [[0]]}' % ("0" * 5000),
     "3-d": json.dumps({"dim": 1, "re": [[[1]]], "im": [[[0]]]}),
 }
 
@@ -159,6 +167,8 @@ BAD_CIRCUIT_FILES = {
     "string-entries": circuit_text(unitary([["a", "b"], ["c", "d"]])),
     "beyond-float": circuit_text(unitary([[1, 0], [0, 1]])).replace("1,", "1e400,", 1),
     "string-qubits": circuit_text(unitary([[1, 0], [0, 1]], qubits=["0"])),
+    "too-long-to-print": circuit_text({"kind": "ry", "target": 0, "theta": 0.1}).replace(
+        '"target": 0', '"target": 1' + "0" * 5000),
     "integer-controls": circuit_text(
         {"kind": "mcry", "controls": 1, "bits": [1], "target": 1, "theta": 0.1}),
 }

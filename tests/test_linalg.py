@@ -1,6 +1,8 @@
 """Linear-algebra layer: eigendecomposition, square roots, partial trace."""
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -25,6 +27,7 @@ from mixedprep import (
     require_density,
     validate_circuit,
 )
+from mixedprep import linalg
 from mixedprep.linalg import (
     DEFAULT_TOL,
     TIE_TOL,
@@ -540,11 +543,25 @@ def test_a_bool_identity_is_unitary():
 )
 def test_a_tolerance_that_turns_the_checks_off_is_refused(tol):
     # a NaN or infinite tol passed every comparison: this non-Hermitian,
-    # trace-3 matrix was a density, and 2 I a unitary block
-    with pytest.raises(OutOfRangeError, match="tol must be a finite number >= 0"):
-        density_factor(np.array([[5, 3], [-7, -2]]), tol)
-    with pytest.raises(OutOfRangeError, match="tol must be a finite number >= 0"):
-        validate_circuit(Circuit(1, [UnitaryBlock((0,), 2 * np.eye(2))]), tol)
+    # trace-3 matrix was a density, 2 I a unitary block, c1 = 0.9 a state
+    # and a negative amplitude a loader's
+    from mixedprep import c1_state, compile_real_state, eigenvalue_amplitudes
+
+    calls = [
+        lambda: density_factor(np.array([[5, 3], [-7, -2]]), tol),
+        lambda: validate_circuit(Circuit(1, [UnitaryBlock((0,), 2 * np.eye(2))]), tol),
+        lambda: is_unitary(2 * np.eye(2), tol),
+        lambda: c1_state(0.9, tol),
+        lambda: compile_real_state([-0.5, 1], tol),
+        lambda: eigenvalue_amplitudes(SpectralDecomposition(np.array([2.0, -1.0]), np.eye(2)),
+                                      tol),
+        lambda: eig_hermitian(np.array([[0, 1], [-1, 0]]), tol),
+        lambda: matrix_sqrt_psd(-np.eye(2), tol),
+        lambda: orthonormal_completion(2 * np.eye(2)[:, :1], tol),
+    ]
+    for call in calls:
+        with pytest.raises(OutOfRangeError, match="tol must be a finite number >= 0"):
+            call()
 
 
 @pytest.mark.parametrize("tol", [0, 0.0, 1e-8, np.float64(1e-8), np.float32(0.5), 1],
@@ -552,3 +569,138 @@ def test_a_tolerance_that_turns_the_checks_off_is_refused(tol):
 def test_every_finite_nonnegative_tolerance_is_taken(tol):
     density_factor(np.eye(2) / 2, tol)
     validate_circuit(Circuit(1, [UnitaryBlock((0,), np.eye(2))]), tol)
+
+
+# -- density_factor's memo ------------------------------------------------------
+
+def rank_two(d, seed):
+    m = np.zeros((d, d), dtype=complex)
+    m[:2, :2] = random_density(2, seed)
+    return m
+
+
+def test_a_memo_hit_has_the_bytes_of_a_miss():
+    # full rank (Cholesky), rank deficient (pivoted Cholesky) and a list input
+    for rho in (random_density(4, 3), rank_two(4, 3), random_density(8, 4).tolist()):
+        linalg._memo.clear()
+        m, miss = density_factor(rho)
+        own = np.array(rho, dtype=complex)
+        m_hit, hit = density_factor(own)
+        assert m_hit is own  # the caller's own converted array, as without the memo
+        assert hit is miss and len(linalg._memo) == 1
+        linalg._memo.clear()
+        assert density_factor(own)[1].tobytes() == hit.tobytes()
+        assert np.array_equal(m, own)
+
+
+def test_a_matrix_changed_after_it_was_stored_is_checked_again(cholesky_calls):
+    rho = random_density(4, 6)
+    original = rho.copy()
+    density_factor(rho)
+    rho[0, 1] += 0.5  # no longer Hermitian
+    with pytest.raises(NotDensityMatrixError, match="not Hermitian"):
+        density_factor(rho)
+    rho[...] = original  # the stored bytes again, in either array: the stored factor
+    assert density_factor(original)[1] is density_factor(rho)[1]
+    assert cholesky_calls == [(4, 4)]
+
+
+def test_a_refused_matrix_raises_on_every_call_and_is_never_stored():
+    linalg._memo.clear()
+    indefinite = np.array([[0.5, 0.6], [0.6, 0.5]])
+    for _ in range(3):
+        with pytest.raises(NotDensityMatrixError, match="minimum eigenvalue -1.000e-01"):
+            density_factor(indefinite)
+        assert is_density(indefinite) is False
+        with pytest.raises(NotDensityMatrixError, match="trace deviates"):
+            density_factor(2 * np.eye(2))
+    assert not linalg._memo
+
+
+def test_a_stored_factor_cannot_be_written():
+    linalg._memo.clear()
+    rho = random_density(4, 7)
+    _, a = density_factor(rho)
+    before = a.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        a *= 2
+    assert density_factor(rho)[1].tobytes() == before
+
+
+def test_the_memo_holds_at_most_its_entries(cholesky_calls):
+    inputs = [random_density(2, seed) for seed in range(3 * linalg._MEMO_ENTRIES)]
+    for rho in inputs:
+        density_factor(rho)
+    assert len(linalg._memo) == linalg._MEMO_ENTRIES
+    cholesky_calls.clear()
+    for rho in inputs[-linalg._MEMO_ENTRIES:]:  # the newest are held
+        density_factor(rho)
+    assert cholesky_calls == []
+    density_factor(inputs[0])  # the oldest was evicted
+    assert cholesky_calls == [(2, 2)]
+
+
+def test_the_memo_bound_holds_under_threads():
+    # more threads than cores, switching as often as the interpreter allows:
+    # two threads evicting the same oldest entry would raise a KeyError
+    linalg._memo.clear()
+    inputs = [random_density(2, seed) for seed in range(400)]
+    errors = []
+
+    def work(start):
+        try:
+            for rho in inputs[start:] + inputs[:start]:
+                _, a = density_factor(rho)
+                assert np.abs(a @ a.conj().T - rho).max() <= 1e-15
+                assert len(linalg._memo) <= linalg._MEMO_ENTRIES + 1  # one insert in flight
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(50 * i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(linalg._memo) == linalg._MEMO_ENTRIES
+
+
+def test_a_matrix_above_the_cap_bypasses_the_memo():
+    linalg._memo.clear()
+    at_cap, above = random_density(64, 1), random_density(65, 1)  # 64 KiB and past it
+    assert at_cap.nbytes == linalg._MEMO_BYTES
+    assert not density_factor(at_cap)[1].flags.writeable and len(linalg._memo) == 1
+    _, a = density_factor(above)
+    assert a.flags.writeable and len(linalg._memo) == 1
+    assert density_factor(above)[1] is not a  # factored again
+
+
+def test_the_memo_keys_on_the_tolerance():
+    linalg._memo.clear()
+    rho = np.eye(2) / 2
+    a = density_factor(rho, 1e-10)[1]
+    assert density_factor(rho, np.float64(1e-10))[1] is a  # the same number
+    assert density_factor(rho, 1e-8)[1] is not a
+    assert len(linalg._memo) == 2
+
+
+def test_one_figure_2_target_is_factored_once_per_matrix(cholesky_calls):
+    # compile factors rho, and fidelity, concurrence and the l1 coherence the
+    # prepared state: five factorizations without the memo, now one per matrix
+    from mixedprep import (build_preparation_circuit, concurrence, fidelity, l1_coherence,
+                           p00_family, reduced_density, run)
+
+    rho = p00_family(0.3)
+    bundle = build_preparation_circuit(rho)
+    prepared = reduced_density(run(bundle.circuit), bundle.system_qubits)
+    assert 1.0 - fidelity(prepared, rho) <= 1e-12
+    concurrence(prepared)
+    l1_coherence(prepared)
+    assert cholesky_calls == [(4, 4), (4, 4)]

@@ -81,8 +81,9 @@ def test_non_finite_literals_rejected(tmp_path):
         read_circuit_file(path)
     for literal in ("NaN", "Infinity", "-Infinity"):
         path.write_text(f'{{"dim": 1, "re": [[{literal}]], "im": [[0.0]]}}')
-        with pytest.raises(FormatError, match=literal):
+        with pytest.raises(FormatError, match=literal) as err:
             read_density_file(path, validate_tol=None)
+        assert "not valid JSON" not in str(err.value)  # one message, not wrapped twice
 
 
 def sample_circuit():

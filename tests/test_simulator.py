@@ -1,4 +1,5 @@
 """Statevector simulator: gates, reduced density matrices, Pauli sampling."""
+import timeit
 import tracemalloc
 from itertools import product
 
@@ -347,6 +348,40 @@ def test_expectations_at_the_largest_shot_count_are_exact(monkeypatch):
     assert table == oracle_expectations(probs, 4, (0, 1), shots, np.random.default_rng(3))
 
 
+def object_sums(monkeypatch, call):
+    """``call()`` with every readout summed in Python ints."""
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "_INT64_MAX", 0)
+        return call()
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_int64_sums_equal_the_python_int_sums_on_both_sides_of_int64(monkeypatch, k):
+    # every sum is at most 3**k * shots: int64 up to the largest int64, Python ints past it
+    state = random_state(k, 70 + k)
+    largest = np.iinfo(np.int64).max // 3 ** k
+    for shots, summed_as in ((largest, np.int64), (largest + 1, object)):
+        call = lambda: sample_pauli_expectations(state, range(k), shots, 5)  # noqa: E731
+        dtypes, fold = [], simulator._fold
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "_fold", lambda x, mats: dtypes.append(x.dtype) or fold(x, mats))
+            table = call()
+        assert dtypes[-1] == summed_as  # the last fold is the counts'
+        if summed_as is np.int64:  # past the switch the call is the object path itself
+            assert np.array(list(table.values())).tobytes() == np.array(
+                list(object_sums(monkeypatch, call).values())).tobytes()
+
+
+def test_int64_sums_make_the_k8_readout_at_least_twice_as_fast(monkeypatch):
+    state = random_state(8, 8)
+    call = lambda: sample_pauli_expectations(state, range(8), 10, 0)  # noqa: E731
+    fast, slow = [], []
+    for _ in range(3):
+        fast.append(timeit.timeit(call, number=1))
+        slow.append(timeit.timeit(lambda: object_sums(monkeypatch, call), number=1))
+    assert 2 * min(fast) <= min(slow)
+
+
 def test_a_rounding_level_probability_draws_as_zero():
     # numpy's multinomial draws nothing for an exact zero but a random number
     # for 4e-17, so without the floor every later count would move
@@ -452,6 +487,22 @@ def test_sample_expectations_measure_at_most_twelve_qubits(monkeypatch):
 )
 def test_run_rejects_non_integer_wires_bits_and_counts(circuit):
     with pytest.raises(IndexOutOfRangeError, match="integer|expected 0 or 1"):
+        run(circuit)
+
+
+@pytest.mark.parametrize(
+    "circuit, error",
+    [
+        (Circuit(2, [Cnot(10 ** 5000, 0)]), IndexOutOfRangeError),
+        (Circuit(2, [MultiControlledRy(((0, 10 ** 5000),), 1, 0.3)]), IndexOutOfRangeError),
+        (Circuit(1, [Ry(0, 10 ** 5000)]), OutOfRangeError),
+        (Circuit(10 ** 5000, []), OutOfRangeError),
+    ],
+    ids=["wire", "control-bit", "angle", "count"],
+)
+def test_an_integer_too_long_to_print_is_a_typed_error(circuit, error):
+    # repr of an int past Python's 4300-digit limit raises; the message names its type
+    with pytest.raises(error, match="int"):
         run(circuit)
 
 
