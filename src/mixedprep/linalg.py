@@ -85,6 +85,7 @@ RANK_TOL = 1e-12
 RENORM_TOL = 1e-12
 GS_DROP_TOL = 1e-8
 PROB_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)  # 2**-52, the eps of every d * eps rounding floor
 
 # Pauli I, X, Y, Z, and the per-qubit maps between rho's entries (2 * row +
 # column) and Tr(rho P) = sum_ij rho_ij P_ji, and back: rho = sum_P Tr(rho P) P / 2.
@@ -123,7 +124,7 @@ def _eigh(m: np.ndarray) -> tuple:
 def _require_unit_trace(m, tol: float) -> np.ndarray:
     """``m`` as a complex array once it is square, finite, Hermitian and of trace 1."""
     m = _require_hermitian(m, tol, NotDensityMatrixError)
-    dev = abs(complex(np.trace(m)) - 1.0)
+    dev = abs(complex(m.trace()) - 1.0)
     if dev > tol:
         raise NotDensityMatrixError(f"trace deviates from 1 by {dev:.3e} > {tol:g}")
     return m
@@ -174,10 +175,10 @@ def _factor(m: np.ndarray, tol: float) -> np.ndarray:
     """The factor ``a`` of :func:`density_factor`, with every check, for a complex ``m``."""
     m = _require_unit_trace(m, tol)
     d = m.shape[0]
-    floor = d * np.finfo(float).eps
+    floor = d * _EPS
     try:
         a = np.linalg.cholesky(m)
-        if np.diagonal(a).real.min() ** 2 > floor:
+        if a.diagonal().real.min() ** 2 > floor:
             return a
     except np.linalg.LinAlgError:
         pass
@@ -291,7 +292,7 @@ def canonical_eigenvectors(w: np.ndarray, v: np.ndarray, count: int) -> tuple:
     """
     w = np.ascontiguousarray(w[::-1].real)
     v = v[:, ::-1].copy()  # the tie groups are rebuilt in place
-    edges = [0, *(np.flatnonzero(w[:-1] - w[1:] > TIE_TOL) + 1).tolist(), w.shape[0]]
+    edges = [0, *((w[:-1] - w[1:] > TIE_TOL).nonzero()[0] + 1).tolist(), w.shape[0]]
     for start, stop in zip(edges[:-1], edges[1:]):
         if stop > count:
             break
@@ -367,7 +368,7 @@ def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
     dk = 2 ** len(kept)
     dd = 2 ** len(dropped)
     t = t.transpose(perm).reshape(dk, dd, dk, dd)
-    return np.trace(t, axis1=1, axis2=3)
+    return t.trace(axis1=1, axis2=3)
 
 
 def _fold(x, mats) -> np.ndarray:

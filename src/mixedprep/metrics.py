@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (BadLabelError, DimensionMismatchError, MissingExpectationError,
                      NotAProbabilityVectorError, NotDensityMatrixError, OutOfRangeError,
                      _as_complex, _is_int, _qubits_of_dim, _require_real, _shown)
-from .linalg import (_PAULIS, DEFAULT_TOL, _eigh, _pauli_coefficients, _pauli_density,
+from .linalg import (_EPS, _PAULIS, DEFAULT_TOL, _eigh, _pauli_coefficients, _pauli_density,
                      density_factor, partial_trace, require_density)
 from .simulator import _pauli_strings
 
@@ -70,7 +70,7 @@ def fidelity(rho, sigma, tol: float = DEFAULT_TOL) -> float:
     (_, a), (_, b) = density_factor(rho, tol), density_factor(sigma, tol)
     k = min(a.shape[1], b.shape[1])
     bound = abs(np.vdot(a[:, :k], b[:, :k])) ** 2
-    if 1.0 - bound <= rho.shape[0] * np.finfo(float).eps:
+    if 1.0 - bound <= rho.shape[0] * _EPS:
         return min(float(bound), 1.0)
     s = np.linalg.svd(a.conj().T @ b, compute_uv=False)
     return min(float(s.sum() ** 2), 1.0)
@@ -80,7 +80,7 @@ def l1_coherence(rho, tol: float = DEFAULT_TOL) -> float:
     """Sum of |off-diagonal| entries in the computational basis."""
     rho = require_density(rho, tol)
     mags = np.abs(rho)
-    return float(mags.sum() - np.trace(mags))
+    return float(mags.sum() - mags.trace())
 
 
 def local_l1_coherence(rho, subsystem, tol: float = DEFAULT_TOL) -> float:
@@ -91,7 +91,7 @@ def local_l1_coherence(rho, subsystem, tol: float = DEFAULT_TOL) -> float:
     qubit = _subsystem_qubit(subsystem)
     reduced = partial_trace(rho, {qubit}, 2)
     mags = np.abs(reduced)
-    return float(mags.sum() - np.trace(mags))
+    return float(mags.sum() - mags.trace())
 
 
 def _subsystem_qubit(subsystem) -> int:
@@ -165,7 +165,7 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     raw = _pauli_density(np.array(coefficients))
     raw = (raw + raw.conj().T) / 2
     w, v = _eigh(raw)
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     total = float(w.sum())
     if total <= 0.0:
         raise NotAProbabilityVectorError(

@@ -105,7 +105,7 @@ def eigenvalue_amplitudes(spectral: SpectralDecomposition, tol: float = DEFAULT_
         raise NotAProbabilityVectorError(
             f"eigenvalues sum to {w.sum()!r}, expected 1 within {tol:g}"
         )
-    clamped = np.clip(w, 0.0, None)
+    clamped = np.maximum(w, 0.0)
     total = float(clamped.sum())
     if abs(total - 1.0) > RENORM_TOL:
         clamped = clamped / total
@@ -138,7 +138,7 @@ def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitB
                               f"that compiles, {MAX_TARGET_DIM} x {MAX_TARGET_DIM}")
     rho, a = density_factor(rho, tol)
     w, v = _support_eigh(rho, a)
-    values, vectors = canonical_eigenvectors(w, v, int(np.sum(w > RANK_TOL)))
+    values, vectors = canonical_eigenvectors(w, v, np.count_nonzero(w > RANK_TOL))
     target = _padded(rho)
     if target is not rho:
         values, vectors = _padded(np.maximum(values, 0.0)), _padded(vectors, identity=True)

@@ -7,6 +7,11 @@ as row-major nested lists.  Circuit files carry {"num_qubits", "gates",
 be JSON integers and angles JSON numbers; nothing else is coerced.  All
 numbers are written as plain Python ints/floats, so json round-trips them
 exactly (shortest-repr float encoding is lossless for binary64).
+
+A writer encodes the whole document before it opens the file, so what the
+readers would refuse (a NaN or infinite float), an int too long to print
+and a ``meta`` value of no JSON type raise :class:`FormatError` and leave
+the path as it was.
 """
 from __future__ import annotations
 
@@ -78,10 +83,19 @@ def _read_json(path):
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def write_density_file(path, rho) -> None:
+def _write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON and a newline, once all of it has encoded."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: cannot write the document as JSON: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(density_to_dict(rho), fh, indent=2)
+        fh.write(text)
         fh.write("\n")
+
+
+def write_density_file(path, rho) -> None:
+    _write_json(path, density_to_dict(rho))
 
 
 def read_density_file(path, validate_tol: float | None = FILE_VALIDATE_TOL) -> np.ndarray:
@@ -183,9 +197,7 @@ def circuit_from_dict(doc) -> Circuit:
 
 
 def write_circuit_file(path, circuit: Circuit, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(circuit_to_dict(circuit, meta), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, circuit_to_dict(circuit, meta))
 
 
 def read_circuit_file(path) -> Circuit:

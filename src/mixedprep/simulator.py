@@ -11,7 +11,10 @@ loader of r nonzero weights applies at most r - 1 of its rotations; after
 such a skip ``run`` multiplies the block into the state's nonzero rows
 only (r of 2**m), and ``reduced_density`` contracts only the nonzero
 dropped columns.  A full-rank target skips nothing and pays for no scan
-but one whole-array count in the trace.  The public functions never
+but one whole-array count in the trace.  The block and the trace use the
+register's view as it is when their qubits are already its leading axes,
+in order, as a compiled block's and the kept system register's are; any
+other qubits are read through one transpose.  The public functions never
 mutate their input: ``apply_gate`` works on one copy, and the readout
 writes only new arrays.
 
@@ -42,7 +45,7 @@ import numpy as np
 from .circuits import Circuit, Cnot, Gate, MultiControlledRy, UnitaryBlock, validate_circuit
 from .errors import (IndexOutOfRangeError, NotNormalizedError, _as_complex, _is_int,
                      _qubit_tuple, _qubits_of_dim, _require_int, _require_qubits, _shown)
-from .linalg import DEFAULT_TOL, _fold, _pauli_coefficients
+from .linalg import _EPS, DEFAULT_TOL, _fold, _pauli_coefficients
 
 MAX_QUBITS = 24
 MAX_TARGET_DIM = 2 ** (MAX_QUBITS // 2)  # the largest target whose purification fits
@@ -126,13 +129,25 @@ def _apply_block(ten: np.ndarray, qubits, matrix, live_rows: bool = False) -> No
     nothing to any output entry.
     """
     k = len(qubits)
-    view = np.moveaxis(ten, qubits, range(k))
+    view = _leading(ten, qubits)
     rows = view.reshape(2 ** k, -1)
     if live_rows:
         live = _live(rows)
         if not live.all():
             matrix, rows = matrix[:, live], rows[live]
     view[...] = (matrix @ rows).reshape(view.shape)
+
+
+def _leading(ten: np.ndarray, qubits) -> np.ndarray:
+    """A view of ``ten`` whose leading axes are ``qubits``, in order, then the rest ascending.
+
+    The axis order of ``np.moveaxis(ten, qubits, range(len(qubits)))``,
+    without its argument handling; ``ten`` itself when ``qubits`` are
+    already 0, 1, ..., as for a compiled block and a kept system register.
+    """
+    if list(qubits) == list(range(len(qubits))):
+        return ten
+    return ten.transpose([*qubits, *(a for a in range(ten.ndim) if a not in qubits)])
 
 
 def _live(m: np.ndarray) -> np.ndarray:
@@ -181,7 +196,7 @@ def reduced_density(state: np.ndarray, keep) -> np.ndarray:
 def _trace(state: np.ndarray, kept: list) -> np.ndarray:
     """:func:`reduced_density` of a checked 1-d ``state`` and its sorted ``kept`` qubits."""
     n = state.size.bit_length() - 1
-    m = np.moveaxis(state.reshape((2,) * n), kept, range(len(kept))).reshape(2 ** len(kept), -1)
+    m = _leading(state.reshape((2,) * n), kept).reshape(2 ** len(kept), -1)
     if np.count_nonzero(m) < m.size:
         live = _live(m.T)
         if not live.all():
@@ -240,13 +255,14 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     # each qubit's axes in the draws' (trailing letters, outcomes) layout
     axes = [(t + q,) if q < lead else (q - lead, t + q) for q in range(k)]
     forward = [a for qubit in axes for a in qubit]
+    to_draws = sorted(range(len(forward)), key=forward.__getitem__)  # argsort(forward)
     backward = [a for qubit in reversed(axes) for a in qubit]
     exact = np.int64 if 3 ** k * shots <= _INT64_MAX else object
     rng, sums = np.random.default_rng(seed), 0
     for prefix in product(range(3), repeat=lead):
         rows = [slice(2 * letter, 2 * letter + 2) for letter in prefix] + [slice(None)] * t
         probs = _fold(coefficients, [_TO_SETTINGS[r] for r in rows])
-        probs = probs.reshape((2,) * lead + (3, 2) * t).transpose(np.argsort(forward))
+        probs = probs.reshape((2,) * lead + (3, 2) * t).transpose(to_draws)
         counts = _draws(probs.reshape(3 ** t, 2 ** k), state.size, shots, rng)
         # summed from the last qubit, where the table only shrinks
         counts = counts.reshape((3,) * t + (2,) * k).transpose(backward).astype(exact)
@@ -276,4 +292,4 @@ def _draws(probs: np.ndarray, dim: int, shots: int, rng: np.random.Generator) ->
     tiny one, so a rounding-level change would otherwise re-draw every later
     count.
     """
-    return rng.multinomial(shots, np.where(probs > dim * np.finfo(float).eps, probs, 0.0))
+    return rng.multinomial(shots, np.where(probs > dim * _EPS, probs, 0.0))

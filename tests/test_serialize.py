@@ -182,3 +182,22 @@ def test_integers_too_large_for_a_float_are_format_errors():
             circuit_from_dict({"num_qubits": 2, "gates": [gate]})
     with pytest.raises(FormatError):
         density_from_dict({"dim": 1, "re": [[huge]], "im": [[0]]})
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_circuit_file(path, Circuit(10 ** 5000, [])),
+    lambda path: write_circuit_file(path, Circuit(1, [Ry(0, float("nan"))])),
+    lambda path: write_density_file(path, np.array([[0.5, np.nan], [0.0, 0.5]])),
+    lambda path: write_circuit_file(path, Circuit(1, [Ry(0, 0.5)]), meta={"seed": object()}),
+], ids=["num_qubits-too-long-to-print", "nan-angle", "nan-density-entry", "meta-not-json"])
+def test_a_document_json_cannot_write_is_a_format_error_that_leaves_the_path_alone(
+        tmp_path, write):
+    path = tmp_path / "out.json"
+    with pytest.raises(FormatError, match="cannot write the document as JSON"):
+        write(path)
+    assert not path.exists()
+    path.write_bytes(b"an earlier file\n")
+    with pytest.raises(FormatError, match="cannot write the document as JSON"):
+        write(path)
+    assert path.read_bytes() == b"an earlier file\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

@@ -1,7 +1,7 @@
 """Statevector simulator: gates, reduced density matrices, Pauli sampling."""
 import timeit
 import tracemalloc
-from itertools import product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import numpy.testing as npt
@@ -226,6 +226,62 @@ def test_reduced_density_matches_partial_trace():
                 partial_trace(full, keep, n),
                 atol=1e-12,
             )
+
+
+def oracle_apply_block(ten, qubits, matrix, live_rows):
+    """The block product, reading the register through ``np.moveaxis`` as it once did."""
+    k = len(qubits)
+    view = np.moveaxis(ten, qubits, range(k))
+    rows = view.reshape(2 ** k, -1)
+    if live_rows:
+        live = rows.real.any(axis=1) | rows.imag.any(axis=1)
+        if not live.all():
+            matrix, rows = matrix[:, live], rows[live]
+    view[...] = (matrix @ rows).reshape(view.shape)
+
+
+def oracle_reduced_density(state, kept):
+    """The contraction over the dropped qubits, reading them through ``np.moveaxis``."""
+    n = state.size.bit_length() - 1
+    m = np.moveaxis(state.reshape((2,) * n), kept, range(len(kept))).reshape(2 ** len(kept), -1)
+    if np.count_nonzero(m) < m.size:
+        live = m.real.any(axis=0) | m.imag.any(axis=0)
+        if not live.all():
+            m = m[:, live]
+    return m @ m.conj().T
+
+
+def oracle_states(n):
+    """A dense state, one with random exact zeros and one with a whole qubit at |0>."""
+    rng = np.random.default_rng(700 + n)
+    dense = random_state(n, 600 + n)
+    sparse = dense * (rng.random(2 ** n) < 0.5)
+    half = (dense.reshape(2, -1) * [[1], [0]]).reshape(-1)
+    return [dense, sparse, half]
+
+
+@pytest.mark.parametrize("live_rows", [False, True], ids=["all-rows", "live-rows"])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_block_on_every_ordered_qubit_subset_has_the_moveaxis_bytes(n, live_rows):
+    # leading (0, 1, ...), non-leading and unsorted qubits, read as a view or a transpose
+    rng = np.random.default_rng(800 + n)
+    for k in range(1, n + 1):
+        matrix = rng.standard_normal((2 ** k, 2 ** k)) + 1j * rng.standard_normal((2 ** k, 2 ** k))
+        for qubits in permutations(range(n), k):
+            for state in oracle_states(n):
+                got, want = state.copy(), state.copy()
+                simulator._apply_block(got.reshape((2,) * n), qubits, matrix, live_rows)
+                oracle_apply_block(want.reshape((2,) * n), qubits, matrix, live_rows)
+                assert got.tobytes() == want.tobytes(), (qubits, live_rows)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_reduced_density_on_every_keep_set_has_the_moveaxis_bytes(n):
+    for k in range(1, n + 1):
+        for kept in combinations(range(n), k):
+            for state in oracle_states(n):
+                want = oracle_reduced_density(state, list(kept))
+                assert reduced_density(state, kept).tobytes() == want.tobytes(), kept
 
 
 def test_reduced_density_errors():
