@@ -107,21 +107,31 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
 
 
 def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
-    """Check wire indices, control-bit values, finite real angles, and unitarity of matrix blocks.
+    """Check the gates (:func:`_require_gates`), then that every matrix block is unitary.
+
+    ``tol``, a finite real >= 0 (``OutOfRangeError``), bounds the Gram's deviation.
+    """
+    _require_tol(tol)
+    _require_gates(circuit)
+    for pos, gate in enumerate(circuit.gates):
+        if isinstance(gate, UnitaryBlock) and not is_unitary(gate.matrix, tol):
+            raise NotUnitaryError(f"gate {pos} matrix block is not unitary within tol={tol:g}")
+
+
+def _require_gates(circuit: Circuit) -> None:
+    """Check every gate of ``circuit``, not the blocks' Gram; the circuit files check with it.
 
     The qubit count, every wire and every control bit must be integers (a
     ``bool`` is not one); anything else is an :class:`IndexOutOfRangeError`,
     as is a gate whose wires cannot be read (see :func:`gate_qubits`), and so
-    is anything but a :class:`Circuit`.  ``tol`` must be a finite real >= 0
-    (``OutOfRangeError``).
+    is anything but a :class:`Circuit`.  An angle must be a finite real and
+    not a ``bool`` (``OutOfRangeError``).
     """
-    _require_tol(tol)
     if not isinstance(circuit, Circuit):
         raise IndexOutOfRangeError(f"expected a Circuit, got {type(circuit).__name__}")
     n = circuit.num_qubits
     if not _is_int(n) or n < 1:
-        raise IndexOutOfRangeError(
-            f"circuit needs an integer number of qubits >= 1, got {_shown(n)}")
+        raise IndexOutOfRangeError(f"num_qubits must be an integer >= 1, got {_shown(n)}")
     for pos, gate in enumerate(circuit.gates):
         qs = gate_qubits(gate)
         for q in qs:
@@ -136,13 +146,8 @@ def validate_circuit(circuit: Circuit, tol: float = DEFAULT_TOL) -> None:
             for q, b in gate.controls:
                 if not (_is_int(b) and b in (0, 1)):
                     raise IndexOutOfRangeError(
-                        f"gate {pos} control on qubit {q} has bit {_shown(b)}, expected 0 or 1"
-                    )
-        if isinstance(gate, (Ry, MultiControlledRy)) and not _is_finite_real(gate.theta):
+                        f"gate {pos} control on qubit {q} has bit {_shown(b)}, expected 0 or 1")
+        if isinstance(gate, (Ry, MultiControlledRy)) and (
+                isinstance(gate.theta, bool) or not _is_finite_real(gate.theta)):
             raise OutOfRangeError(
-                f"gate {pos} angle {_shown(gate.theta)} is not finite or not a real number"
-            )
-        if isinstance(gate, UnitaryBlock) and not is_unitary(gate.matrix, tol):
-            raise NotUnitaryError(
-                f"gate {pos} matrix block is not unitary within tol={tol:g}"
-            )
+                f"gate {pos} angle {_shown(gate.theta)} is not finite or not a real number")

@@ -5,8 +5,9 @@ so callers can catch the whole family at once.  The argument checks live
 here too: :func:`_is_int` and :func:`_is_finite_real` are the one tests of
 an integer (a ``bool`` is not one) and of a finite real; :func:`_require_int`
 checks counts and seeds, :func:`_require_tol` tolerances,
-:func:`_qubits_of_dim` register lengths, :func:`_qubit_tuple` and
-:func:`_require_qubits` qubit subsets and :func:`_require_real` real arrays.
+:func:`_qubits_of_dim` register lengths, :func:`_qubit_tuple` iterables of
+qubits, :func:`_require_qubits` the qubits of a trace or a readout (distinct,
+in range, at least one) and :func:`_require_real` real arrays.
 A message shows a refused value through :func:`_shown`, which cannot raise.
 """
 import math
@@ -128,17 +129,16 @@ def _qubit_tuple(qubits, error: type, what: str) -> tuple:
         raise error(f"{what} must be an iterable of qubits, got {type(qubits).__name__}") from None
 
 
-def _require_qubits(keep, n: int, error: type) -> list:
-    """``keep`` as a sorted list of distinct integer qubits in ``0..n-1``, at least one."""
-    keep = _qubit_tuple(keep, error, "keep")
-    if not all(_is_int(q) for q in keep):
-        raise error(f"keep must hold integer qubit indices, got {_shown(keep)}")
-    kept = sorted(set(int(q) for q in keep))
-    if not kept:
-        raise error("keep must name at least one qubit")
-    if kept[0] < 0 or kept[-1] >= n:
-        raise error(f"keep indices {_shown(kept)} out of range for {n} qubits")
-    return kept
+def _require_qubits(qubits, n: int, error: type) -> list:
+    """``qubits`` as a list of ints in the given order, once they are distinct
+    integers in ``0..n-1``, at least one; anything else raises ``error``."""
+    qubits = _qubit_tuple(qubits, error, "qubits")
+    if (not qubits or not all(_is_int(q) and 0 <= q < n for q in qubits)
+            or len(set(qubits)) != len(qubits)):
+        raise error(
+            f"qubits {_shown(qubits)} must be distinct integer indices in 0..{n - 1}, at least one"
+        )
+    return list(map(int, qubits))
 
 
 def _as_complex(value, error: type) -> np.ndarray:

@@ -346,8 +346,8 @@ def matrix_sqrt_psd(m, tol: float = DEFAULT_TOL) -> np.ndarray:
 def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
     """Trace a ``2**total_qubits`` density matrix down to the qubits in ``keep``.
 
-    ``keep`` is a nonempty set of integer qubit indices; the output orders
-    them ascending.  The trace of the input is preserved.  ``total_qubits``
+    ``keep`` is a nonempty set of distinct integer qubit indices; the output
+    orders them ascending.  The trace of the input is preserved.  ``total_qubits``
     must be an integer >= 1 (a ``bool`` is not one).
     """
     if not _is_int(total_qubits) or total_qubits < 1:
@@ -360,7 +360,7 @@ def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected a 2**{_shown(total_qubits)} square matrix, got shape {m.shape}"
         )
-    kept = _require_qubits(keep, total_qubits, DimensionMismatchError)
+    kept = sorted(_require_qubits(keep, total_qubits, DimensionMismatchError))
     dropped = [q for q in range(total_qubits) if q not in kept]
     t = m.reshape([2] * (2 * total_qubits))
     order = kept + dropped

@@ -134,7 +134,9 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
 
     ``expectations`` maps Pauli strings of length ``n``, an integer in 1..12, to
     finite real estimates; the all-identity entry may be omitted (implied 1),
-    and anything but a mapping is a ``MissingExpectationError``.
+    and anything but a mapping is a ``MissingExpectationError``.  Keys are
+    read upper-cased; two keys that name one string, and a key that is not an
+    ``n``-letter Pauli string, are a ``BadLabelError``.
     The raw estimate 2**-n * sum(<P> P) is Hermitized, negative eigenvalues
     are clamped to zero, and the trace is rescaled to 1.
 
@@ -150,6 +152,8 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     values = _require_real(list(expectations.values()), OutOfRangeError,
                            "expectation values must be real")
     table = dict(zip((str(k).upper() for k in expectations), values.tolist()))
+    if len(table) != len(expectations):
+        raise BadLabelError("two expectation keys name the same pauli string once upper-cased")
     table.setdefault("I" * n, 1.0)
     # Checked lazily before any d x d array: a gap stops the scan within
     # len(table) + 1 labels, so a short table costs only its own size.
@@ -162,6 +166,9 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
                 f"expectation value for pauli string {label!r} is {table[label]}, not finite"
             )
         coefficients.append(table[label])
+    if len(table) != len(coefficients):  # every label is in the table, and more
+        extra = next(k for k in table if len(k) != n or k.strip("IXYZ"))
+        raise BadLabelError(f"expectation key {_shown(extra)} is not a {n}-letter pauli string")
     raw = _pauli_density(np.array(coefficients))
     raw = (raw + raw.conj().T) / 2
     w, v = _eigh(raw)

@@ -105,6 +105,11 @@ def eigenvalue_amplitudes(spectral: SpectralDecomposition, tol: float = DEFAULT_
         raise NotAProbabilityVectorError(
             f"eigenvalues sum to {w.sum()!r}, expected 1 within {tol:g}"
         )
+    return _amplitudes(w)
+
+
+def _amplitudes(w: np.ndarray) -> np.ndarray:
+    """Square roots of ``w`` clamped at 0, renormalized if the sum is off 1 by > RENORM_TOL."""
     clamped = np.maximum(w, 0.0)
     total = float(clamped.sum())
     if abs(total - 1.0) > RENORM_TOL:
@@ -126,10 +131,10 @@ def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitB
     own eigenvector.  Then the result is padded to D = 2**n: weight 0 and
     the identity's columns for the added basis states, and a solved weight
     rounded below them clamped to 0, as the loader would load it.  The
-    loader skips :func:`~mixedprep.realamp.compile_real_state`'s checks,
-    which :func:`eigenvalue_amplitudes` has made.  The block's Gram is not
-    measured here: ``run`` checks it through ``validate_circuit``, and
-    ``simulate`` does so for a circuit file.
+    loader takes their square roots as :func:`eigenvalue_amplitudes` does,
+    with no second check of the spectrum ``density_factor`` certified.  The
+    block's Gram is not measured here: ``run`` checks it through
+    ``validate_circuit``, and ``simulate`` does so for a circuit file.
     """
     if not isinstance(rho, np.ndarray):  # an array's shape is read before any conversion
         rho = _as_complex(rho, NotDensityMatrixError)
@@ -143,7 +148,7 @@ def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitB
     if target is not rho:
         values, vectors = _padded(np.maximum(values, 0.0)), _padded(vectors, identity=True)
     spectral = SpectralDecomposition(values, vectors)
-    amps = eigenvalue_amplitudes(spectral, tol)
+    amps = _amplitudes(values)
     d = amps.shape[0]
     n = d.bit_length() - 1
 
@@ -173,7 +178,7 @@ def _support_eigh(m: np.ndarray, a: np.ndarray) -> tuple:
     at 0 so that none sorts below the null weights.  By Cauchy interlacing
     they lie at or above the least eigenvalue of ``m``, which
     ``density_factor`` certified to be at or above -tol, so the clamp moves
-    none further than :func:`eigenvalue_amplitudes` would.
+    none further than the loader's own clamp would.
     """
     d, r = a.shape
     if r == d:

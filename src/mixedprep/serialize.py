@@ -3,10 +3,13 @@
 Density files carry {"dim", "re", "im"} with the real and imaginary parts
 as row-major nested lists.  Circuit files carry {"num_qubits", "gates",
 "meta"}; each gate record has a "kind" of "ry", "cnot", "mcry", or
-"unitary" plus kind-specific fields.  Qubit indices and control bits must
-be JSON integers and angles JSON numbers; nothing else is coerced.  All
-numbers are written as plain Python ints/floats, so json round-trips them
-exactly (shortest-repr float encoding is lossless for binary64).
+"unitary" plus kind-specific fields.  The reader and the writer both apply
+``validate_circuit``'s gate checks (the blocks' Gram is left to ``run``):
+the qubit count, qubit indices and control bits are integers and angles
+finite reals, none of them a ``bool``, and a failure is a
+:class:`FormatError`, so nothing is coerced.  All numbers are written as
+plain Python ints/floats, so json round-trips them exactly (shortest-repr
+float encoding is lossless for binary64).
 
 A writer encodes the whole document before it opens the file, so what the
 readers would refuse (a NaN or infinite float), an int too long to print
@@ -16,12 +19,11 @@ the path as it was.
 from __future__ import annotations
 
 import json
-import numbers
 
 import numpy as np
 
-from .circuits import Circuit, Cnot, MultiControlledRy, Ry, UnitaryBlock
-from .errors import FormatError, _as_complex, _is_int, _shown
+from .circuits import Circuit, Cnot, MultiControlledRy, Ry, UnitaryBlock, _require_gates
+from .errors import FormatError, IndexOutOfRangeError, OutOfRangeError, _as_complex, _shown
 from .linalg import FILE_VALIDATE_TOL, require_density
 
 
@@ -108,31 +110,11 @@ def _gate_to_dict(gate) -> dict:
     if isinstance(gate, Cnot):
         return {"kind": "cnot", "control": int(gate.control), "target": int(gate.target)}
     if isinstance(gate, MultiControlledRy):
-        return {
-            "kind": "mcry",
-            "controls": [int(q) for q, _ in gate.controls],
-            "bits": [int(b) for _, b in gate.controls],
-            "target": int(gate.target),
-            "theta": float(gate.theta),
-        }
-    if isinstance(gate, UnitaryBlock):
-        re, im = _matrix_to_parts(gate.matrix)
-        return {"kind": "unitary", "qubits": [int(q) for q in gate.qubits], "re": re, "im": im}
-    raise FormatError(f"cannot serialize gate of type {type(gate).__name__}")
-
-
-def _index(value) -> int:
-    """A qubit index or control bit: an integer, and not a ``bool`` (JSON ``true``)."""
-    if not _is_int(value):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _angle(value) -> float:
-    """A rotation angle: a number, and not a ``bool`` or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+        return {"kind": "mcry", "controls": [int(q) for q, _ in gate.controls],
+                "bits": [int(b) for _, b in gate.controls], "target": int(gate.target),
+                "theta": float(gate.theta)}
+    re, im = _matrix_to_parts(gate.matrix)  # a UnitaryBlock, the one gate type left
+    return {"kind": "unitary", "qubits": [int(q) for q in gate.qubits], "re": re, "im": im}
 
 
 def _gate_from_dict(doc, pos: int):
@@ -141,34 +123,39 @@ def _gate_from_dict(doc, pos: int):
     kind = doc["kind"]
     try:
         if kind == "ry":
-            return Ry(target=_index(doc["target"]), theta=_angle(doc["theta"]))
+            return Ry(target=doc["target"], theta=doc["theta"])
         if kind == "cnot":
-            return Cnot(control=_index(doc["control"]), target=_index(doc["target"]))
+            return Cnot(control=doc["control"], target=doc["target"])
         if kind == "mcry":
-            controls = [_index(q) for q in doc["controls"]]
-            bits = [_index(b) for b in doc["bits"]]
+            controls, bits = list(doc["controls"]), list(doc["bits"])
             if len(controls) != len(bits):
-                raise FormatError(
-                    f"gate {pos}: {len(controls)} controls but {len(bits)} bits"
-                )
-            return MultiControlledRy(
-                controls=tuple(zip(controls, bits)),
-                target=_index(doc["target"]),
-                theta=_angle(doc["theta"]),
-            )
+                raise FormatError(f"gate {pos}: {len(controls)} controls but {len(bits)} bits")
+            return MultiControlledRy(tuple(zip(controls, bits)), doc["target"], doc["theta"])
         if kind == "unitary":
             matrix = _parts_to_matrix(doc["re"], doc["im"], f"gate {pos}")
-            return UnitaryBlock(qubits=[_index(q) for q in doc["qubits"]], matrix=matrix)
+            return UnitaryBlock(doc["qubits"], matrix)
     except KeyError as exc:
         raise FormatError(f"gate {pos} ({kind}): missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:  # not a list; a block's IndexOutOfRangeError
         raise FormatError(f"gate {pos} ({kind}): bad field value: {exc}") from exc
-    raise FormatError(f"gate {pos}: unknown kind {kind!r}")
+    raise FormatError(f"gate {pos}: unknown kind {_shown(kind)}")
+
+
+def _checked(circuit: Circuit) -> Circuit:
+    """``circuit`` once :func:`~mixedprep.circuits.validate_circuit`'s gate checks pass.
+
+    A failure is a :class:`FormatError`.  The blocks' Gram is left to
+    ``run``, and the CLI's ``simulate``, at their ``tol``.
+    """
+    try:
+        _require_gates(circuit)
+    except (IndexOutOfRangeError, OutOfRangeError) as exc:
+        raise FormatError(str(exc)) from exc
+    return circuit
 
 
 def circuit_to_dict(circuit: Circuit, meta: dict | None = None) -> dict:
-    if not isinstance(circuit, Circuit):
-        raise FormatError(f"expected a Circuit, got {type(circuit).__name__}")
+    _checked(circuit)
     doc_meta = dict(meta or {})
     if circuit.label and "label" not in doc_meta:
         doc_meta["label"] = circuit.label
@@ -185,15 +172,12 @@ def circuit_from_dict(doc) -> Circuit:
     for key in ("num_qubits", "gates"):
         if key not in doc:
             raise FormatError(f"circuit document is missing key {key!r}")
-    n = doc["num_qubits"]
-    if type(n) is not int or n < 1:  # a JSON true is a bool, and no size
-        raise FormatError(f"num_qubits must be a positive integer, got {_shown(n)}")
     if not isinstance(doc["gates"], list):
         raise FormatError("gates must be a list")
     gates = [_gate_from_dict(g, i) for i, g in enumerate(doc["gates"])]
     meta = doc.get("meta") or {}
     label = meta.get("label", "") if isinstance(meta, dict) else ""
-    return Circuit(num_qubits=n, gates=gates, label=label)
+    return _checked(Circuit(num_qubits=doc["num_qubits"], gates=gates, label=label))
 
 
 def write_circuit_file(path, circuit: Circuit, meta: dict | None = None) -> None:

@@ -30,8 +30,8 @@ a rounding-level change cannot move a count.
 
 Shot counts (1..2**63 - 1), seeds and register sizes are checked as
 integers (``bool`` excluded), so a bad one is an ``OutOfRangeError``, not a
-numpy traceback; a qubit index that is not an integer, a qubit set that
-cannot be iterated, or a state that is not 1-d, is an
+numpy traceback; a qubit index that is not an integer or is repeated, a
+qubit set that cannot be iterated, or a state that is not 1-d, is an
 ``IndexOutOfRangeError``.  The sampler refuses a state with no finite
 positive probability mass (``NotNormalizedError``).
 """
@@ -43,8 +43,8 @@ from itertools import product
 import numpy as np
 
 from .circuits import Circuit, Cnot, Gate, MultiControlledRy, UnitaryBlock, validate_circuit
-from .errors import (IndexOutOfRangeError, NotNormalizedError, _as_complex, _is_int,
-                     _qubit_tuple, _qubits_of_dim, _require_int, _require_qubits, _shown)
+from .errors import (IndexOutOfRangeError, NotNormalizedError, _as_complex, _qubits_of_dim,
+                     _require_int, _require_qubits)
 from .linalg import _EPS, DEFAULT_TOL, _fold, _pauli_coefficients
 
 MAX_QUBITS = 24
@@ -190,7 +190,8 @@ def reduced_density(state: np.ndarray, keep) -> np.ndarray:
     for only when one whole-array count finds an exact zero.
     """
     state = _as_complex(state, IndexOutOfRangeError)
-    return _trace(state, _require_qubits(keep, num_qubits_of(state), IndexOutOfRangeError))
+    kept = _require_qubits(keep, num_qubits_of(state), IndexOutOfRangeError)
+    return _trace(state, sorted(kept))
 
 
 def _trace(state: np.ndarray, kept: list) -> np.ndarray:
@@ -236,15 +237,10 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
         raise NotNormalizedError(f"state has no finite positive probability mass: norm {norm}")
     _require_int(shots, "shots", 1, _MAX_SHOTS)
     _require_int(seed, "seed", 0)
-    qubits = _qubit_tuple(qubits, IndexOutOfRangeError, "qubits")
-    if (not qubits or not all(_is_int(q) and 0 <= q < n for q in qubits)
-            or len(set(qubits)) != len(qubits)):
-        raise IndexOutOfRangeError(
-            f"qubits {_shown(qubits)} must be distinct integer indices in 0..{n - 1}, at least one"
-        )
+    qubits = _require_qubits(qubits, n, IndexOutOfRangeError)
     k = len(qubits)
     labels = _pauli_strings(k)  # bounds k before any draw
-    measured = sorted(map(int, qubits))
+    measured = sorted(qubits)
     coefficients = _pauli_coefficients(_trace(state, measured))
     coefficients /= coefficients.flat[0]
     # a chunk holds ~8 tables of 8-byte entries: marginals, copies, counts, sums
@@ -268,7 +264,7 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
         counts = counts.reshape((3,) * t + (2,) * k).transpose(backward).astype(exact)
         sums = sums + _fold(counts, [_TO_SUMS[:, r] for r in reversed(rows)]).T
     # sums runs over the ascending qubits; the labels over the given order
-    sums = sums.transpose([measured.index(q) for q in map(int, qubits)]).ravel().tolist()
+    sums = sums.transpose([measured.index(q) for q in qubits]).ravel().tolist()
     out = {label: total / (3 ** label.count("I") * shots) for label, total in zip(labels, sums)}
     out["I" * k] = 1.0
     return out

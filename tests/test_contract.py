@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 
 from mixedprep import (
+    Circuit,
+    Cnot,
+    FormatError,
+    MultiControlledRy,
     Ry,
     StatePrepError,
     UnitaryBlock,
@@ -134,6 +138,78 @@ def test_a_hostile_argument_ends_in_a_result_or_a_typed_error(call, value):
         ENTRY_POINTS[call](HOSTILE[value])
     except StatePrepError:
         pass
+
+
+# -- one check per fact: every caller of a check refuses the same values --------
+
+def verdict(call):
+    """The type of the StatePrepError ``call`` raises, or None when it returns."""
+    try:
+        call()
+    except StatePrepError as exc:
+        return type(exc)
+    return None
+
+
+# a value that goes into one gate field of a 2-qubit circuit, as the circuit
+# holds it and as a circuit document holds it
+GATE_VALUES = {**HOSTILE, "fraction": 2.7, "bool": True, "np-int64": np.int64(1),
+               "negative": -1, "n": 2, "nan": float("nan"), "json-1e999": json.loads("1e999")}
+# field: (the circuit with value v in it, the field's path in its document, a valid v)
+GATE_FIELDS = {
+    "num_qubits": (lambda v: Circuit(v, [Ry(0, 0.5)]), ("num_qubits",), 2),
+    "ry-target": (lambda v: Circuit(2, [Ry(v, 0.5)]), ("gates", 0, "target"), 1),
+    "ry-theta": (lambda v: Circuit(2, [Ry(0, v)]), ("gates", 0, "theta"), 0.5),
+    "cnot-control": (lambda v: Circuit(2, [Cnot(v, 1)]), ("gates", 0, "control"), 0),
+    "cnot-target": (lambda v: Circuit(2, [Cnot(0, v)]), ("gates", 0, "target"), 1),
+    "mcry-control": (lambda v: Circuit(2, [MultiControlledRy(((v, 1),), 1, 0.5)]),
+                     ("gates", 0, "controls", 0), 0),
+    "mcry-bit": (lambda v: Circuit(2, [MultiControlledRy(((0, v),), 1, 0.5)]),
+                 ("gates", 0, "bits", 0), 1),
+    "mcry-theta": (lambda v: Circuit(2, [MultiControlledRy(((0, 1),), 1, v)]),
+                   ("gates", 0, "theta"), 0.5),
+    "block-qubit": (lambda v: Circuit(2, [UnitaryBlock([v], np.eye(2))]),
+                    ("gates", 0, "qubits", 0), 1),
+}
+GATE_CASES = [(f, v) for f in GATE_FIELDS for v in GATE_VALUES]
+
+
+@pytest.mark.parametrize("field, value", GATE_CASES, ids=[f"{f}-{v}" for f, v in GATE_CASES])
+def test_run_and_both_circuit_file_directions_refuse_the_same_gate_fields(field, value):
+    build, path, valid = GATE_FIELDS[field]
+    circuit = build(GATE_VALUES[value])
+    doc = circuit_to_dict(build(valid))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = GATE_VALUES[value]
+    checked = verdict(lambda: validate_circuit(circuit))
+    written = verdict(lambda: circuit_to_dict(circuit))
+    read = verdict(lambda: circuit_from_dict(doc))
+    if checked is None:
+        assert written is read is None, (written, read)
+        assert circuit_from_dict(doc) == circuit
+        assert circuit_from_dict(circuit_to_dict(circuit)) == circuit
+    else:
+        assert checked is not FormatError and written is read is FormatError, (checked, written, read)
+
+
+QUBIT_SETS = {"repeated": [0, 0], "repeated-later": [1, 0, 1], "empty": [], "negative": [-1],
+              "n": [2], "bool": [True], "float": [1.0], "unsorted": [1, 0], "np-int64": [np.int64(1)]}
+
+
+@pytest.mark.parametrize("name", QUBIT_SETS)
+def test_every_reader_of_a_qubit_set_refuses_the_same_sets(name):
+    qubits = QUBIT_SETS[name]
+    state = run(Circuit(2, [Ry(0, 0.7), Cnot(0, 1), Ry(1, 0.4)]))
+    rho = np.outer(state, state.conj())
+    verdicts = {verdict(lambda: reduced_density(state, qubits)) is None,
+                verdict(lambda: partial_trace(rho, qubits, 2)) is None,
+                verdict(lambda: sample_pauli_expectations(state, qubits, 10, 0)) is None}
+    assert len(verdicts) == 1
+    if verdicts == {True}:  # both traces order the kept qubits ascending
+        np.testing.assert_allclose(reduced_density(state, qubits), partial_trace(rho, qubits, 2),
+                                   rtol=0, atol=1e-15)
 
 
 # -- the CLI: a malformed file ends in exit 2 and one error line --------------

@@ -402,6 +402,14 @@ def test_tomography_output_is_density():
     npt.assert_allclose(np.trace(rec), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("table", [{"Z": 1.0, "z": -1.0}, {"Q": 1.0}, {"XX": 1.0}, {1: 1.0}],
+                         ids=["conflicting-case", "unknown-letter", "too-long", "not-a-string"])
+def test_tomography_refuses_conflicting_or_unknown_labels(table):
+    # a conflict would keep whichever key came last; an unknown key would be ignored
+    with pytest.raises(BadLabelError):
+        tomography_reconstruct({"X": 0.0, "Y": 0.0, "Z": 1.0, **table}, 1)
+
+
 @pytest.mark.parametrize("n", [2.5, True, np.float64(1.0)], ids=["float", "bool", "np-float"])
 def test_tomography_rejects_non_integer_qubit_count(n):
     with pytest.raises(DimensionMismatchError, match="integer >= 1"):

@@ -29,8 +29,8 @@ from mixedprep import (
     reduced_density,
     run,
 )
-from mixedprep import linalg
-from mixedprep.linalg import SpectralDecomposition
+from mixedprep import StatePrepError, circuit_to_dict, linalg, purify
+from mixedprep.linalg import SpectralDecomposition, density_factor
 
 
 def random_density_any_dim(d, seed):
@@ -286,6 +286,27 @@ def test_compile_refuses_a_target_past_the_cap_before_any_work():
 def test_compile_refuses_a_matrix_numpy_cannot_read(value):
     with pytest.raises(NotDensityMatrixError, match="cannot read a complex array"):
         build_preparation_circuit(value)
+
+
+def test_compile_at_tol_0_accepts_every_target_density_factor_accepts(monkeypatch):
+    # compile loads the spectrum density_factor certified, with no second check of
+    # its sum: at tol = 0 that sum is 1 only up to rounding
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile re-checks its own spectrum")
+
+    monkeypatch.setattr(purify, "eigenvalue_amplitudes", refuse)
+    accepted = 0
+    for seed in range(200):
+        rho = ginibre_density(4, seed)
+        rho = (rho + rho.conj().T) / 2
+        try:
+            density_factor(rho, 0.0)
+        except StatePrepError:
+            continue
+        accepted += 1
+        exact = build_preparation_circuit(rho, tol=0.0)
+        assert circuit_to_dict(exact.circuit) == circuit_to_dict(build_preparation_circuit(rho).circuit)
+    assert accepted > 100
 
 
 # numpy's Python-level helpers that the paper's small-target path no longer

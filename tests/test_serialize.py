@@ -162,6 +162,26 @@ def test_circuit_format_errors():
             circuit_from_dict(json.loads('{"num_qubits": 2, "gates": [' + gate + "]}"))
 
 
+@pytest.mark.parametrize("circuit", [
+    Circuit(2.7, [Ry(0.9, 0.5), Cnot(True, 1)]),
+    Circuit("3", []),
+    Circuit(2, [MultiControlledRy(((0, True),), 1, 0.5)]),
+    Circuit(1, [Ry(0, True)]),
+], ids=["truncated-wires", "string-count", "bool-bit", "bool-angle"])
+def test_the_writer_refuses_what_validate_circuit_refuses_and_creates_no_file(tmp_path, circuit):
+    # int() and float() would write 2 qubits and a cnot from qubit 1 to qubit 1
+    with pytest.raises(FormatError):
+        write_circuit_file(tmp_path / "c.json", circuit)
+    assert not list(tmp_path.iterdir())
+
+
+def test_the_reader_refuses_an_out_of_range_wire_and_an_infinite_angle(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"num_qubits": 1, "gates": [{"kind": "ry", "target": 5, "theta": 1e999}]}')
+    with pytest.raises(FormatError, match="gate 0"):
+        read_circuit_file(path)
+
+
 def test_float_precision_survives():
     # adversarial values with no short decimal form
     values = [np.pi, 1 / 3, 2 ** -52, 0.1 + 0.2, np.nextafter(1.0, 2.0)]
@@ -184,20 +204,26 @@ def test_integers_too_large_for_a_float_are_format_errors():
         density_from_dict({"dim": 1, "re": [[huge]], "im": [[0]]})
 
 
-@pytest.mark.parametrize("write", [
-    lambda path: write_circuit_file(path, Circuit(10 ** 5000, [])),
-    lambda path: write_circuit_file(path, Circuit(1, [Ry(0, float("nan"))])),
-    lambda path: write_density_file(path, np.array([[0.5, np.nan], [0.0, 0.5]])),
-    lambda path: write_circuit_file(path, Circuit(1, [Ry(0, 0.5)]), meta={"seed": object()}),
+JSON_FAILURE = "cannot write the document as JSON"
+
+
+# the writer's gate check refuses a NaN angle before the document is encoded
+@pytest.mark.parametrize("write, match", [
+    (lambda path: write_circuit_file(path, Circuit(10 ** 5000, [])), JSON_FAILURE),
+    (lambda path: write_circuit_file(path, Circuit(1, [Ry(0, float("nan"))])),
+     "gate 0 angle nan is not finite or not a real number"),
+    (lambda path: write_density_file(path, np.array([[0.5, np.nan], [0.0, 0.5]])), JSON_FAILURE),
+    (lambda path: write_circuit_file(path, Circuit(1, [Ry(0, 0.5)]), meta={"seed": object()}),
+     JSON_FAILURE),
 ], ids=["num_qubits-too-long-to-print", "nan-angle", "nan-density-entry", "meta-not-json"])
 def test_a_document_json_cannot_write_is_a_format_error_that_leaves_the_path_alone(
-        tmp_path, write):
+        tmp_path, write, match):
     path = tmp_path / "out.json"
-    with pytest.raises(FormatError, match="cannot write the document as JSON"):
+    with pytest.raises(FormatError, match=match):
         write(path)
     assert not path.exists()
     path.write_bytes(b"an earlier file\n")
-    with pytest.raises(FormatError, match="cannot write the document as JSON"):
+    with pytest.raises(FormatError, match=match):
         write(path)
     assert path.read_bytes() == b"an earlier file\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
