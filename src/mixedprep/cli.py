@@ -30,7 +30,7 @@ from .metrics import (
     local_l1_coherence,
     tomography_reconstruct,
 )
-from .purify import build_preparation_circuit, prepare_density
+from .purify import build_preparation_circuit, pad_to_qubit_dimension, prepare_density
 from .serialize import (
     FILE_VALIDATE_TOL,
     read_circuit_file,
@@ -160,6 +160,9 @@ def cmd_metrics(args) -> int:
         if not args.target:
             raise FormatError("--metric fidelity requires --target")
         sigma = _load_density(args.target)
+        if sigma.shape != rho.shape:  # a traced state of a padded target: pad it, as prepare does
+            padded = pad_to_qubit_dimension(sigma, args.tol)
+            sigma = padded if padded.shape == rho.shape else sigma
         value = fidelity(rho, sigma, args.tol)
     elif args.metric == "coherence":
         value = l1_coherence(rho, args.tol)

@@ -136,7 +136,8 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     finite real estimates; the all-identity entry may be omitted (implied 1),
     and anything but a mapping is a ``MissingExpectationError``.  Keys are
     read upper-cased; two keys that name one string, and a key that is not an
-    ``n``-letter Pauli string, are a ``BadLabelError``.
+    ``n``-letter Pauli string (a key that is not a ``str`` included), are a
+    ``BadLabelError``.
     The raw estimate 2**-n * sum(<P> P) is Hermitized, negative eigenvalues
     are clamped to zero, and the trace is rescaled to 1.
 
@@ -151,7 +152,11 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
             f"expectations must map Pauli strings to values, got {type(expectations).__name__}")
     values = _require_real(list(expectations.values()), OutOfRangeError,
                            "expectation values must be real")
-    table = dict(zip((str(k).upper() for k in expectations), values.tolist()))
+    table = {}
+    for key, value in zip(expectations, values.tolist()):
+        if not isinstance(key, str):
+            raise BadLabelError(f"expectation key {_shown(key)} is not a {n}-letter pauli string")
+        table[key.upper()] = value
     if len(table) != len(expectations):
         raise BadLabelError("two expectation keys name the same pauli string once upper-cased")
     table.setdefault("I" * n, 1.0)

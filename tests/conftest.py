@@ -33,7 +33,11 @@ def hermitian_solves(monkeypatch):
 
 @pytest.fixture
 def cholesky_calls(monkeypatch):
-    """The shapes of the matrices passed to ``np.linalg.cholesky``: one per factorization."""
+    """The shapes of the matrices passed to ``np.linalg.cholesky``.
+
+    ``density_factor`` makes one call per matrix at d <= 15; from d = 16 on it
+    first factors the leading (d // 8) x (d // 8) block, and that call counts too.
+    """
     return _counted(monkeypatch, "cholesky")
 
 

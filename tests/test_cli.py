@@ -110,6 +110,29 @@ def test_metrics_outputs(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1.000000000000"
 
 
+def test_metrics_fidelity_pads_the_target_of_a_padded_state(tmp_path, capsys):
+    # the README pipeline on a d = 5 target: the traced state is 8 x 8
+    files = {name: str(tmp_path / f"{name}.json") for name in ("target", "circuit", "prepared")}
+    assert run_cli("gen", "--family", "ginibre:d=5,seed=7", "--out", files["target"],
+                   "--quiet") == 0
+    assert run_cli("prepare", "--input", files["target"], "--out", files["circuit"],
+                   "--quiet") == 0
+    assert run_cli("simulate", "--circuit", files["circuit"], "--trace-ancillas",
+                   "--out", files["prepared"], "--quiet") == 0
+    capsys.readouterr()
+    assert run_cli("metrics", "--state", files["prepared"], "--target", files["target"],
+                   "--metric", "fidelity") == 0
+    assert capsys.readouterr().out == "1.000000000000\n"
+    # any other mismatch still exits 2: a target whose padding is not the state's
+    # size, and a state smaller than the target
+    run_cli("gen", "--family", "ginibre:d=3,seed=7", "--out", str(tmp_path / "t3.json"), "--quiet")
+    for state, target, shapes in ((files["prepared"], tmp_path / "t3.json", "(8, 8) vs (3, 3)"),
+                                  (tmp_path / "t3.json", files["target"], "(3, 3) vs (5, 5)")):
+        assert run_cli("metrics", "--state", str(state), "--target", str(target),
+                       "--metric", "fidelity") == 2
+        assert f"error: shape mismatch: {shapes}" in capsys.readouterr().err
+
+
 def test_metrics_fidelity_requires_target(tmp_path, capsys):
     path = tmp_path / "s.json"
     run_cli("gen", "--family", "ginibre:d=2,seed=0", "--out", str(path), "--quiet")

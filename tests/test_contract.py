@@ -5,11 +5,13 @@ exit code 2 and an ``error:`` line, with no traceback, and so does every
 subcommand that takes ``--tol`` given one that is not a finite number >= 0.
 """
 import json
+from collections.abc import Hashable
 
 import numpy as np
 import pytest
 
 from mixedprep import (
+    BadLabelError,
     Circuit,
     Cnot,
     FormatError,
@@ -138,6 +140,19 @@ def test_a_hostile_argument_ends_in_a_result_or_a_typed_error(call, value):
         ENTRY_POINTS[call](HOSTILE[value])
     except StatePrepError:
         pass
+
+
+# the hostile values that can be a dict key but are not a str, as the key of a Pauli estimate
+KEYS = {name: value for name, value in HOSTILE.items()
+        if isinstance(value, Hashable) and not isinstance(value, str)}
+
+
+@pytest.mark.parametrize("key", sorted(KEYS))
+def test_a_tomography_key_that_is_not_a_pauli_string_is_a_bad_label(key):
+    # str() of the too-long int raised a plain ValueError
+    for table in ({}, {"X": 0.0, "Y": 0.0, "Z": 1.0}):
+        with pytest.raises(BadLabelError, match="is not a 1-letter pauli string"):
+            tomography_reconstruct({**table, KEYS[key]: 1.0}, 1)
 
 
 # -- one check per fact: every caller of a check refuses the same values --------

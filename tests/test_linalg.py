@@ -18,7 +18,10 @@ from mixedprep import (
     OutOfRangeError,
     SpectralDecomposition,
     UnitaryBlock,
+    build_preparation_circuit,
+    concurrence,
     eig_hermitian,
+    fidelity,
     is_density,
     is_unitary,
     matrix_sqrt_psd,
@@ -704,3 +707,176 @@ def test_one_figure_2_target_is_factored_once_per_matrix(cholesky_calls):
     concurrence(prepared)
     l1_coherence(prepared)
     assert cholesky_calls == [(4, 4), (4, 4)]
+
+
+# -- density_factor at its own rank and size -------------------------------------
+
+def full_cholesky_rule(m, tol=DEFAULT_TOL):
+    """The rule density_factor had before the leading-block probe and the padded
+    split: a full Cholesky, then the pivoted one and its residual, then eigh."""
+    m = linalg._require_unit_trace(m, tol)
+    d = m.shape[0]
+    floor = d * linalg._EPS
+    try:
+        a = np.linalg.cholesky(m)
+        if a.diagonal().real.min() ** 2 > floor:
+            return a
+    except np.linalg.LinAlgError:
+        pass
+    a = linalg._pivoted_cholesky(m, floor)
+    resid = a @ a.conj().T
+    resid -= m
+    if d * float(np.abs(resid).max()) <= tol:
+        return a
+    w, v = np.linalg.eigh(m)
+    if w[0] < -tol:
+        raise NotDensityMatrixError(f"minimum eigenvalue {w[0]:.3e}")
+    keep = w > floor
+    return v[:, keep] * np.sqrt(w[keep])
+
+
+def of_rank(d, rank, seed, equal=False):
+    """A rank-``rank`` density matrix on a Haar-random subspace, weights equal or
+    Dirichlet: the construction of the lowrank-n8 benchmark targets."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2, d, rank))
+    q = np.linalg.qr(g[0] + 1j * g[1])[0]
+    w = np.full(rank, 1.0 / rank) if equal else rng.dirichlet(np.ones(rank))
+    rho = (q * w) @ q.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+def with_pivot(d, j, pivot_sq, seed):
+    """L L^dagger of trace 1 whose Cholesky pivot j is sqrt(pivot_sq) in exact
+    arithmetic, with row j of L reaching back over every earlier column; the
+    other pivots are about 1 / sqrt(d), well clear of the floor."""
+    rng = np.random.default_rng(seed)
+    low = np.tril(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), -1) / d
+    low += np.eye(d)
+    low[j, j] = 0.0
+    low *= math.sqrt((1.0 - pivot_sq) / np.vdot(low, low).real)
+    low[j, j] = math.sqrt(pivot_sq)
+    return low @ low.conj().T
+
+
+def oracle_cases(d):
+    floor = d * linalg._EPS
+    k = d // 8
+    ranks = range(1, d) if d <= 64 else [*range(1, d, 9), 4, 16, k - 1, k, k + 1, d - 2, d - 1]
+    cases = {f"rank{r}": of_rank(d, r, r) for r in ranks}
+    cases["full-rank"] = random_density(d, d)
+    for r in (1, 4, 16):  # the lowrank-n8 family
+        for equal in (True, False):
+            cases[f"lowrank-{r}-{'equal' if equal else 'random'}"] = of_rank(d, r, 7 * r, equal)
+    for j in (1, k - 1, k, d - 1):  # inside the probed block, at its edge, past it
+        for scale in (0.125, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0, 1e3):  # 1/8: the probe's floor
+            cases[f"pivot{j}-{scale}floor"] = with_pivot(d, j, scale * floor, j)
+    return cases
+
+
+@pytest.mark.parametrize("d", [64, 256])
+def test_the_factor_has_the_bytes_of_the_full_cholesky_rule(d):
+    for name, rho in oracle_cases(d).items():
+        a, old = linalg._factor(rho, DEFAULT_TOL), full_cholesky_rule(rho)
+        assert a.shape == old.shape and a.tobytes() == old.tobytes(), name
+
+
+def test_a_probe_below_the_rank_skips_the_full_cholesky(cholesky_calls):
+    # d // 8 = 32: a leading 32 x 32 block of a rank-16 matrix has no 17th pivot
+    for rank in (1, 4, 16, 31):
+        cholesky_calls.clear()
+        density_factor(of_rank(256, rank, rank))
+        assert cholesky_calls == [(32, 32)], rank
+    cholesky_calls.clear()
+    density_factor(of_rank(256, 64, 1))  # a rank the probe cannot see: both calls
+    density_factor(random_density(256, 1))
+    assert cholesky_calls == [(32, 32), (256, 256)] * 2
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_no_probe_at_the_paper_sizes(cholesky_calls, d):
+    for rho in (random_density(d, d), of_rank(d, 1, d), of_rank(d, d // 2, d + 1)):
+        linalg._memo.clear()
+        cholesky_calls.clear()
+        density_factor(rho)
+        assert cholesky_calls == [(d, d)]
+
+
+def padded(rho, d):
+    out = np.zeros((d, d), dtype=complex)
+    out[: len(rho), : len(rho)] = rho
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, d, rank", [(1, 2, 1), (3, 4, 3), (5, 8, 2), (250, 256, 250), (200, 256, 4)])
+def test_a_padded_matrix_is_factored_at_its_own_size(cholesky_calls, p, d, rank):
+    rho = of_rank(p, rank, p)
+    m, a = density_factor(padded(rho, d))
+    assert cholesky_calls and all(shape[0] <= p for shape in cholesky_calls)
+    if p // 8 < 2 or rank >= p // 8:
+        assert cholesky_calls[-1] == (p, p)
+    linalg._memo.clear()
+    block = density_factor(rho)[1]
+    assert a.shape == (d, block.shape[1]) and not a[p:].any()
+    assert a[:p].tobytes() == block.tobytes()
+
+
+def test_a_padded_fidelity_moves_by_at_most_d_eps(monkeypatch):
+    from mixedprep import prepare_density
+
+    for rho in (random_density(5, 3), of_rank(6, 2, 4), random_density(100, 5)):
+        bundle = build_preparation_circuit(rho)
+        traced = prepare_density(rho)
+        linalg._memo.clear()
+        value = fidelity(traced, bundle.target)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_factor", full_cholesky_rule)
+            linalg._memo.clear()
+            old = fidelity(traced, bundle.target)
+        linalg._memo.clear()
+        assert abs(value - old) <= len(traced) * linalg._EPS
+        assert 1.0 - value <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "where, value, match",
+    [((-1, 0), np.nan, "NaN or infinite"), ((-1, -1), np.nan, "NaN or infinite"),
+     ((0, -1), 1e-3, "not Hermitian"), ((-1, 0), 1e-3, "not Hermitian")],
+)
+def test_a_matrix_that_is_not_exactly_padded_is_checked_whole(where, value, match):
+    m = padded(random_density(3, 1), 4)
+    m[where] = value
+    linalg._memo.clear()
+    with pytest.raises(NotDensityMatrixError, match=match):
+        density_factor(m)
+
+
+def test_a_zero_diagonal_with_a_live_row_is_checked_whole():
+    # not padded: the last row reaches back, and is refused, or accepted within tol, as it was
+    for off in (1e-3, 1e-12):
+        m = padded(random_density(3, 2), 4)
+        m[-1, 0] = m[0, -1] = off
+        linalg._memo.clear()
+        try:
+            old = full_cholesky_rule(m)
+        except NotDensityMatrixError:
+            with pytest.raises(NotDensityMatrixError, match="minimum eigenvalue"):
+                density_factor(m)
+        else:
+            assert density_factor(m)[1].tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: build_preparation_circuit(np.zeros((2, 2)), tol=2),
+     lambda: concurrence(np.zeros((4, 4)), tol=1.5),
+     lambda: fidelity(np.zeros((2, 2)), np.zeros((2, 2)), tol=1.5),
+     lambda: density_factor(np.zeros((300, 300)), tol=1.5),
+     lambda: density_factor(padded(np.full((1, 1), 1e-17), 4), tol=1.5)],
+    ids=["compile", "concurrence", "fidelity", "large", "padded"],
+)
+def test_a_weightless_matrix_is_not_a_density_matrix(call):
+    linalg._memo.clear()
+    with pytest.raises(NotDensityMatrixError, match="no weight"):
+        call()
