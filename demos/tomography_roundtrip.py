@@ -1,32 +1,19 @@
 """Reconstruct a prepared state from simulated Pauli measurements.
 
-The circuit is sampled shot-by-shot in every Pauli basis, the expectation
-table is inverted back into a density matrix, and the result is compared
-with the exact target.  Statistical error shrinks like 1/sqrt(shots).
+``prepare_density`` with ``shots`` samples each of the 3^k measurement
+settings of the k system qubits, inverts the Pauli estimates back into a
+density matrix, and the result is compared with the exact target.
+Statistical error shrinks like 1/sqrt(shots).
 """
 
-from mixedprep import (
-    build_preparation_circuit,
-    exact_pauli_expectations,
-    fidelity,
-    ginibre_density,
-    reduced_density,
-    run,
-    sample_pauli_expectations,
-    tomography_reconstruct,
-)
+from mixedprep import fidelity, ginibre_density, prepare_density
 
 target = ginibre_density(4, seed=7)
-bundle = build_preparation_circuit(target)
-state = run(bundle.circuit)
 
 for shots in (100, 1_000, 10_000, 100_000):
-    table = sample_pauli_expectations(state, bundle.system_qubits,
-                                      shots=shots, seed=42)
-    rho = tomography_reconstruct(table, n=2)
+    rho = prepare_density(target, shots=shots, seed=42)
     print(f"shots={shots:>7}  fidelity={fidelity(rho, target):.6f}")
 
-# exact expectation values reproduce the target to machine precision
-table = exact_pauli_expectations(reduced_density(state, bundle.system_qubits))
-rho = tomography_reconstruct(table, n=2)
+# the exact readout traces the ancillas off and reproduces the target to machine precision
+rho = prepare_density(target)
 print(f"exact         fidelity={fidelity(rho, target):.15f}")

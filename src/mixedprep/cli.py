@@ -23,13 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DimensionMismatchError, FormatError, OutOfRangeError, StatePrepError
-from .metrics import (
-    concurrence,
-    fidelity,
-    l1_coherence,
-    local_l1_coherence,
-    tomography_reconstruct,
-)
+from .metrics import concurrence, fidelity, l1_coherence, local_l1_coherence
 from .purify import build_preparation_circuit, pad_to_qubit_dimension, prepare_density
 from .serialize import (
     FILE_VALIDATE_TOL,
@@ -38,7 +32,7 @@ from .serialize import (
     write_circuit_file,
     write_density_file,
 )
-from .simulator import MAX_QUBITS, reduced_density, run, sample_pauli_expectations
+from .simulator import MAX_QUBITS, reduced_density, run
 from .states import c1_state, ginibre_density, p00_family
 
 _FAMILY_HELP = "family spec 'name:key=value,...'; names: ginibre, xstate, c1"
@@ -49,6 +43,7 @@ def make_family_state(text: str, default_seed: int) -> np.ndarray:
 
     ``ginibre:d=4,seed=7`` (seed falls back to --seed), ``xstate:theta=...,
     phi=...,p00=...`` (angles default to pi/8, p00 to 0.5), ``c1:c1=0.2``.
+    A key given twice, like an unknown or malformed one, is a :class:`FormatError`.
     """
     name, _, rest = text.partition(":")
     name = name.strip().lower()
@@ -56,8 +51,10 @@ def make_family_state(text: str, default_seed: int) -> np.ndarray:
     for part in rest.split(",") if rest else []:
         if "=" not in part:
             raise FormatError(f"family spec {text!r}: expected key=value, got {part!r}")
-        key, val = part.split("=", 1)
-        kv[key.strip()] = val.strip()
+        key, val = (x.strip() for x in part.split("=", 1))
+        if key in kv:
+            raise FormatError(f"family spec {text!r}: key {key!r} is given twice")
+        kv[key] = val
 
     if name == "ginibre":
         d = _param(kv, "d", text, int)
@@ -192,16 +189,6 @@ def _parse_shots(text: str):
         raise FormatError(f"shots must be an integer or 'exact', got {text!r}") from None
 
 
-def _pipeline_density(target, args, shots, seed) -> np.ndarray:
-    """prepare -> simulate -> trace; with finite shots, tomography instead of trace."""
-    if shots is None:
-        return prepare_density(target, args.tol)
-    bundle = build_preparation_circuit(target, args.tol)
-    state = run(bundle.circuit)
-    expectations = sample_pauli_expectations(state, bundle.system_qubits, shots, seed)
-    return tomography_reconstruct(expectations, len(bundle.system_qubits))
-
-
 def _figure2_blocks(args, shots):
     p00s = [i / 20 for i in range(21)]
     c1s = [float(c1) for c1 in np.linspace(-0.32, 0.32, 21)]
@@ -223,7 +210,7 @@ def _sweep(args, shots, first_row, points, family, metrics) -> list:
     rows = []
     for row, x in enumerate(points, first_row):
         target = family(x)
-        prepared = _pipeline_density(target, args, shots, args.seed + 1000 * row)
+        prepared = prepare_density(target, args.tol, shots=shots, seed=args.seed + 1000 * row)
         rows.append((x, *(m(rho, args.tol) for m in metrics for rho in (target, prepared))))
     return rows
 
@@ -233,8 +220,8 @@ def _figure3_blocks(args, shots):
     for d in (2, 4, 8):
         for sample in range(10):
             target = ginibre_density(d, args.seed + 1000 * d + sample)
-            meas_seed = args.seed + 100000 * d + 1000 * sample
-            prepared = _pipeline_density(target, args, shots, meas_seed)
+            prepared = prepare_density(target, args.tol, shots=shots,
+                                       seed=args.seed + 100000 * d + 1000 * sample)
             rows.append((d, sample, fidelity(prepared, target, args.tol)))
     return [(["d", "sample", "fidelity"], rows)]
 

@@ -12,7 +12,8 @@ and compiled into a 2n-qubit circuit in three stages:
 3. rotate the system register from the computational basis into the
    eigenvector basis with one opaque unitary block.
 
-Tracing the ancillas off the simulated state returns the padded target.
+Tracing the ancillas off the simulated state returns the padded target;
+:func:`prepare_density` runs that round trip, or reads out by shot tomography.
 """
 from __future__ import annotations
 
@@ -33,8 +34,9 @@ from .linalg import (
     density_factor,
     require_density,
 )
+from .metrics import tomography_reconstruct
 from .realamp import _ry_tree
-from .simulator import MAX_TARGET_DIM, reduced_density, run
+from .simulator import MAX_TARGET_DIM, reduced_density, run, sample_pauli_expectations
 
 
 @dataclass
@@ -190,8 +192,17 @@ def _support_eigh(m: np.ndarray, a: np.ndarray) -> tuple:
             np.hstack([q[:, r:], s @ u]))
 
 
-def prepare_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Compile, simulate, and trace out the ancillas: the round-trip check."""
+def prepare_density(rho, tol: float = DEFAULT_TOL, *, shots=None, seed=None) -> np.ndarray:
+    """Compile, simulate and read out the system qubits: the round-trip check.
+
+    With ``shots`` None the ancillas are traced out.  Otherwise the Pauli
+    estimates of ``sample_pauli_expectations(state, qubits, shots, seed)``,
+    which needs an integer ``seed`` >= 0, go through ``tomography_reconstruct``.
+    """
     bundle = build_preparation_circuit(rho, tol)
     state = run(bundle.circuit)
-    return reduced_density(state, bundle.system_qubits)
+    qubits = bundle.system_qubits
+    if shots is None:
+        return reduced_density(state, qubits)
+    expectations = sample_pauli_expectations(state, qubits, shots, seed)
+    return tomography_reconstruct(expectations, len(qubits))

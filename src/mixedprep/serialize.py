@@ -1,10 +1,12 @@
 """JSON file formats for density matrices and circuits.
 
 Density files carry {"dim", "re", "im"} with the real and imaginary parts
-as row-major nested lists.  Circuit files carry {"num_qubits", "gates",
-"meta"}; each gate record has a "kind" of "ry", "cnot", "mcry", or
-"unitary" plus kind-specific fields.  The reader and the writer both apply
-``validate_circuit``'s gate checks (the blocks' Gram is left to ``run``):
+as row-major nested lists of JSON numbers; a string or a ``bool`` entry,
+here or in a unitary block, is a :class:`FormatError`.  Circuit files carry
+{"num_qubits", "gates", "meta"}; each gate record has a "kind" of "ry",
+"cnot", "mcry", or "unitary" plus kind-specific fields.  The reader and
+the writer both apply ``validate_circuit``'s gate checks (the blocks' Gram
+is left to ``run``):
 the qubit count, qubit indices and control bits are integers and angles
 finite reals, none of them a ``bool``, and a failure is a
 :class:`FormatError`, so nothing is coerced.  All numbers are written as
@@ -19,6 +21,7 @@ the path as it was.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -33,16 +36,25 @@ def _matrix_to_parts(m: np.ndarray) -> tuple:
 
 
 def _parts_to_matrix(re, im, what: str) -> np.ndarray:
+    """The complex matrix of a document's ``re`` and ``im``, square lists of JSON numbers.
+
+    numpy reads a numeric string or a ``bool`` as a float, so once both parts
+    have the matrix's shape every entry's type must be ``int`` or ``float``.
+    """
     try:
-        re = np.asarray(re, dtype=float)
-        im = np.asarray(im, dtype=float)
+        re_m = np.asarray(re, dtype=float)
+        im_m = np.asarray(im, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{what}: re/im are not numeric arrays: {exc}") from exc
-    if re.ndim != 2 or re.shape[0] != re.shape[1]:
-        raise FormatError(f"{what}: re must be a square 2-d array, got shape {re.shape}")
-    if im.shape != re.shape:
-        raise FormatError(f"{what}: im shape {im.shape} differs from re shape {re.shape}")
-    return re + 1j * im
+    if re_m.ndim != 2 or re_m.shape[0] != re_m.shape[1]:
+        raise FormatError(f"{what}: re must be a square 2-d array, got shape {re_m.shape}")
+    if im_m.shape != re_m.shape:
+        raise FormatError(f"{what}: im shape {im_m.shape} differs from re shape {re_m.shape}")
+    for name, part in (("re", re), ("im", im)):
+        if not set(map(type, chain.from_iterable(part))) <= {int, float}:
+            bad = next(x for x in chain.from_iterable(part) if type(x) not in (int, float))
+            raise FormatError(f"{what}: {name} entry {_shown(bad)} is not a number")
+    return re_m + 1j * im_m
 
 
 def density_to_dict(rho) -> dict:
@@ -136,6 +148,8 @@ def _gate_from_dict(doc, pos: int):
             return UnitaryBlock(doc["qubits"], matrix)
     except KeyError as exc:
         raise FormatError(f"gate {pos} ({kind}): missing field {exc.args[0]!r}") from exc
+    except FormatError:  # already names the gate
+        raise
     except (TypeError, ValueError) as exc:  # not a list; a block's IndexOutOfRangeError
         raise FormatError(f"gate {pos} ({kind}): bad field value: {exc}") from exc
     raise FormatError(f"gate {pos}: unknown kind {_shown(kind)}")

@@ -37,6 +37,7 @@ def test_family_parser():
         "ginibre",
         "ginibre:d=x",
         "ginibre:d=2,extra=1",
+        "ginibre:d=4,d=2",
         "c1",
         "ginibre:d",
         "c1:c1=nan",
@@ -190,6 +191,18 @@ def test_non_finite_family_parameter_exits_2(tmp_path, capsys, spec, command):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["ginibre:d=4,d=2", "ginibre:d=4,seed=1, seed =2",
+                                  "xstate:p00=0.5,p00=0.5"])
+@pytest.mark.parametrize("command", ["gen", "prepare"])
+def test_a_repeated_family_key_exits_2(tmp_path, capsys, spec, command):
+    # the last value won: ginibre:d=4,d=2 gave a 2 x 2 target
+    out = tmp_path / "out.json"
+    assert run_cli(command, "--family", spec, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "is given twice" in err and "Traceback" not in err
+    assert err.count("\n") == 1 and not out.exists()
 
 
 class _ReadRecorder:

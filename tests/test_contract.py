@@ -77,7 +77,7 @@ HOSTILE = {
 }
 
 # the hostile value goes into the first argument, or into the one a suffix
-# names (-n, -qubits, -level, -shots, -subsystem); the others are valid
+# names (-n, -qubits, -level, -shots, -seed, -subsystem); the others are valid
 ENTRY_POINTS = {
     "eig_hermitian": eig_hermitian,
     "is_density": is_density,
@@ -109,6 +109,8 @@ ENTRY_POINTS = {
     "eigenvalue_amplitudes": eigenvalue_amplitudes,
     "pad_to_qubit_dimension": pad_to_qubit_dimension,
     "prepare_density": prepare_density,
+    "prepare_density-shots": lambda v: prepare_density(np.eye(2) / 2, shots=v, seed=0),
+    "prepare_density-seed": lambda v: prepare_density(np.eye(2) / 2, shots=10, seed=v),
     "c1_state": c1_state,
     "ginibre_density": lambda v: ginibre_density(v, 0),
     "p00_family": p00_family,
@@ -239,6 +241,11 @@ BAD_DENSITY_FILES = {
     # json reads an int past Python's 4300-digit limit with a plain ValueError
     "too-long-to-print": '{"dim": 1%s, "re": [[1]], "im": [[0]]}' % ("0" * 5000),
     "3-d": json.dumps({"dim": 1, "re": [[[1]]], "im": [[[0]]]}),
+    # numpy reads these entries as floats; a density file holds JSON numbers
+    "numeric-string-entries": json.dumps({"dim": 2, "re": [["0.5", "0"], ["0", "0.5"]],
+                                          "im": ZEROS}),
+    "bool-entries": json.dumps({"dim": 2, "re": [[True, False], [False, False]], "im": ZEROS}),
+    "bool-among-numbers": json.dumps({"dim": 2, "re": [[0.5, False], [0, 0.5]], "im": ZEROS}),
 }
 
 
@@ -262,6 +269,9 @@ BAD_CIRCUIT_FILES = {
         '"target": 0', '"target": 1' + "0" * 5000),
     "integer-controls": circuit_text(
         {"kind": "mcry", "controls": 1, "bits": [1], "target": 1, "theta": 0.1}),
+    "numeric-string-entries": circuit_text(unitary([["0", "1"], ["1", "0"]])),
+    "bool-entries": circuit_text(unitary([[False, True], [True, False]])),
+    "bool-among-numbers": circuit_text(unitary([[1, False], [0, 1]])),
 }
 
 GOOD_DENSITY = json.dumps({"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": ZEROS})

@@ -28,14 +28,17 @@ from mixedprep import (
     p00_family,
     reduced_density,
     run,
+    sample_pauli_expectations,
+    tomography_reconstruct,
 )
 from mixedprep import StatePrepError, circuit_to_dict, linalg, purify
 from mixedprep.linalg import SpectralDecomposition, density_factor
 
 
-def random_density_any_dim(d, seed):
+def random_density_any_dim(d, seed, rank=None):
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    shape = (d, rank or d)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     m = g @ g.conj().T
     return m / np.trace(m).real
 
@@ -262,6 +265,33 @@ def test_padded_roundtrip_3x3():
     assert out.shape == (4, 4)
     npt.assert_allclose(out[:3, :3], rho, atol=1e-9)
     assert abs(out[3, 3]) <= 1e-9
+
+
+READOUT_TARGETS = {
+    "padded-d3": lambda: random_density_any_dim(3, 9),
+    "rank-2-d8": lambda: random_density_any_dim(8, 4, rank=2),
+    "figure-2-p00": lambda: p00_family(0.25),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("name", sorted(READOUT_TARGETS))
+def test_prepare_density_reads_out_as_the_hand_assembled_pipeline(name, seed):
+    target = READOUT_TARGETS[name]()
+    bundle = build_preparation_circuit(target)
+    state = run(bundle.circuit)
+    qubits = bundle.system_qubits
+    traced = reduced_density(state, qubits)
+    sampled = tomography_reconstruct(sample_pauli_expectations(state, qubits, 1000, seed),
+                                     len(qubits))
+    assert prepare_density(target).tobytes() == traced.tobytes()
+    assert prepare_density(target, shots=1000, seed=seed).tobytes() == sampled.tobytes()
+    assert not np.array_equal(sampled, traced)
+
+
+def test_a_shot_readout_without_a_seed_is_refused():
+    with pytest.raises(OutOfRangeError, match="seed must be an integer >= 0, got None"):
+        prepare_density(p00_family(0.5), shots=10)
 
 
 @pytest.mark.parametrize("w", [[0.5 + 0.1j, 0.5 - 0.1j], [0.5 + 0j, complex(0.5, np.nan)]],
