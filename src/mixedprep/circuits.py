@@ -16,6 +16,9 @@ from .errors import (IndexOutOfRangeError, NotUnitaryError, OutOfRangeError, _as
                      _is_finite_real, _is_int, _qubit_tuple, _require_tol, _shown)
 from .linalg import DEFAULT_TOL, is_unitary
 
+__all__ = ["Circuit", "Cnot", "Gate", "MultiControlledRy", "Ry", "UnitaryBlock", "gate_qubits",
+           "validate_circuit"]
+
 
 @dataclass(frozen=True)
 class Ry:
@@ -89,18 +92,24 @@ class Circuit:
 
 
 def gate_qubits(gate: Gate) -> tuple[int, ...]:
-    """The qubits a gate touches, controls first; unreadable wires raise IndexOutOfRangeError."""
+    """The qubits a gate touches, controls first; unreadable wires raise IndexOutOfRangeError.
+
+    A ``MultiControlledRy`` whose ``controls`` is not a tuple is unreadable, so
+    a one-shot iterator is refused before it is read, not consumed.
+    """
     if isinstance(gate, Ry):
         return (gate.target,)
     if isinstance(gate, Cnot):
         return (gate.control, gate.target)
     if isinstance(gate, MultiControlledRy):
         try:
+            if not isinstance(gate.controls, tuple):
+                raise TypeError
             return tuple(q for q, _ in gate.controls) + (gate.target,)
         except (TypeError, ValueError) as exc:
             raise IndexOutOfRangeError(
                 f"MultiControlledRy has unreadable wires: controls {_shown(gate.controls)} "
-                f"are not (qubit, bit) pairs") from exc
+                f"are not a tuple of (qubit, bit) pairs") from exc
     if isinstance(gate, UnitaryBlock):
         return gate.qubits
     raise IndexOutOfRangeError(f"{type(gate).__name__} has unreadable wires: not a gate type")
@@ -124,14 +133,17 @@ def _require_gates(circuit: Circuit) -> None:
     The qubit count, every wire and every control bit must be integers (a
     ``bool`` is not one); anything else is an :class:`IndexOutOfRangeError`,
     as is a gate whose wires cannot be read (see :func:`gate_qubits`), and so
-    is anything but a :class:`Circuit`.  An angle must be a finite real and
-    not a ``bool`` (``OutOfRangeError``).
+    is anything but a :class:`Circuit`, or one whose ``gates`` is not a
+    ``list``: an iterator would be consumed here and leave nothing to run.
+    An angle must be a finite real and not a ``bool`` (``OutOfRangeError``).
     """
     if not isinstance(circuit, Circuit):
         raise IndexOutOfRangeError(f"expected a Circuit, got {type(circuit).__name__}")
     n = circuit.num_qubits
     if not _is_int(n) or n < 1:
         raise IndexOutOfRangeError(f"num_qubits must be an integer >= 1, got {_shown(n)}")
+    if not isinstance(circuit.gates, list):
+        raise IndexOutOfRangeError(f"gates must be a list, got {type(circuit.gates).__name__}")
     for pos, gate in enumerate(circuit.gates):
         qs = gate_qubits(gate)
         for q in qs:

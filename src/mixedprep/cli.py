@@ -80,14 +80,25 @@ def _param(kv, key, text, kind, default=None):
         if default is None:
             raise FormatError(f"family spec {text!r}: missing required key {key!r}")
         return default
-    try:
-        value = kind(kv[key])
-    except ValueError:
-        value = None
+    value = _number(kv[key], kind)
     if value is None or (kind is float and not math.isfinite(value)):
         what = "an integer" if kind is int else "a finite number"
         raise FormatError(f"family spec {text!r}: {key} must be {what}")
     return value
+
+
+def _number(text: str, kind):
+    """``text`` as ``kind`` (int or float), or None where it is not an ASCII number.
+
+    ``int()`` and ``float()`` also read digit-group underscores ("1_6") and
+    non-ASCII digits; those are refused before either is called.
+    """
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        return kind(text)
+    except ValueError:
+        return None
 
 
 def _reject_extras(kv, allowed, text):
@@ -180,13 +191,13 @@ def cmd_gen(args) -> int:
 
 
 def _parse_shots(text: str):
-    """``None`` for 'exact', else the integer; the sampler checks its range."""
+    """``None`` for 'exact', else the ASCII integer; the sampler checks its range."""
     if text == "exact":
         return None
-    try:
-        return int(text)
-    except ValueError:
-        raise FormatError(f"shots must be an integer or 'exact', got {text!r}") from None
+    shots = _number(text, int)
+    if shots is None:
+        raise FormatError(f"shots must be an integer or 'exact', got {text!r}")
+    return shots
 
 
 def _figure2_blocks(args, shots):

@@ -15,6 +15,13 @@ import numbers
 
 import numpy as np
 
+__all__ = ["BadLabelError", "BadProbabilitiesError", "DimensionMismatchError", "FormatError",
+           "IndexOutOfRangeError", "LevelOutOfRangeError", "MissingExpectationError",
+           "NegativeAmplitudeError", "NoConvergenceError", "NotAProbabilityVectorError",
+           "NotDensityMatrixError", "NotHermitianError", "NotNormalizedError",
+           "NotOrthonormalError", "NotPSDError", "NotUnitaryError", "OutOfRangeError",
+           "StatePrepError"]
+
 
 class StatePrepError(ValueError):
     """Base class for all errors raised by this package."""

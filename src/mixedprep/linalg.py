@@ -35,13 +35,14 @@ a traced padded d = 500 target against its padded target went from 139 to
 
 One pipeline verifies the same matrix more than once (compile and then
 ``fidelity`` the target, ``fidelity``, ``concurrence`` and the coherences
-the prepared state), so :func:`density_factor` keeps the factors of its last
-``_MEMO_ENTRIES`` = 8 accepted inputs, within the process only.  The key is
-the content: shape, ``tol`` and the bytes of the complex array, so a changed
-input is a new key and is checked again, and a rejected one is never stored.
-Memoized factors are read-only, on a miss too, so no caller can alter a
-stored one.  An input over ``_MEMO_BYTES`` = 64 KiB (d > 64) bypasses the
-memo and gets a writable factor.
+the prepared state), so :func:`density_factor` keeps the factors of its
+``_MEMO_ENTRIES`` = 8 most recently used accepted inputs in a
+``functools.lru_cache``, within the process only.  The key is the content:
+shape, ``tol`` and the bytes of the complex array, so a changed input is a
+new key and is checked again, and a rejected one is never stored (a raise is
+not cached).  Memoized factors are read-only, on a miss too, so no caller can
+alter a stored one.  An input over ``_MEMO_BYTES`` = 64 KiB (d > 64) bypasses
+the memo and gets a writable factor.
 
 The canonical eigenbasis is built, by :func:`canonical_eigenvectors`, only
 where a basis leaves the library: :func:`eig_hermitian` and the compiled
@@ -76,8 +77,8 @@ that is within the same d * eps of 1.
 """
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,9 @@ from .errors import (
     _shown,
 )
 
+__all__ = ["DEFAULT_TOL", "SpectralDecomposition", "eig_hermitian", "is_density", "is_unitary",
+           "matrix_sqrt_psd", "orthonormal_completion", "partial_trace", "require_density"]
+
 DEFAULT_TOL = 1e-10
 FILE_VALIDATE_TOL = 1e-8
 TIE_TOL = 1e-12
@@ -112,12 +116,10 @@ _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1
 _TO_PAULI = _PAULIS.transpose(0, 2, 1).reshape(4, 4)
 _FROM_PAULI = _PAULIS.reshape(4, 4).T / 2
 
-# density_factor's memo: the factors of the last accepted inputs of at most
-# _MEMO_BYTES, oldest first; the lock makes insert-and-evict one step.
+# density_factor's memo: the factors of the most recently used accepted
+# inputs of at most _MEMO_BYTES
 _MEMO_ENTRIES = 8
 _MEMO_BYTES = 2 ** 16
-_memo: dict = {}
-_memo_lock = threading.Lock()
 
 
 def _require_hermitian(m, tol: float, error: type) -> np.ndarray:
@@ -188,16 +190,15 @@ def density_factor(m, tol: float = DEFAULT_TOL) -> tuple:
     m = _as_complex(m, NotDensityMatrixError)
     if m.nbytes > _MEMO_BYTES:
         return m, _factor(m, tol)
-    key = (m.shape, tol, m.tobytes())
-    a = _memo.get(key)
-    if a is None:
-        a = _factor(m, tol)
-        a.flags.writeable = False
-        with _memo_lock:
-            _memo[key] = a
-            while len(_memo) > _MEMO_ENTRIES:
-                del _memo[next(iter(_memo))]
-    return m, a
+    return m, _memo(m.shape, tol, m.tobytes())
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _memo(shape: tuple, tol: float, data: bytes) -> np.ndarray:
+    """The read-only :func:`_factor` of the complex matrix with these bytes."""
+    a = _factor(np.frombuffer(data, dtype=complex).reshape(shape), tol)
+    a.flags.writeable = False
+    return a
 
 
 def _factor(m: np.ndarray, tol: float) -> np.ndarray:

@@ -19,6 +19,9 @@ from .linalg import (_EPS, _PAULIS, DEFAULT_TOL, _eigh, _pauli_coefficients, _pa
                      density_factor, partial_trace, require_density)
 from .simulator import _pauli_strings
 
+__all__ = ["concurrence", "exact_pauli_expectations", "fidelity", "l1_coherence",
+           "local_l1_coherence", "pauli_labels", "pauli_matrix", "tomography_reconstruct"]
+
 PAULI_1Q = dict(zip("IXYZ", _PAULIS))
 
 
@@ -138,11 +141,13 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     read upper-cased; two keys that name one string, and a key that is not an
     ``n``-letter Pauli string (a key that is not a ``str`` included), are a
     ``BadLabelError``.
-    The raw estimate 2**-n * sum(<P> P) is Hermitized, negative eigenvalues
-    are clamped to zero, and the trace is rescaled to 1.
+    The raw estimate 2**-n * sum(<P> P) has its negative eigenvalues clamped
+    to zero, and the trace is rescaled to 1.
 
     The raw estimate is one fold of the 4**n coefficients, qubit by qubit:
-    no Pauli matrix is built.
+    no Pauli matrix is built.  Each qubit's map sends real coefficients to
+    conjugate entry pairs, so the estimate is exactly Hermitian, and needs
+    no symmetrizing before ``eigh``.
     """
     if not _is_int(n) or n < 1:
         raise DimensionMismatchError(f"qubit count must be an integer >= 1, got {_shown(n)}")
@@ -174,9 +179,7 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     if len(table) != len(coefficients):  # every label is in the table, and more
         extra = next(k for k in table if len(k) != n or k.strip("IXYZ"))
         raise BadLabelError(f"expectation key {_shown(extra)} is not a {n}-letter pauli string")
-    raw = _pauli_density(np.array(coefficients))
-    raw = (raw + raw.conj().T) / 2
-    w, v = _eigh(raw)
+    w, v = _eigh(_pauli_density(np.array(coefficients)))
     w = np.maximum(w, 0.0)
     total = float(w.sum())
     if total <= 0.0:

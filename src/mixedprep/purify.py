@@ -38,6 +38,9 @@ from .metrics import tomography_reconstruct
 from .realamp import _ry_tree
 from .simulator import MAX_TARGET_DIM, reduced_density, run, sample_pauli_expectations
 
+__all__ = ["PreparedCircuitBundle", "build_preparation_circuit", "eigenvalue_amplitudes",
+           "pad_to_qubit_dimension", "prepare_density"]
+
 
 @dataclass
 class PreparedCircuitBundle:

@@ -19,6 +19,8 @@ from .errors import (DimensionMismatchError, LevelOutOfRangeError, NegativeAmpli
                      _require_real, _require_tol, _shown)
 from .linalg import DEFAULT_TOL
 
+__all__ = ["branch_norms", "compile_real_state", "rotation_angle"]
+
 
 def branch_norms(amps: np.ndarray, level: int) -> np.ndarray:
     """Root-sum-square of the amplitudes under each prefix of ``level + 1`` bits.

@@ -4,14 +4,14 @@ Density files carry {"dim", "re", "im"} with the real and imaginary parts
 as row-major nested lists of JSON numbers; a string or a ``bool`` entry,
 here or in a unitary block, is a :class:`FormatError`.  Circuit files carry
 {"num_qubits", "gates", "meta"}; each gate record has a "kind" of "ry",
-"cnot", "mcry", or "unitary" plus kind-specific fields.  The reader and
-the writer both apply ``validate_circuit``'s gate checks (the blocks' Gram
-is left to ``run``):
-the qubit count, qubit indices and control bits are integers and angles
-finite reals, none of them a ``bool``, and a failure is a
-:class:`FormatError`, so nothing is coerced.  All numbers are written as
-plain Python ints/floats, so json round-trips them exactly (shortest-repr
-float encoding is lossless for binary64).
+"cnot", "mcry", or "unitary" plus kind-specific fields, and "meta", where
+it is present and not null, is a JSON object in both directions.  The
+reader and the writer both apply ``validate_circuit``'s gate checks (the
+blocks' Gram is left to ``run``): the qubit count, qubit indices and
+control bits are integers and angles finite reals, none of them a
+``bool``, and a failure is a :class:`FormatError`, so nothing is coerced.
+All numbers are written as plain Python ints/floats, so json round-trips
+them exactly (shortest-repr float encoding is lossless for binary64).
 
 A writer encodes the whole document before it opens the file, so what the
 readers would refuse (a NaN or infinite float), an int too long to print
@@ -28,6 +28,9 @@ import numpy as np
 from .circuits import Circuit, Cnot, MultiControlledRy, Ry, UnitaryBlock, _require_gates
 from .errors import FormatError, IndexOutOfRangeError, OutOfRangeError, _as_complex, _shown
 from .linalg import FILE_VALIDATE_TOL, require_density
+
+__all__ = ["circuit_from_dict", "circuit_to_dict", "density_from_dict", "density_to_dict",
+           "read_circuit_file", "read_density_file", "write_circuit_file", "write_density_file"]
 
 
 def _matrix_to_parts(m: np.ndarray) -> tuple:
@@ -168,9 +171,18 @@ def _checked(circuit: Circuit) -> Circuit:
     return circuit
 
 
+def _meta(meta) -> dict:
+    """A circuit document's ``meta``: a JSON object, {} for None, else a FormatError."""
+    if meta is None:
+        return {}
+    if not isinstance(meta, dict):
+        raise FormatError(f"meta must be a JSON object, got {type(meta).__name__}")
+    return meta
+
+
 def circuit_to_dict(circuit: Circuit, meta: dict | None = None) -> dict:
     _checked(circuit)
-    doc_meta = dict(meta or {})
+    doc_meta = dict(_meta(meta))
     if circuit.label and "label" not in doc_meta:
         doc_meta["label"] = circuit.label
     return {
@@ -189,8 +201,7 @@ def circuit_from_dict(doc) -> Circuit:
     if not isinstance(doc["gates"], list):
         raise FormatError("gates must be a list")
     gates = [_gate_from_dict(g, i) for i, g in enumerate(doc["gates"])]
-    meta = doc.get("meta") or {}
-    label = meta.get("label", "") if isinstance(meta, dict) else ""
+    label = _meta(doc.get("meta")).get("label", "")
     return _checked(Circuit(num_qubits=doc["num_qubits"], gates=gates, label=label))
 
 

@@ -47,6 +47,9 @@ from .errors import (IndexOutOfRangeError, NotNormalizedError, _as_complex, _qub
                      _require_int, _require_qubits)
 from .linalg import _EPS, DEFAULT_TOL, _fold, _pauli_coefficients
 
+__all__ = ["MAX_QUBITS", "apply_gate", "reduced_density", "run", "sample_pauli_expectations",
+           "zero_state"]
+
 MAX_QUBITS = 24
 MAX_TARGET_DIM = 2 ** (MAX_QUBITS // 2)  # the largest target whose purification fits
 _MAX_SHOTS = 2 ** 63 - 1  # the multinomial sampler draws int64 counts

@@ -16,6 +16,9 @@ from .errors import (BadProbabilitiesError, NotPSDError, OutOfRangeError, _is_fi
 from .linalg import DEFAULT_TOL, PROB_TOL
 from .simulator import MAX_TARGET_DIM
 
+__all__ = ["XStateParams", "c1_state", "c1_valid_range", "ginibre_density", "p00_family",
+           "p00_family_probs", "x_state", "x_state_eigenvectors"]
+
 
 @dataclass(frozen=True)
 class XStateParams:

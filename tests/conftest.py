@@ -12,7 +12,7 @@ def _counted(monkeypatch, *names):
     ``density_factor``'s memo is emptied first, so a factor stored by an
     earlier test cannot hide a solve that this one counts.
     """
-    linalg._memo.clear()
+    linalg._memo.cache_clear()
     calls = []
     for name in names:
         real = getattr(np.linalg, name)

@@ -22,6 +22,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# int() and float() read these: d = 16, d = 4 (an Arabic-Indic four), c1 = 0.1
+NOT_ASCII_NUMBERS = ("ginibre:d=1_6,seed=0", "ginibre:d=\u0664", "c1:c1=1_0e-2")
+
+
 def test_family_parser():
     npt.assert_array_equal(make_family_state("ginibre:d=4,seed=7", 0), ginibre_density(4, 7))
     npt.assert_array_equal(make_family_state("ginibre:d=2", 5), ginibre_density(2, 5))
@@ -44,6 +48,7 @@ def test_family_parser():
         "c1:c1=inf",
         "xstate:theta=inf",
         "xstate:theta=nan",
+        *NOT_ASCII_NUMBERS,
     ):
         with pytest.raises(FormatError):
             make_family_state(bad, 0)
@@ -205,6 +210,17 @@ def test_a_repeated_family_key_exits_2(tmp_path, capsys, spec, command):
     assert err.count("\n") == 1 and not out.exists()
 
 
+@pytest.mark.parametrize("spec", NOT_ASCII_NUMBERS)
+@pytest.mark.parametrize("command", ["gen", "prepare"])
+def test_a_family_value_that_is_not_an_ascii_number_exits_2(tmp_path, capsys, spec, command):
+    # prepare --family recorded the spec verbatim as the circuit's source
+    out = tmp_path / "out.json"
+    assert run_cli(command, "--family", spec, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be" in err and "Traceback" not in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
 class _ReadRecorder:
     """Stands in for the parsed arguments and records which ones a command reads."""
 
@@ -326,6 +342,16 @@ def test_reproduce_out_of_range_shots_exit_2(tmp_path, capsys, shots):
     assert "shots must be an integer in 1..9223372036854775807" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("shots", ["1_000", "\u0661\u0660"], ids=["underscore", "arabic-indic-10"])
+def test_a_shot_count_that_is_not_ascii_digits_exits_2(tmp_path, capsys, shots):
+    # int() read them as 1000 and 10
+    out = tmp_path / "x.csv"
+    assert run_cli("reproduce", "--figure", "3", "--shots", shots, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: shots must be an integer or 'exact'") and "Traceback" not in err
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_parse_shots_only_parses():

@@ -15,6 +15,7 @@ from mixedprep import (
     Circuit,
     Cnot,
     FormatError,
+    IndexOutOfRangeError,
     MultiControlledRy,
     Ry,
     StatePrepError,
@@ -77,7 +78,8 @@ HOSTILE = {
 }
 
 # the hostile value goes into the first argument, or into the one a suffix
-# names (-n, -qubits, -level, -shots, -seed, -subsystem); the others are valid
+# names (-n, -qubits, -level, -shots, -seed, -subsystem, -gates, -controls);
+# the others are valid
 ENTRY_POINTS = {
     "eig_hermitian": eig_hermitian,
     "is_density": is_density,
@@ -89,6 +91,9 @@ ENTRY_POINTS = {
     "partial_trace-n": lambda v: partial_trace(np.eye(2) / 2, [0], v),
     "require_density": require_density,
     "validate_circuit": validate_circuit,
+    "validate_circuit-gates": lambda v: validate_circuit(Circuit(1, v)),
+    "validate_circuit-controls":
+        lambda v: validate_circuit(Circuit(2, [MultiControlledRy(v, 1, 0.5)])),
     "gate_qubits": gate_qubits,
     "branch_norms": lambda v: branch_norms(v, 0),
     "branch_norms-level": lambda v: branch_norms([1.0, 0.0], v),
@@ -98,6 +103,8 @@ ENTRY_POINTS = {
     "reduced_density": lambda v: reduced_density(v, [0]),
     "reduced_density-qubits": lambda v: reduced_density(np.array([1.0, 0.0]), v),
     "run": run,
+    "run-gates": lambda v: run(Circuit(1, v)),
+    "run-controls": lambda v: run(Circuit(2, [MultiControlledRy(v, 1, 0.5)])),
     "UnitaryBlock-qubits": lambda v: UnitaryBlock(v, np.eye(2)),
     "sample_pauli_expectations": lambda v: sample_pauli_expectations(v, [0], 10, 0),
     "sample_pauli_expectations-qubits":
@@ -129,6 +136,7 @@ ENTRY_POINTS = {
     "tomography_reconstruct-n": lambda v: tomography_reconstruct({}, v),
     "circuit_from_dict": circuit_from_dict,
     "circuit_to_dict": circuit_to_dict,
+    "circuit_to_dict-gates": lambda v: circuit_to_dict(Circuit(1, v)),
     "density_from_dict": density_from_dict,
     "density_to_dict": density_to_dict,
 }
@@ -209,6 +217,34 @@ def test_run_and_both_circuit_file_directions_refuse_the_same_gate_fields(field,
         assert circuit_from_dict(circuit_to_dict(circuit)) == circuit
     else:
         assert checked is not FormatError and written is read is FormatError, (checked, written, read)
+
+
+# a gates or controls container other than the declared list or tuple: a
+# one-shot one was consumed by the checks and ran as if empty (an iterator
+# Ry(0, pi) left |0>, an iterator control was dropped), and None was a TypeError
+ONE_SHOT_CIRCUITS = {
+    "gates-iterator": lambda: Circuit(1, iter([Ry(0, np.pi)])),
+    "gates-generator": lambda: Circuit(1, (gate for gate in [Ry(0, np.pi)])),
+    "gates-tuple": lambda: Circuit(1, (Ry(0, np.pi),)),
+    "gates-none": lambda: Circuit(1, None),
+    "controls-iterator": lambda: Circuit(2, [MultiControlledRy(iter([(0, 1)]), 1, np.pi)]),
+    "controls-generator":
+        lambda: Circuit(2, [MultiControlledRy((pair for pair in [(0, 1)]), 1, np.pi)]),
+    "controls-list": lambda: Circuit(2, [MultiControlledRy([(0, 1)], 1, np.pi)]),
+}
+
+
+@pytest.mark.parametrize("name", ONE_SHOT_CIRCUITS)
+def test_a_gates_or_controls_container_of_the_wrong_type_is_refused(name):
+    build = ONE_SHOT_CIRCUITS[name]
+    checks = [validate_circuit, run]
+    if name.startswith("controls"):
+        checks.append(lambda circuit: apply_gate(zero_state(2), circuit.gates[0]))
+    for check in checks:
+        with pytest.raises(IndexOutOfRangeError, match="must be a list|unreadable wires"):
+            check(build())
+    with pytest.raises(FormatError, match="must be a list|unreadable wires"):
+        circuit_to_dict(build())
 
 
 QUBIT_SETS = {"repeated": [0, 0], "repeated-later": [1, 0, 1], "empty": [], "negative": [-1],

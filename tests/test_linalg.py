@@ -585,13 +585,13 @@ def rank_two(d, seed):
 def test_a_memo_hit_has_the_bytes_of_a_miss():
     # full rank (Cholesky), rank deficient (pivoted Cholesky) and a list input
     for rho in (random_density(4, 3), rank_two(4, 3), random_density(8, 4).tolist()):
-        linalg._memo.clear()
+        linalg._memo.cache_clear()
         m, miss = density_factor(rho)
         own = np.array(rho, dtype=complex)
         m_hit, hit = density_factor(own)
         assert m_hit is own  # the caller's own converted array, as without the memo
-        assert hit is miss and len(linalg._memo) == 1
-        linalg._memo.clear()
+        assert hit is miss and linalg._memo.cache_info().currsize == 1
+        linalg._memo.cache_clear()
         assert density_factor(own)[1].tobytes() == hit.tobytes()
         assert np.array_equal(m, own)
 
@@ -609,7 +609,7 @@ def test_a_matrix_changed_after_it_was_stored_is_checked_again(cholesky_calls):
 
 
 def test_a_refused_matrix_raises_on_every_call_and_is_never_stored():
-    linalg._memo.clear()
+    linalg._memo.cache_clear()
     indefinite = np.array([[0.5, 0.6], [0.6, 0.5]])
     for _ in range(3):
         with pytest.raises(NotDensityMatrixError, match="minimum eigenvalue -1.000e-01"):
@@ -617,11 +617,11 @@ def test_a_refused_matrix_raises_on_every_call_and_is_never_stored():
         assert is_density(indefinite) is False
         with pytest.raises(NotDensityMatrixError, match="trace deviates"):
             density_factor(2 * np.eye(2))
-    assert not linalg._memo
+    assert not linalg._memo.cache_info().currsize
 
 
 def test_a_stored_factor_cannot_be_written():
-    linalg._memo.clear()
+    linalg._memo.cache_clear()
     rho = random_density(4, 7)
     _, a = density_factor(rho)
     before = a.tobytes()
@@ -636,7 +636,7 @@ def test_the_memo_holds_at_most_its_entries(cholesky_calls):
     inputs = [random_density(2, seed) for seed in range(3 * linalg._MEMO_ENTRIES)]
     for rho in inputs:
         density_factor(rho)
-    assert len(linalg._memo) == linalg._MEMO_ENTRIES
+    assert linalg._memo.cache_info().currsize == linalg._MEMO_ENTRIES
     cholesky_calls.clear()
     for rho in inputs[-linalg._MEMO_ENTRIES:]:  # the newest are held
         density_factor(rho)
@@ -645,10 +645,23 @@ def test_the_memo_holds_at_most_its_entries(cholesky_calls):
     assert cholesky_calls == [(2, 2)]
 
 
+def test_the_memo_evicts_the_least_recently_used(cholesky_calls):
+    inputs = [random_density(2, seed) for seed in range(linalg._MEMO_ENTRIES + 1)]
+    for rho in inputs[:-1]:
+        density_factor(rho)
+    density_factor(inputs[0])  # a hit: the oldest insert is now the most recent use
+    density_factor(inputs[-1])  # one more: the least recently used, inputs[1], goes
+    cholesky_calls.clear()
+    density_factor(inputs[0])
+    assert cholesky_calls == []
+    density_factor(inputs[1])
+    assert cholesky_calls == [(2, 2)]
+
+
 def test_the_memo_bound_holds_under_threads():
     # more threads than cores, switching as often as the interpreter allows:
-    # two threads evicting the same oldest entry would raise a KeyError
-    linalg._memo.clear()
+    # every factor read must be its own input's, and the bound must hold
+    linalg._memo.cache_clear()
     inputs = [random_density(2, seed) for seed in range(400)]
     errors = []
 
@@ -657,7 +670,7 @@ def test_the_memo_bound_holds_under_threads():
             for rho in inputs[start:] + inputs[:start]:
                 _, a = density_factor(rho)
                 assert np.abs(a @ a.conj().T - rho).max() <= 1e-15
-                assert len(linalg._memo) <= linalg._MEMO_ENTRIES + 1  # one insert in flight
+                assert linalg._memo.cache_info().currsize <= linalg._MEMO_ENTRIES
         except Exception as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
 
@@ -672,26 +685,27 @@ def test_the_memo_bound_holds_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert errors == [] and len(linalg._memo) == linalg._MEMO_ENTRIES
+    assert errors == [] and linalg._memo.cache_info().currsize == linalg._MEMO_ENTRIES
 
 
 def test_a_matrix_above_the_cap_bypasses_the_memo():
-    linalg._memo.clear()
+    linalg._memo.cache_clear()
     at_cap, above = random_density(64, 1), random_density(65, 1)  # 64 KiB and past it
     assert at_cap.nbytes == linalg._MEMO_BYTES
-    assert not density_factor(at_cap)[1].flags.writeable and len(linalg._memo) == 1
+    assert not density_factor(at_cap)[1].flags.writeable
+    assert linalg._memo.cache_info().currsize == 1
     _, a = density_factor(above)
-    assert a.flags.writeable and len(linalg._memo) == 1
+    assert a.flags.writeable and linalg._memo.cache_info().currsize == 1
     assert density_factor(above)[1] is not a  # factored again
 
 
 def test_the_memo_keys_on_the_tolerance():
-    linalg._memo.clear()
+    linalg._memo.cache_clear()
     rho = np.eye(2) / 2
     a = density_factor(rho, 1e-10)[1]
     assert density_factor(rho, np.float64(1e-10))[1] is a  # the same number
     assert density_factor(rho, 1e-8)[1] is not a
-    assert len(linalg._memo) == 2
+    assert linalg._memo.cache_info().currsize == 2
 
 
 def test_one_figure_2_target_is_factored_once_per_matrix(cholesky_calls):
@@ -796,7 +810,7 @@ def test_a_probe_below_the_rank_skips_the_full_cholesky(cholesky_calls):
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_no_probe_at_the_paper_sizes(cholesky_calls, d):
     for rho in (random_density(d, d), of_rank(d, 1, d), of_rank(d, d // 2, d + 1)):
-        linalg._memo.clear()
+        linalg._memo.cache_clear()
         cholesky_calls.clear()
         density_factor(rho)
         assert cholesky_calls == [(d, d)]
@@ -816,7 +830,7 @@ def test_a_padded_matrix_is_factored_at_its_own_size(cholesky_calls, p, d, rank)
     assert cholesky_calls and all(shape[0] <= p for shape in cholesky_calls)
     if p // 8 < 2 or rank >= p // 8:
         assert cholesky_calls[-1] == (p, p)
-    linalg._memo.clear()
+    linalg._memo.cache_clear()
     block = density_factor(rho)[1]
     assert a.shape == (d, block.shape[1]) and not a[p:].any()
     assert a[:p].tobytes() == block.tobytes()
@@ -828,13 +842,13 @@ def test_a_padded_fidelity_moves_by_at_most_d_eps(monkeypatch):
     for rho in (random_density(5, 3), of_rank(6, 2, 4), random_density(100, 5)):
         bundle = build_preparation_circuit(rho)
         traced = prepare_density(rho)
-        linalg._memo.clear()
+        linalg._memo.cache_clear()
         value = fidelity(traced, bundle.target)
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "_factor", full_cholesky_rule)
-            linalg._memo.clear()
+            linalg._memo.cache_clear()
             old = fidelity(traced, bundle.target)
-        linalg._memo.clear()
+        linalg._memo.cache_clear()
         assert abs(value - old) <= len(traced) * linalg._EPS
         assert 1.0 - value <= 1e-12
 
@@ -847,7 +861,7 @@ def test_a_padded_fidelity_moves_by_at_most_d_eps(monkeypatch):
 def test_a_matrix_that_is_not_exactly_padded_is_checked_whole(where, value, match):
     m = padded(random_density(3, 1), 4)
     m[where] = value
-    linalg._memo.clear()
+    linalg._memo.cache_clear()
     with pytest.raises(NotDensityMatrixError, match=match):
         density_factor(m)
 
@@ -857,7 +871,7 @@ def test_a_zero_diagonal_with_a_live_row_is_checked_whole():
     for off in (1e-3, 1e-12):
         m = padded(random_density(3, 2), 4)
         m[-1, 0] = m[0, -1] = off
-        linalg._memo.clear()
+        linalg._memo.cache_clear()
         try:
             old = full_cholesky_rule(m)
         except NotDensityMatrixError:
@@ -877,6 +891,6 @@ def test_a_zero_diagonal_with_a_live_row_is_checked_whole():
     ids=["compile", "concurrence", "fidelity", "large", "padded"],
 )
 def test_a_weightless_matrix_is_not_a_density_matrix(call):
-    linalg._memo.clear()
+    linalg._memo.cache_clear()
     with pytest.raises(NotDensityMatrixError, match="no weight"):
         call()

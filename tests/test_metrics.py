@@ -520,6 +520,19 @@ def test_tomography_fold_matches_the_per_label_sum(name):
     npt.assert_allclose(tomography_reconstruct(table, n), estimate, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_a_pauli_density_of_real_coefficients_is_exactly_hermitian(k):
+    # tomography_reconstruct hands the fold to eigh as it is: symmetrizing it
+    # would change no byte.  The diagonal's imaginary zeros are +0.0, so the
+    # byte test is against the Hermitized matrix, not the sign-flipped conjugate.
+    rng = np.random.default_rng(k)
+    shots = rng.integers(-1000, 1001, (100, 4 ** k)) / 1000  # as 1000-shot estimates
+    for c in [*rng.standard_normal((100, 4 ** k)), *shots]:
+        raw = linalg._pauli_density(c)
+        assert np.array_equal(raw, raw.conj().T)
+        assert raw.tobytes() == ((raw + raw.conj().T) / 2).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pauli_coefficients_fold_matches_the_trace_with_each_kron(n):
     for seed in range(5):

@@ -352,7 +352,7 @@ def test_the_paper_path_calls_none_of_the_removed_numpy_helpers(monkeypatch):
             raise AssertionError(f"np.{name} is back on the paper's path")
         return helper
 
-    monkeypatch.setattr(linalg, "_memo", {})  # every matrix is factored, none looked up
+    linalg._memo.cache_clear()  # every matrix is factored, none looked up
     for name in REMOVED_HELPERS:
         monkeypatch.setattr(np, name, refuse(name))
     for rho in targets:

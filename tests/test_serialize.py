@@ -227,3 +227,37 @@ def test_a_document_json_cannot_write_is_a_format_error_that_leaves_the_path_alo
         write(path)
     assert path.read_bytes() == b"an earlier file\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+# a meta that is not a JSON object: the writer called dict() on it and the
+# reader took `meta or {}`, so "label" and 5 raised bare errors, [("a", 1)]
+# was written as {"a": 1}, a zero-size array raised numpy's ValueError, and
+# a file with "meta": 5 read with label ""
+BAD_META = {"string": "label", "int": 5, "float": 0.5, "bool": True, "pairs": [("a", 1)],
+            "empty-list": [], "empty-string": "", "zero": 0, "empty-array": np.zeros((0, 0))}
+
+
+@pytest.mark.parametrize("name", BAD_META)
+def test_a_meta_that_is_not_an_object_is_refused_both_ways(tmp_path, name):
+    meta = BAD_META[name]
+    path = tmp_path / "c.json"
+    with pytest.raises(FormatError, match="meta must be a JSON object"):
+        circuit_to_dict(Circuit(1, [Ry(0, 0.5)]), meta=meta)
+    with pytest.raises(FormatError, match="meta must be a JSON object"):
+        write_circuit_file(path, Circuit(1, [Ry(0, 0.5)]), meta)
+    assert not path.exists()
+    with pytest.raises(FormatError, match="meta must be a JSON object"):
+        circuit_from_dict({"num_qubits": 1, "gates": [], "meta": meta})
+    if not isinstance(meta, np.ndarray):
+        path.write_text(json.dumps({"num_qubits": 1, "gates": [], "meta": meta}))
+        with pytest.raises(FormatError, match="meta must be a JSON object"):
+            read_circuit_file(path)
+
+
+def test_an_absent_null_or_empty_meta_reads_and_writes():
+    circuit = Circuit(1, [Ry(0, 0.5)], label="x")
+    assert circuit_to_dict(circuit, None)["meta"] == circuit_to_dict(circuit, {})["meta"]
+    for doc in ({"num_qubits": 1, "gates": []}, {"num_qubits": 1, "gates": [], "meta": None},
+                {"num_qubits": 1, "gates": [], "meta": {}}):
+        assert circuit_from_dict(doc) == Circuit(1, [])
+    assert circuit_from_dict(circuit_to_dict(circuit, {"seed": 7})) == circuit
