@@ -33,6 +33,34 @@ rho, and its factor gains the d - p zero rows.  Measured with one OpenBLAS
 a traced padded d = 500 target against its padded target went from 139 to
 19 ms (22 ms at d = 512).
 
+Each certificate costs less than the answer it certifies, and keeps its
+decision.  Three of them are whole-array passes:
+
+- The Hermitian test writes conj(m^T) - m into one d x d scratch array and
+  takes the largest |Re| or |Im| of its entries, in place over the float
+  view.  |z| <= sqrt(2) * max(|Re z|, |Im z|), so 1.5 times that largest part
+  at or below ``tol`` accepts (the 1.5 leaves room for the rounding of
+  ``hypot``).  Any other matrix runs the exact test: finite entries, then
+  max |m - m^dagger| with its message.  A NaN or inf entry makes the largest
+  part NaN, so it never takes the fast accept and every refusal keeps its
+  message and order.
+- The Cholesky residual S = a a^dagger - m is prefiltered the same way, in
+  place: 1.5 * d * max(|Re S|, |Im S|) <= ``tol`` accepts, and d * max |S|
+  decides the rest.  The in-place pass leaves |Re S| + i |Im S|, whose
+  moduli have the bits of |S|.
+- The Gram Q^dagger Q of ``is_unitary`` and ``orthonormal_completion`` is
+  Hermitian, so a column range wider than 128 is halved: the product of its
+  halves is the off-diagonal block, its mirror has the same moduli, and each
+  half recurses: 3/4 of the one product's flops at d = 256 and 5/8 at
+  d = 512.  A d <= 128 input still makes the one product.
+
+Measured in one process against the previous code, with one OpenBLAS
+0.3.31 thread and numpy 2.4.6 (medians of 9, two runs): at d = 256 the
+Hermitian test went from 0.47 to 0.25 ms, ``_factor`` of a rank-4 matrix from
+0.98-1.0 to 0.63-0.64 ms and the Gram from 2.6 to 2.1 ms; at d = 512 from 2.6
+to 1.8-2.4 ms, 4.9 to 3.3-4.1 ms and 19 to 14 ms.  The Hermitian test's peak
+allocation went from 2.1 to 1.0 d x d complex arrays (``tracemalloc``).
+
 One pipeline verifies the same matrix more than once (compile and then
 ``fidelity`` the target, ``fidelity``, ``concurrence`` and the coherences
 the prepared state), so :func:`density_factor` keeps the factors of its
@@ -121,18 +149,45 @@ _FROM_PAULI = _PAULIS.reshape(4, 4).T / 2
 _MEMO_ENTRIES = 8
 _MEMO_BYTES = 2 ** 16
 
+# _gram_deviation forms one product for at most this many columns, and halves
+# a wider range
+_GRAM_LEAF = 128
+
 
 def _require_hermitian(m, tol: float, error: type) -> np.ndarray:
-    """``m`` as a complex array once it is square, finite and Hermitian within ``tol``."""
+    """``m`` as a complex array once it is square, finite and Hermitian within ``tol``.
+
+    One in-place pass over a d x d scratch array accepts where 1.5 times the
+    largest real or imaginary part of m^dagger - m is within ``tol``; only
+    another matrix runs the exact test (see the module docstring).
+    """
     m = _as_complex(m, error)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise error(f"expected a nonempty square matrix, got shape {m.shape}")
+    diff = m.T.copy()  # the one d x d scratch array, C-ordered
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.conjugate(diff, out=diff)
+        np.subtract(diff, m, out=diff)
+        if 1.5 * _max_part(diff) <= tol:  # never for a NaN or inf entry
+            return m
     if not np.isfinite(m).all():
         raise error("matrix has NaN or infinite entries")
     asym = float(np.abs(m - m.conj().T).max())
     if asym > tol:
         raise error(f"matrix is not Hermitian: max |m - m^dagger| = {asym:.3e} > {tol:g}")
     return m
+
+
+def _max_part(z: np.ndarray) -> float:
+    """max(|Re z_ij|, |Im z_ij|) of a C-ordered complex ``z``, left holding |Re z| + i |Im z|.
+
+    |z_ij| <= sqrt(2) * max(|Re z_ij|, |Im z_ij|), so 1.5 times it bounds the
+    entries' moduli with room for the rounding of ``hypot``; ``np.abs(z)``
+    keeps its bits, and a NaN entry makes it NaN.
+    """
+    part = z.view(float)
+    np.abs(part, out=part)
+    return float(part.max())
 
 
 def _eigh(m: np.ndarray) -> tuple:
@@ -245,7 +300,7 @@ def _certified_factor(m: np.ndarray, tol: float) -> np.ndarray:
     a = _pivoted_cholesky(m, floor)
     resid = a @ a.conj().T
     resid -= m
-    if d * float(np.abs(resid).max()) > tol:
+    if 1.5 * d * _max_part(resid) > tol and d * float(np.abs(resid).max()) > tol:
         w, v = _eigh(m)
         if w[0] < -tol:
             raise NotDensityMatrixError(
@@ -313,6 +368,8 @@ def is_density(m, tol: float = DEFAULT_TOL) -> bool:
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``m`` is a square matrix with orthonormal columns; False for an unreadable one.
 
+    The test is max |M^dagger M - I| <= ``tol``, from the Gram's upper blocks
+    only (:func:`_gram_deviation`); a NaN or inf entry answers False, unwarned.
     A ``tol`` that is not a finite number >= 0 raises ``OutOfRangeError``.
     """
     _require_tol(tol)
@@ -324,11 +381,29 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _gram_deviation(q: np.ndarray) -> float:
-    """max |Q^dagger Q - I| over ``q``'s columns: 0 for none, unwarned NaN or inf past floats."""
+    """max |Q^dagger Q - I| over ``q``'s columns: 0 for none, unwarned NaN or inf past floats.
+
+    Q^dagger Q is Hermitian, so only its upper triangle of blocks is formed:
+    a column range wider than ``_GRAM_LEAF`` = 128 is halved, the product of
+    its two halves is the off-diagonal block (its mirror has the same
+    moduli), and each half recurses: 3/4 of the full product's flops at 256
+    columns, 5/8 at 512.  Up to 128 columns it is the one product
+    Q^dagger Q; past them an entry may differ from the full product's in its
+    rounding only.  Measured costs are in the module docstring.
+    """
     with np.errstate(invalid="ignore", over="ignore"):
+        return float(_gram_blocks(q))
+
+
+def _gram_blocks(q: np.ndarray):
+    """:func:`_gram_deviation` of the columns ``q``, without its ``errstate``; keeps a NaN."""
+    k = q.shape[1]
+    if k <= _GRAM_LEAF:
         gram = q.conj().T @ q
-        gram.reshape(-1)[:: q.shape[1] + 1] -= 1  # without an identity array
-        return float(np.abs(gram).max(initial=0.0))
+        gram.reshape(-1)[:: k + 1] -= 1  # without an identity array
+        return np.abs(gram).max(initial=0.0)
+    left, right = q[:, : k // 2], q[:, k // 2:]
+    return np.max([np.abs(left.conj().T @ right).max(), _gram_blocks(left), _gram_blocks(right)])
 
 
 @dataclass

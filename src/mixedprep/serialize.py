@@ -172,11 +172,21 @@ def _checked(circuit: Circuit) -> Circuit:
 
 
 def _meta(meta) -> dict:
-    """A circuit document's ``meta``: a JSON object, {} for None, else a FormatError."""
+    """A circuit document's ``meta``: a JSON object, {} for None, else a FormatError.
+
+    Every key is a ``str``, as JSON writes it (``{1: "a"}`` would be written
+    as ``{"1": "a"}`` and read back as another ``meta``), and a ``"label"`` is
+    a ``str``, as ``Circuit.label`` is.
+    """
     if meta is None:
         return {}
     if not isinstance(meta, dict):
         raise FormatError(f"meta must be a JSON object, got {type(meta).__name__}")
+    for key in meta:
+        if not isinstance(key, str):
+            raise FormatError(f"meta keys must be strings, got {_shown(key)}")
+    if not isinstance(meta.get("label", ""), str):
+        raise FormatError(f"meta label must be a string, got {_shown(meta['label'])}")
     return meta
 
 

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -894,3 +895,194 @@ def test_a_weightless_matrix_is_not_a_density_matrix(call):
     linalg._memo.cache_clear()
     with pytest.raises(NotDensityMatrixError, match="no weight"):
         call()
+
+
+# The certificates' fast paths: each is checked against the expression it
+# stands in front of, which decides every case the fast path leaves open.
+
+def old_hermitian_test(m, tol, error):
+    """The Hermitian test before its float-view prefilter, message included."""
+    m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise error("matrix has NaN or infinite entries")
+    asym = float(np.abs(m - m.conj().T).max())
+    if asym > tol:
+        raise error(f"matrix is not Hermitian: max |m - m^dagger| = {asym:.3e} > {tol:g}")
+
+
+def outcome(call, *args):
+    """None for an accepted call, else the type and message of its refusal."""
+    try:
+        call(*args)
+    except Exception as exc:  # noqa: BLE001 - the oracle compares any refusal
+        return type(exc), str(exc)
+    return None
+
+
+def asymmetric_cases(d):
+    """Exactly Hermitian bases with one entry moved, keyed by a name.
+
+    On the diagonal base every moved entry is exact, so the asymmetry is the
+    step itself (or twice it, on the diagonal) and lands on either side of
+    ``tol``; on the dense base it is rounded, and the oracle decides.
+    """
+    tol = DEFAULT_TOL
+    bases = {"diagonal": np.eye(d, dtype=complex) / d, "dense": random_density(d, d)}
+    steps = {"tol(1+1e-9)": tol * (1 + 1e-9), "tol(1-1e-9)": tol * (1 - 1e-9),
+             "tol/sqrt2": tol / math.sqrt(2), "tol/1.5": tol / 1.5, "2tol": 2 * tol}
+    phases = {"re": 1, "im": 1j, "diag": (1 + 1j) / math.sqrt(2)}
+    cases = {}
+    for base_name, base in bases.items():
+        cases[base_name] = base
+        for step_name, step in steps.items():
+            for phase_name, phase in phases.items():
+                for i, j in ((0, d - 1), (d - 1, 1), (d // 2, d // 2)):
+                    m = base.copy()
+                    m[i, j] += step * phase
+                    cases[f"{base_name}-{step_name}-{phase_name}-{i},{j}"] = m
+        for value in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)):
+            for i, j in ((0, d - 1), (d // 2, d // 2)):
+                m = base.copy()
+                m[i, j] = value
+                cases[f"{base_name}-{value}-{i},{j}"] = m
+            m = base.copy()
+            m[1, 0] = m[0, 1] = value  # a mirrored pair: inf - inf in the difference
+            cases[f"{base_name}-mirrored-{value}"] = m
+    return cases
+
+
+def layouts(m):
+    """``m`` in C order, in Fortran order and as a slice of a padded array."""
+    d = m.shape[0]
+    big = np.zeros((d + 3, d + 5), dtype=complex)
+    big[:d, :d] = m
+    return {"C": np.ascontiguousarray(m), "F": np.asfortranarray(m), "slice": big[:d, :d]}
+
+
+@pytest.mark.parametrize("d", [4, 256])
+def test_the_hermitian_test_decides_as_the_old_expression(d):
+    tol = DEFAULT_TOL
+    for name, m in asymmetric_cases(d).items():
+        for layout, view in layouts(m).items():
+            for error, call in ((NotHermitianError, eig_hermitian),
+                                (NotDensityMatrixError, require_density)):
+                old = outcome(old_hermitian_test, view, tol, error)
+                assert outcome(linalg._require_hermitian, view, tol, error) == old, (name, layout)
+                if old:  # the public callers refuse with the same message
+                    assert outcome(call, view, tol) == old, (name, layout)
+
+
+def test_the_hermitian_cases_reach_both_answers_and_the_exact_test():
+    cases = asymmetric_cases(4)
+    for name in ("diagonal-tol(1+1e-9)-re-0,3", "diagonal-tol(1+1e-9)-diag-0,3"):
+        assert outcome(linalg._require_hermitian, cases[name], DEFAULT_TOL, NotHermitianError)
+    for name in ("diagonal-tol(1-1e-9)-re-0,3", "diagonal-tol/sqrt2-re-0,3"):
+        # accepted by the exact test only: the prefilter's 1.5 * max part exceeds tol
+        part = np.abs((cases[name] - cases[name].conj().T).view(float)).max()
+        assert 1.5 * part > DEFAULT_TOL
+        assert outcome(linalg._require_hermitian, cases[name], DEFAULT_TOL, NotHermitianError) is None
+    m = cases["diagonal-tol/1.5-diag-0,3"]  # the fast accept
+    assert 1.5 * np.abs((m - m.conj().T).view(float)).max() <= DEFAULT_TOL
+
+
+def test_a_non_finite_entry_never_takes_the_fast_accept():
+    for d in (4, 256):
+        for name, m in asymmetric_cases(d).items():
+            if not np.isfinite(m).all():
+                for tol in (DEFAULT_TOL, 1e300):
+                    with pytest.raises(NotHermitianError, match="NaN or infinite"):
+                        linalg._require_hermitian(m, tol, NotHermitianError)
+
+
+def test_the_hermitian_test_allocates_one_scratch_array():
+    d = 256
+    m = random_density(d, 3)
+    linalg._require_hermitian(m, DEFAULT_TOL, NotHermitianError)
+    tracemalloc.start()
+    try:
+        linalg._require_hermitian(m, DEFAULT_TOL, NotHermitianError)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the scratch array and its views; the exact test alone peaks at about 2.1 arrays
+    assert peak <= m.nbytes + 4096
+
+
+def residual_case(d, step, entry):
+    """A trace-1 rank-4 matrix on a Haar-random subspace, less ``step`` at one
+    diagonal entry or, times (1 + i) / sqrt(2), at an off-diagonal pair: its
+    pivoted Cholesky residual is about that step."""
+    u = haar_unitary(d, 5)[:, :4]
+    m = (u * 0.25) @ u.conj().T
+    m = (m + m.conj().T) / 2
+    if entry == "diagonal":
+        m[d // 2, d // 2] -= step
+    else:  # an indefinite pair whose residual has equal real and imaginary parts
+        c = step * (1 + 1j) / math.sqrt(2)
+        m[d // 2, 3] -= c
+        m[3, d // 2] -= c.conjugate()
+    return m
+
+
+# The prefilter accepts at 1.5 * d * max part <= tol, the exact test at
+# d * max |S| <= tol: a real residual lies between them for ratios in (2/3, 1],
+# one with equal parts for ratios in (sqrt(2)/1.5, 1]; past sqrt(2) a prefilter
+# without its factor 1.5 would accept the latter
+@pytest.mark.parametrize("entry", ["diagonal", "pair"])
+@pytest.mark.parametrize("ratio", [0.5, 0.7, 0.8, 0.96, 0.99, 1.01, 1.2, 1.5])
+def test_the_residual_decides_as_the_old_expression(hermitian_solves, entry, ratio):
+    d = 256
+    tol = DEFAULT_TOL
+    m = residual_case(d, ratio * tol / d, entry)
+    a = linalg._pivoted_cholesky(m, d * linalg._EPS)
+    resid = a @ a.conj().T - m
+    exact = d * float(np.abs(resid).max())
+    part = d * float(np.abs(resid.view(float)).max())
+    fast = 2 / 3 if entry == "diagonal" else math.sqrt(2) / 1.5
+    assert (1.5 * part <= tol) == (ratio < fast) and (exact <= tol) == (ratio < 1)
+    hermitian_solves.clear()
+    got = density_factor(m, tol)[1]
+    assert hermitian_solves == ([] if exact <= tol else [(d, d)])
+    assert got.tobytes() == full_cholesky_rule(m, tol).tobytes()
+
+
+def signed_permutation(d, seed):
+    """A unitary whose Gram is exact: a permutation with entries 1, -1, 1j or -1j."""
+    rng = np.random.default_rng(seed)
+    q = np.zeros((d, d), dtype=complex)
+    q[rng.permutation(d), np.arange(d)] = np.array([1, -1, 1j, -1j])[rng.integers(0, 4, d)]
+    return q
+
+
+@pytest.mark.parametrize("d", [256, 512])
+def test_the_gram_decides_as_the_old_expression(d):
+    tol = DEFAULT_TOL
+    half = d // 2
+    pairs = {"diagonal-block": (3, 100), "diagonal-block-far": (half + 1, d - 2),
+             "off-diagonal-block": (5, half + 7), "off-diagonal-block-lower": (d - 1, 0),
+             "one-leaf": (130, 250), "two-leaves": (100, 200)}  # 128-column leaves
+    for name, (i, j) in pairs.items():
+        for scale in (1 + 1e-9, 1 - 1e-9):
+            q = signed_permutation(d, i + j)
+            q[:, j] += tol * scale * q[:, i]  # (Q^dagger Q)[i, j] = tol * scale, exactly
+            old = float(np.abs(q.conj().T @ q - np.eye(d)).max())
+            assert old == tol * scale
+            assert linalg._gram_deviation(q) == old, (name, scale)
+            assert is_unitary(q, tol) == (scale < 1), (name, scale)
+            if scale < 1:
+                assert orthonormal_completion(q, tol).tobytes() == q.tobytes()
+            else:
+                message = f"max Gram deviation {old:.3e} > {tol:g}"
+                with pytest.raises(NotOrthonormalError, match=re.escape(message)):
+                    orthonormal_completion(q, tol)
+
+
+@pytest.mark.parametrize("column", [0, 127, 128, 255, 256, 511])
+def test_a_nan_in_any_gram_block_is_not_unitary(column):
+    q = signed_permutation(512, column)
+    q[column, column] = np.nan
+    assert np.isnan(linalg._gram_deviation(q))
+    assert not is_unitary(q)
+    q[column, column] = np.inf
+    assert not is_unitary(q)
+

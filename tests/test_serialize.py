@@ -254,6 +254,42 @@ def test_a_meta_that_is_not_an_object_is_refused_both_ways(tmp_path, name):
             read_circuit_file(path)
 
 
+# a key JSON writes as another: {1: "a"} was kept by circuit_to_dict, written
+# as {"1": "a"} and read back as a different meta, with no error
+@pytest.mark.parametrize("key", [1, 0.5, None, True, ("a", 1)], ids=repr)
+def test_a_meta_key_that_is_not_a_string_is_refused_both_ways(tmp_path, key):
+    path = tmp_path / "c.json"
+    with pytest.raises(FormatError, match="meta keys must be strings"):
+        circuit_to_dict(Circuit(1, []), meta={key: "a"})
+    with pytest.raises(FormatError, match="meta keys must be strings"):
+        write_circuit_file(path, Circuit(1, []), {"seed": 7, key: "a"})
+    assert not path.exists()
+    with pytest.raises(FormatError, match="meta keys must be strings"):
+        circuit_from_dict({"num_qubits": 1, "gates": [], "meta": {key: "a"}})
+
+
+# {"label": 5} read as a Circuit whose label was the int 5, and was written
+# back as 5
+@pytest.mark.parametrize("label", [5, 0, None, True, ["a"], {"a": 1}, b"a"], ids=repr)
+def test_a_meta_label_that_is_not_a_string_is_refused_both_ways(tmp_path, label):
+    with pytest.raises(FormatError, match="meta label must be a string"):
+        circuit_to_dict(Circuit(1, []), meta={"label": label})
+    with pytest.raises(FormatError, match="meta label must be a string"):
+        circuit_from_dict({"num_qubits": 1, "gates": [], "meta": {"label": label}})
+    if not isinstance(label, bytes):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"num_qubits": 1, "gates": [], "meta": {"label": label}}))
+        with pytest.raises(FormatError, match="meta label must be a string"):
+            read_circuit_file(path)
+
+
+def test_a_string_label_and_string_keys_read_and_write():
+    doc = circuit_to_dict(Circuit(1, [], label="x"), meta={"seed": 7, "": "empty key"})
+    assert doc["meta"] == {"seed": 7, "": "empty key", "label": "x"}
+    assert circuit_from_dict(doc) == Circuit(1, [], label="x")
+    assert circuit_from_dict({"num_qubits": 1, "gates": [], "meta": {"label": ""}}) == Circuit(1, [])
+
+
 def test_an_absent_null_or_empty_meta_reads_and_writes():
     circuit = Circuit(1, [Ry(0, 0.5)], label="x")
     assert circuit_to_dict(circuit, None)["meta"] == circuit_to_dict(circuit, {})["meta"]
