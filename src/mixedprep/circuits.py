@@ -135,7 +135,7 @@ def _require_gates(circuit: Circuit) -> None:
     as is a gate whose wires cannot be read (see :func:`gate_qubits`), and so
     is anything but a :class:`Circuit`, or one whose ``gates`` is not a
     ``list``: an iterator would be consumed here and leave nothing to run.
-    An angle must be a finite real and not a ``bool`` (``OutOfRangeError``).
+    An angle must be a finite real, which a ``bool`` is not (``OutOfRangeError``).
     """
     if not isinstance(circuit, Circuit):
         raise IndexOutOfRangeError(f"expected a Circuit, got {type(circuit).__name__}")
@@ -159,7 +159,6 @@ def _require_gates(circuit: Circuit) -> None:
                 if not (_is_int(b) and b in (0, 1)):
                     raise IndexOutOfRangeError(
                         f"gate {pos} control on qubit {q} has bit {_shown(b)}, expected 0 or 1")
-        if isinstance(gate, (Ry, MultiControlledRy)) and (
-                isinstance(gate.theta, bool) or not _is_finite_real(gate.theta)):
+        if isinstance(gate, (Ry, MultiControlledRy)) and not _is_finite_real(gate.theta):
             raise OutOfRangeError(
                 f"gate {pos} angle {_shown(gate.theta)} is not finite or not a real number")

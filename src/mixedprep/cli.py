@@ -55,23 +55,22 @@ def make_family_state(text: str, default_seed: int) -> np.ndarray:
         if key in kv:
             raise FormatError(f"family spec {text!r}: key {key!r} is given twice")
         kv[key] = val
-
-    if name == "ginibre":
-        d = _param(kv, "d", text, int)
-        seed = _param(kv, "seed", text, int, default=default_seed)
-        _reject_extras(kv, {"d", "seed"}, text)
-        return ginibre_density(d, seed)
-    if name == "xstate":
-        theta = _param(kv, "theta", text, float, default=math.pi / 8)
-        phi = _param(kv, "phi", text, float, default=math.pi / 8)
-        p00 = _param(kv, "p00", text, float, default=0.5)
-        _reject_extras(kv, {"theta", "phi", "p00"}, text)
-        return p00_family(p00, theta, phi)
-    if name == "c1":
-        c1 = _param(kv, "c1", text, float)
-        _reject_extras(kv, {"c1"}, text)
-        return c1_state(c1)
-    raise FormatError(f"unknown family {name!r} (expected ginibre, xstate, or c1)")
+    # each family's builder and its keyword arguments in the order they are
+    # read, as (key, kind, default); a default of None makes the key required
+    families = {
+        "ginibre": (ginibre_density, [("d", int, None), ("seed", int, default_seed)]),
+        "xstate": (p00_family, [("theta", float, math.pi / 8), ("phi", float, math.pi / 8),
+                                ("p00", float, 0.5)]),
+        "c1": (c1_state, [("c1", float, None)]),
+    }
+    if name not in families:
+        raise FormatError(f"unknown family {name!r} (expected ginibre, xstate, or c1)")
+    build, keys = families[name]
+    values = {key: _param(kv, key, text, kind, default) for key, kind, default in keys}
+    extras = sorted(set(kv) - set(values))
+    if extras:
+        raise FormatError(f"family spec {text!r}: unknown key {extras[0]!r}")
+    return build(**values)
 
 
 def _param(kv, key, text, kind, default=None):
@@ -99,12 +98,6 @@ def _number(text: str, kind):
         return kind(text)
     except ValueError:
         return None
-
-
-def _reject_extras(kv, allowed, text):
-    extras = sorted(set(kv) - allowed)
-    if extras:
-        raise FormatError(f"family spec {text!r}: unknown key {extras[0]!r}")
 
 
 def _load_density(path) -> np.ndarray:

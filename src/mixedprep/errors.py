@@ -3,7 +3,7 @@
 Everything derives from :class:`StatePrepError` (itself a ``ValueError``)
 so callers can catch the whole family at once.  The argument checks live
 here too: :func:`_is_int` and :func:`_is_finite_real` are the one tests of
-an integer (a ``bool`` is not one) and of a finite real; :func:`_require_int`
+an integer and of a finite real (a ``bool`` is neither); :func:`_require_int`
 checks counts and seeds, :func:`_require_tol` tolerances,
 :func:`_qubits_of_dim` register lengths, :func:`_qubit_tuple` iterables of
 qubits, :func:`_require_qubits` the qubits of a trace or a readout (distinct,
@@ -91,9 +91,11 @@ def _is_int(value) -> bool:
 
 
 def _is_finite_real(value) -> bool:
-    """Whether ``value`` is a real number, not a complex or a string, finite as a float."""
+    """Whether ``value`` is a real number finite as a float; a ``bool``, a complex or a
+    string is not one, so a flag never passes for a tolerance, an angle or a probability."""
     try:  # a plain float skips the ABC check, which costs ten times more
-        return (type(value) is float or isinstance(value, numbers.Real)) and math.isfinite(value)
+        return (type(value) is float or isinstance(value, numbers.Real)
+                and not isinstance(value, bool)) and math.isfinite(value)
     except OverflowError:  # an int too large for a float
         return False
 

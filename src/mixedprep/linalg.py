@@ -27,39 +27,28 @@ for 18 of 3080 matrices with a pivot near it).  A rank-r < d // 8 matrix
 goes straight to the pivoted Cholesky, and a full-rank one makes the same
 full call as without the probe, with the same bytes.  A matrix that is exactly
 rho (+) 0, rho p x p, as a padded target is, is checked and factored as
-rho, and its factor gains the d - p zero rows.  Measured with one OpenBLAS
-0.3.31 thread and numpy 2.4.6: at d = 256 the skipped full call cost
-0.60-1.5 ms for ranks 1, 4 and 16 and the probe 13-17 us; ``fidelity`` of
-a traced padded d = 500 target against its padded target went from 139 to
-19 ms (22 ms at d = 512).
+rho, and its factor gains the d - p zero rows.
 
 Each certificate costs less than the answer it certifies, and keeps its
 decision.  Three of them are whole-array passes:
 
-- The Hermitian test writes conj(m^T) - m into one d x d scratch array and
-  takes the largest |Re| or |Im| of its entries, in place over the float
-  view.  |z| <= sqrt(2) * max(|Re z|, |Im z|), so 1.5 times that largest part
-  at or below ``tol`` accepts (the 1.5 leaves room for the rounding of
-  ``hypot``).  Any other matrix runs the exact test: finite entries, then
-  max |m - m^dagger| with its message.  A NaN or inf entry makes the largest
-  part NaN, so it never takes the fast accept and every refusal keeps its
-  message and order.
-- The Cholesky residual S = a a^dagger - m is prefiltered the same way, in
-  place: 1.5 * d * max(|Re S|, |Im S|) <= ``tol`` accepts, and d * max |S|
-  decides the rest.  The in-place pass leaves |Re S| + i |Im S|, whose
-  moduli have the bits of |S|.
+- The Hermitian test writes conj(m^T) - m into one d x d scratch array, and
+  :func:`_deviation` measures it in place: the largest |Re| or |Im| of its
+  entries first.  |z| <= sqrt(2) * max(|Re z|, |Im z|), so 1.5 times that
+  largest part at or below ``tol`` accepts (the 1.5 leaves room for the
+  rounding of ``hypot``).  For any other matrix the moduli are taken from
+  the same scratch array, which by then holds |Re z| + i |Im z|: they have
+  the bits of |m - m^dagger|.  A refusal checks finite entries, then names
+  max |m - m^dagger|.  A NaN or inf entry makes the deviation NaN or inf, so
+  it is never accepted, and every refusal keeps its message and order.
+- The Cholesky residual S = a a^dagger - m is measured by the same
+  :func:`_deviation`, scaled by d: 1.5 * d * max(|Re S|, |Im S|) <= ``tol``
+  accepts, and d * max |S| decides the rest.
 - The Gram Q^dagger Q of ``is_unitary`` and ``orthonormal_completion`` is
   Hermitian, so a column range wider than 128 is halved: the product of its
   halves is the off-diagonal block, its mirror has the same moduli, and each
   half recurses: 3/4 of the one product's flops at d = 256 and 5/8 at
   d = 512.  A d <= 128 input still makes the one product.
-
-Measured in one process against the previous code, with one OpenBLAS
-0.3.31 thread and numpy 2.4.6 (medians of 9, two runs): at d = 256 the
-Hermitian test went from 0.47 to 0.25 ms, ``_factor`` of a rank-4 matrix from
-0.98-1.0 to 0.63-0.64 ms and the Gram from 2.6 to 2.1 ms; at d = 512 from 2.6
-to 1.8-2.4 ms, 4.9 to 3.3-4.1 ms and 19 to 14 ms.  The Hermitian test's peak
-allocation went from 2.1 to 1.0 d x d complex arrays (``tracemalloc``).
 
 One pipeline verifies the same matrix more than once (compile and then
 ``fidelity`` the target, ``fidelity``, ``concurrence`` and the coherences
@@ -157,9 +146,9 @@ _GRAM_LEAF = 128
 def _require_hermitian(m, tol: float, error: type) -> np.ndarray:
     """``m`` as a complex array once it is square, finite and Hermitian within ``tol``.
 
-    One in-place pass over a d x d scratch array accepts where 1.5 times the
-    largest real or imaginary part of m^dagger - m is within ``tol``; only
-    another matrix runs the exact test (see the module docstring).
+    One d x d scratch array holds m^dagger - m, and :func:`_deviation` measures
+    it in place; a refusal names the finite test or max |m - m^dagger|, as
+    the module docstring says.
     """
     m = _as_complex(m, error)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
@@ -168,26 +157,29 @@ def _require_hermitian(m, tol: float, error: type) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         np.conjugate(diff, out=diff)
         np.subtract(diff, m, out=diff)
-        if 1.5 * _max_part(diff) <= tol:  # never for a NaN or inf entry
-            return m
+        asym = _deviation(diff, tol)  # NaN or inf for a NaN or inf entry
+    if asym <= tol:
+        return m
+    del diff  # freed before the finite test's d x d mask is allocated
     if not np.isfinite(m).all():
         raise error("matrix has NaN or infinite entries")
-    asym = float(np.abs(m - m.conj().T).max())
-    if asym > tol:
-        raise error(f"matrix is not Hermitian: max |m - m^dagger| = {asym:.3e} > {tol:g}")
-    return m
+    raise error(f"matrix is not Hermitian: max |m - m^dagger| = {asym:.3e} > {tol:g}")
 
 
-def _max_part(z: np.ndarray) -> float:
-    """max(|Re z_ij|, |Im z_ij|) of a C-ordered complex ``z``, left holding |Re z| + i |Im z|.
+def _deviation(z: np.ndarray, tol: float, scale: int = 1) -> float:
+    """``scale`` * max |z_ij| of a C-ordered complex ``z``, or a bound of it at or below ``tol``.
 
-    |z_ij| <= sqrt(2) * max(|Re z_ij|, |Im z_ij|), so 1.5 times it bounds the
-    entries' moduli with room for the rounding of ``hypot``; ``np.abs(z)``
-    keeps its bits, and a NaN entry makes it NaN.
+    Parts first: |z_ij| <= sqrt(2) * max(|Re z_ij|, |Im z_ij|), so where 1.5
+    times ``scale`` times the largest part is within ``tol`` (the 1.5 leaves
+    room for the rounding of ``hypot``), that bound is the answer.  Only
+    otherwise are the moduli taken, in place over the real parts, with the
+    bits of ``np.abs(z)``.  ``z`` is overwritten, and a NaN entry gives NaN.
     """
     part = z.view(float)
-    np.abs(part, out=part)
-    return float(part.max())
+    bound = 1.5 * scale * float(np.abs(part, out=part).max())
+    if bound <= tol:
+        return bound
+    return scale * float(np.hypot(z.real, z.imag, out=z.real).max())
 
 
 def _eigh(m: np.ndarray) -> tuple:
@@ -236,7 +228,7 @@ def density_factor(m, tol: float = DEFAULT_TOL) -> tuple:
     Cholesky is next.  An exactly padded
     m = rho (+) 0 is checked and factored at rho's size p, and ``a`` gains
     d - p zero rows; a NaN in the zero block makes it not padded, and it is
-    refused whole.  See the module docstring for the measured costs.
+    refused whole.
 
     Up to 64 KiB the factor is memoized and read-only (see the module
     docstring): a repeated input is checked and factored once.
@@ -300,7 +292,7 @@ def _certified_factor(m: np.ndarray, tol: float) -> np.ndarray:
     a = _pivoted_cholesky(m, floor)
     resid = a @ a.conj().T
     resid -= m
-    if 1.5 * d * _max_part(resid) > tol and d * float(np.abs(resid).max()) > tol:
+    if _deviation(resid, tol, d) > tol:
         w, v = _eigh(m)
         if w[0] < -tol:
             raise NotDensityMatrixError(
@@ -389,7 +381,7 @@ def _gram_deviation(q: np.ndarray) -> float:
     moduli), and each half recurses: 3/4 of the full product's flops at 256
     columns, 5/8 at 512.  Up to 128 columns it is the one product
     Q^dagger Q; past them an entry may differ from the full product's in its
-    rounding only.  Measured costs are in the module docstring.
+    rounding only.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         return float(_gram_blocks(q))
@@ -496,7 +488,8 @@ def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
 
     ``keep`` is a nonempty set of distinct integer qubit indices; the output
     orders them ascending.  The trace of the input is preserved.  ``total_qubits``
-    must be an integer >= 1 (a ``bool`` is not one).
+    must be an integer >= 1 (a ``bool`` is not one).  A NaN or infinite entry
+    is a :class:`NotDensityMatrixError`, as in the density check.
     """
     if not _is_int(total_qubits) or total_qubits < 1:
         raise DimensionMismatchError(
@@ -508,6 +501,8 @@ def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected a 2**{_shown(total_qubits)} square matrix, got shape {m.shape}"
         )
+    if not np.isfinite(m).all():
+        raise NotDensityMatrixError("matrix has NaN or infinite entries")
     kept = sorted(_require_qubits(keep, total_qubits, DimensionMismatchError))
     dropped = [q for q in range(total_qubits) if q not in kept]
     t = m.reshape([2] * (2 * total_qubits))

@@ -32,8 +32,10 @@ Shot counts (1..2**63 - 1), seeds and register sizes are checked as
 integers (``bool`` excluded), so a bad one is an ``OutOfRangeError``, not a
 numpy traceback; a qubit index that is not an integer or is repeated, a
 qubit set that cannot be iterated, or a state that is not 1-d, is an
-``IndexOutOfRangeError``.  The sampler refuses a state with no finite
-positive probability mass (``NotNormalizedError``).
+``IndexOutOfRangeError``.  Every reader of a statevector checks it with
+:func:`num_qubits_of`, which refuses a NaN or infinite amplitude
+(``NotNormalizedError``); the sampler also refuses a state with no positive
+probability mass.
 """
 from __future__ import annotations
 
@@ -76,10 +78,18 @@ def zero_state(num_qubits: int) -> np.ndarray:
 
 
 def num_qubits_of(state: np.ndarray) -> int:
-    """n for a 1-d state of 2**n amplitudes; any other shape is an ``IndexOutOfRangeError``."""
+    """n for a 1-d complex state of 2**n amplitudes whose probability mass is finite.
+
+    Any other shape is an ``IndexOutOfRangeError``.  A NaN or infinite
+    amplitude, or squared moduli that sum past the float range, is a
+    ``NotNormalizedError``: one ``vdot`` decides both.
+    """
     if state.ndim != 1:
         raise IndexOutOfRangeError(f"a statevector is 1-d, got shape {state.shape}")
-    return _qubits_of_dim(state.shape[0], IndexOutOfRangeError, "statevector length")
+    n = _qubits_of_dim(state.shape[0], IndexOutOfRangeError, "statevector length")
+    if not math.isfinite(np.vdot(state, state).real):
+        raise NotNormalizedError("state has no finite probability mass: sum |a|^2 is not finite")
+    return n
 
 
 def apply_gate(state: np.ndarray, gate: Gate, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -235,9 +245,8 @@ def sample_pauli_expectations(state: np.ndarray, qubits, shots: int, seed: int) 
     """
     state = _as_complex(state, IndexOutOfRangeError)
     n = num_qubits_of(state)
-    norm = np.linalg.norm(state)
-    if not 0.0 < norm < math.inf:  # NaN fails too
-        raise NotNormalizedError(f"state has no finite positive probability mass: norm {norm}")
+    if not np.vdot(state, state).real > 0.0:
+        raise NotNormalizedError("state has no positive probability mass: sum |a|^2 = 0")
     _require_int(shots, "shots", 1, _MAX_SHOTS)
     _require_int(seed, "seed", 0)
     qubits = _require_qubits(qubits, n, IndexOutOfRangeError)

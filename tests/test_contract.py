@@ -16,6 +16,7 @@ from mixedprep import (
     Cnot,
     FormatError,
     IndexOutOfRangeError,
+    OutOfRangeError,
     MultiControlledRy,
     Ry,
     StatePrepError,
@@ -61,6 +62,7 @@ from mixedprep import (
     zero_state,
 )
 from mixedprep.cli import main
+from mixedprep.linalg import density_factor
 
 HOSTILE = {
     "ragged": [[1, 0], [0]],
@@ -263,6 +265,30 @@ def test_every_reader_of_a_qubit_set_refuses_the_same_sets(name):
     if verdicts == {True}:  # both traces order the kept qubits ascending
         np.testing.assert_allclose(reduced_density(state, qubits), partial_trace(rho, qubits, 2),
                                    rtol=0, atol=1e-15)
+
+
+# a number that may be a bool: True ran as 1 and False as 0 (tol=True as
+# tol=1, c1_state(False) as c1 = 0, p00_family(True) as p00 = 1), while a
+# gate angle of True was already refused
+NUMBER_ARGUMENTS = {
+    "density_factor-tol": lambda v: density_factor(np.eye(2) / 2, v),
+    "run-tol": lambda v: run(Circuit(1, [Ry(0, 0.5)]), v),
+    "prepare_density-tol": lambda v: prepare_density(np.eye(2) / 2, v),
+    "c1_state-tol": lambda v: c1_state(0.1, v),
+    "c1_state": c1_state,
+    "p00_family": p00_family,
+    "p00_family_probs": p00_family_probs,
+    "x_state_eigenvectors-theta": lambda v: x_state_eigenvectors(v, 0.1),
+    "x_state_eigenvectors-phi": lambda v: x_state_eigenvectors(0.1, v),
+    "run-angle": lambda v: run(Circuit(1, [Ry(0, v)])),
+}
+BOOL_CASES = [(call, value) for call in sorted(NUMBER_ARGUMENTS) for value in (True, False)]
+
+
+@pytest.mark.parametrize("call, value", BOOL_CASES, ids=[f"{c}-{v}" for c, v in BOOL_CASES])
+def test_a_bool_is_never_a_number(call, value):
+    with pytest.raises(OutOfRangeError):
+        NUMBER_ARGUMENTS[call](value)
 
 
 # -- the CLI: a malformed file ends in exit 2 and one error line --------------

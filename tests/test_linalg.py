@@ -453,6 +453,18 @@ def test_partial_trace_errors():
         partial_trace(rho, {5}, 2)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "-inf-j"])
+def test_partial_trace_refuses_a_non_finite_matrix_as_the_density_check_does(entry):
+    # a NaN matrix was traced to a NaN matrix
+    for m, keep in ((np.full((2, 2), entry), [0]), (np.eye(4) / 4, [1])):
+        m = m.astype(complex)
+        m[-1, 0] = entry
+        for call in (lambda: partial_trace(m, keep, m.shape[0].bit_length() - 1),
+                     lambda: require_density(m)):
+            with pytest.raises(NotDensityMatrixError, match="matrix has NaN or infinite entries"):
+                call()
+
+
 @pytest.mark.parametrize("total_qubits", [True, 1.0, 2.0, "2", 0, -1])
 def test_partial_trace_rejects_a_non_integer_qubit_count(total_qubits):
     # 2 ** True is 2, so a bool count once traced a 2x2 matrix
@@ -1005,6 +1017,23 @@ def test_the_hermitian_test_allocates_one_scratch_array():
     finally:
         tracemalloc.stop()
     # the scratch array and its views; the exact test alone peaks at about 2.1 arrays
+    assert peak <= m.nbytes + 4096
+
+
+@pytest.mark.parametrize("entry", [1e-3, np.nan], ids=["asymmetric", "nan"])
+def test_a_refused_hermitian_test_allocates_one_scratch_array(entry):
+    # the refusal reads the moduli off the scratch array, and frees it before
+    # the finite test's mask; it recomputed m - m^dagger, about 2.5 arrays
+    d = 256
+    m = random_density(d, 3)
+    m[0, d - 1] += entry
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotHermitianError):
+            linalg._require_hermitian(m, DEFAULT_TOL, NotHermitianError)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak <= m.nbytes + 4096
 
 

@@ -11,6 +11,7 @@ from mixedprep import (
     DimensionMismatchError,
     MissingExpectationError,
     NoConvergenceError,
+    NotAProbabilityVectorError,
     NotDensityMatrixError,
     OutOfRangeError,
     build_preparation_circuit,
@@ -274,6 +275,14 @@ def test_local_l1_coherence():
         local_l1_coherence(np.eye(2) / 2, "A")
     with pytest.raises(BadLabelError):
         local_l1_coherence(bell_rho(), "C")
+
+
+def test_a_subsystem_index_names_the_same_qubit_as_its_letter():
+    for rho in (c1_state(0.2), ginibre_density(4, 3)):
+        assert local_l1_coherence(rho, 0) == local_l1_coherence(rho, "A")
+        assert local_l1_coherence(rho, 1) == local_l1_coherence(rho, "B")
+    rho = ginibre_density(4, 3)
+    assert local_l1_coherence(rho, 0) != local_l1_coherence(rho, 1)
 
 
 def test_concurrence_landmarks():
@@ -561,3 +570,10 @@ def test_tomography_peak_stays_within_the_chunk_budget():
         tracemalloc.stop()
     assert peak <= PER_LABEL_TOMOGRAPHY_PEAK
     npt.assert_allclose(rec, np.eye(64) / 64, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_estimate_with_no_mass_left_after_clamping_is_refused(n):
+    # every value 0, the all-identity one included: the raw estimate is 0
+    with pytest.raises(NotAProbabilityVectorError, match="clamped eigenvalue mass is zero"):
+        tomography_reconstruct(dict.fromkeys(pauli_labels(n), 0.0), n)

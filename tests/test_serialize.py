@@ -64,6 +64,16 @@ def test_density_format_errors():
         density_from_dict(json.loads('{"dim": true, "re": [[1]], "im": [[0]]}'))
 
 
+def test_an_im_part_of_another_shape_is_a_format_error():
+    message = r"im shape \(1, 1\) differs from re shape \(2, 2\)"
+    with pytest.raises(FormatError, match=message):
+        density_from_dict({"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0]]})
+    doc = {"num_qubits": 1,
+           "gates": [{"kind": "unitary", "qubits": [0], "re": [[1, 0], [0, 1]], "im": [[0]]}]}
+    with pytest.raises(FormatError, match=message):
+        circuit_from_dict(doc)
+
+
 def test_density_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -125,6 +125,13 @@ def test_unitary_block_rejects_non_unitary():
         apply_gate(basis(1, 0), UnitaryBlock((0,), np.ones((2, 2))))
 
 
+def test_a_unitary_block_equals_only_a_block():
+    block = UnitaryBlock((0,), H)
+    assert block == UnitaryBlock([0], H.copy())
+    assert block != UnitaryBlock((0,), -H)
+    assert (block == 5) is False and (block != Ry(0, 0.1)) is True
+
+
 @pytest.mark.parametrize("matrix", [[[1, 0], [0]], [1, 2]], ids=["ragged", "1-d"])
 def test_unitary_block_refuses_a_matrix_it_cannot_read(matrix):
     with pytest.raises(IndexOutOfRangeError):
@@ -607,6 +614,25 @@ def test_sampling_needs_finite_probability_mass(state):
     # refused before the draw, with no warning and no NaN reaching the sampler
     with pytest.raises(NotNormalizedError, match="probability mass"):
         sample_pauli_expectations(state, [0], 10, 0)
+
+
+@pytest.mark.parametrize("call", sorted(STATE_CALLS))
+@pytest.mark.parametrize(
+    "state", [np.array([np.nan, 1.0]), np.array([np.inf, 0.0]), np.array([1j * np.inf, 0.0]),
+              np.array([1e200, 0.0])],
+    ids=["nan", "inf", "imaginary-inf", "past-the-float-range"],
+)
+def test_every_state_reader_refuses_a_state_with_no_finite_mass(call, state):
+    # reduced_density returned a NaN matrix, and warned on an inf amplitude,
+    # and apply_gate a NaN state: only the sampler refused them
+    with pytest.raises(NotNormalizedError, match="no finite probability mass"):
+        STATE_CALLS[call](state)
+
+
+def test_a_state_reader_takes_an_unnormalized_finite_state():
+    # only the sampler needs probability mass; the others read a zero state
+    npt.assert_array_equal(reduced_density(np.zeros(4), [0]), np.zeros((2, 2)))
+    npt.assert_array_equal(apply_gate(np.zeros(2), Ry(0, 0.1)), np.zeros(2))
 
 
 # -- the work run and reduced_density skip ------------------------------------
