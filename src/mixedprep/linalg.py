@@ -10,9 +10,9 @@ positivity off a Cholesky factorization; where that fails or a pivot is
 at the rounding level, off a pivoted Cholesky that stops at the numerical
 rank and one residual that certifies it.  It solves only for a matrix that
 fails the certificate, to name its least eigenvalue.  It is the check of
-every caller, compile included, and compile solves for the spectrum on its
-factor's support: one d x d ``eigh`` for a full-rank matrix, one r x r
-``eigh`` for a rank-r one.
+every caller, compile included, and compile reads the spectrum off its
+factor: one d x d ``eigh`` for a full-rank matrix, one SVD of the d x r
+factor for a rank-r one.
 
 Each matrix is certified at its own rank and size.  From d = 16 on, the
 leading (d // 8) x (d // 8) block is factored first, at most 1/512 of the
@@ -43,7 +43,9 @@ decision.  Three of them are whole-array passes:
   it is never accepted, and every refusal keeps its message and order.
 - The Cholesky residual S = a a^dagger - m is measured by the same
   :func:`_deviation`, scaled by d: 1.5 * d * max(|Re S|, |Im S|) <= ``tol``
-  accepts, and d * max |S| decides the rest.
+  accepts, and d * max |S| decides the rest.  Only a deviation at or below
+  ``tol`` certifies: a factor column that overflows makes S inf or, through
+  inf * 0, NaN, and such a matrix is solved and refused, unwarned.
 - The Gram Q^dagger Q of ``is_unitary`` and ``orthonormal_completion`` is
   Hermitian, so a column range wider than 128 is halved: the product of its
   halves is the off-diagonal block, its mirror has the same moduli, and each
@@ -289,10 +291,11 @@ def _certified_factor(m: np.ndarray, tol: float) -> np.ndarray:
         a = _cholesky(m, floor)
         if a is not None:
             return a
-    a = _pivoted_cholesky(m, floor)
-    resid = a @ a.conj().T
-    resid -= m
-    if _deviation(resid, tol, d) > tol:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the residual
+        a = _pivoted_cholesky(m, floor)
+        resid = a @ a.conj().T
+        certified = _deviation(np.subtract(resid, m, out=resid), tol, d) <= tol  # not for NaN
+    if not certified:
         w, v = _eigh(m)
         if w[0] < -tol:
             raise NotDensityMatrixError(

@@ -128,8 +128,8 @@ def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitB
     ``rho`` is validated and solved as given, once its size is known to fit
     (d <= :data:`~mixedprep.simulator.MAX_TARGET_DIM`, checked before any
     d x d work).  Its :func:`~mixedprep.linalg.density_factor` decides the
-    solve: one d x d ``eigh`` at full rank, otherwise one r x r ``eigh`` on
-    the factor's range, whose null columns carry weight exactly 0.  The tie
+    solve: one d x d ``eigh`` at full rank, otherwise one SVD of the d x r
+    factor, whose d - r null columns carry weight exactly 0.  The tie
     groups above ``RANK_TOL`` get the canonical basis, and the columns from
     the first group that reaches down to it keep their solved eigenvectors,
     so the loaded weights, sub-``RANK_TOL`` ones included, each meet their
@@ -147,7 +147,7 @@ def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitB
         raise OutOfRangeError(f"a {rho.shape[0]} x {rho.shape[0]} target exceeds the largest "
                               f"that compiles, {MAX_TARGET_DIM} x {MAX_TARGET_DIM}")
     rho, a = density_factor(rho, tol)
-    w, v = _support_eigh(rho, a)
+    w, v = _spectrum(rho, a)
     values, vectors = canonical_eigenvectors(w, v, np.count_nonzero(w > RANK_TOL))
     target = _padded(rho)
     if target is not rho:
@@ -173,26 +173,19 @@ def build_preparation_circuit(rho, tol: float = DEFAULT_TOL) -> PreparedCircuitB
     )
 
 
-def _support_eigh(m: np.ndarray, a: np.ndarray) -> tuple:
-    """Ascending eigenvalues and eigenvectors of ``m = a a^dagger``, solved on the range of ``a``.
+def _spectrum(m: np.ndarray, a: np.ndarray) -> tuple:
+    """Ascending eigenvalues and eigenvectors of ``m = a a^dagger``.
 
-    A square ``a`` means full rank and one ``eigh`` of ``m``.  Otherwise the
-    complete QR of ``a`` gives an orthonormal basis S of its range and one of
-    the null space.  The null columns come first, with weight exactly 0, then
-    S times the eigenvectors of S^dagger m S, whose eigenvalues are clamped
-    at 0 so that none sorts below the null weights.  By Cauchy interlacing
-    they lie at or above the least eigenvalue of ``m``, which
-    ``density_factor`` certified to be at or above -tol, so the clamp moves
-    none further than the loader's own clamp would.
+    A square ``a`` means full rank and one ``eigh`` of ``m``.  Otherwise one
+    SVD of the d x r factor, a = U S W^dagger, gives m = U S^2 U^dagger: the
+    eigenvalues are the r squared singular values and d - r exact zeros, and
+    the eigenvectors are the columns of U, the null ones included.
     """
     d, r = a.shape
     if r == d:
         return _eigh(m)
-    q = np.linalg.qr(a, mode="complete")[0]
-    s = q[:, :r]
-    w, u = _eigh(s.conj().T @ m @ s)
-    return (np.concatenate([np.zeros(d - r), np.maximum(w, 0.0)]),
-            np.hstack([q[:, r:], s @ u]))
+    u, s, _ = np.linalg.svd(a)
+    return np.concatenate([np.zeros(d - r), s[::-1] ** 2]), u[:, ::-1]
 
 
 def prepare_density(rho, tol: float = DEFAULT_TOL, *, shots=None, seed=None) -> np.ndarray:

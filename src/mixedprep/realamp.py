@@ -73,7 +73,8 @@ def compile_real_state(amps, tol: float = DEFAULT_TOL) -> Circuit:
             f"amplitude {amps.min():.3e} is negative beyond tol={tol:g}"
         )
     amps = np.clip(amps, 0.0, None)
-    nrm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):  # a norm past the float range is inf, and refused
+        nrm = float(np.linalg.norm(amps))
     if not abs(nrm - 1.0) <= tol:
         raise NotNormalizedError(f"amplitude norm {nrm!r} deviates from 1 beyond tol={tol:g}")
     return _ry_tree(amps)

@@ -93,6 +93,27 @@ def test_is_unitary_answers_false_without_a_warning_for_a_huge_entry(entry):
     assert not is_unitary(u)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [np.array([[0.25, 1e308, 0.0], [1e308, 0.25, 0.0], [0.0, 0.0, 0.5]]),
+     np.array([[0.5, 1e300], [1e300, 0.5]])],
+    ids=["nan-residual", "overflowing-residual"],
+)
+def test_an_overflowing_cholesky_certifies_nothing(m):
+    # least eigenvalues -1e308 and -1e300: the pivoted Cholesky overflows a
+    # column, so a a^dagger - m holds inf or inf * 0 = NaN, and neither may pass
+    # the residual check; pytest makes a RuntimeWarning on the way an error
+    from mixedprep import l1_coherence, pad_to_qubit_dimension
+
+    padded = np.pad(m, (0, 4 - m.shape[0]))  # concurrence takes a 4 x 4 matrix
+    refusals = [(density_factor, m), (lambda x: fidelity(x, x), m), (concurrence, padded),
+                (l1_coherence, m), (build_preparation_circuit, m), (pad_to_qubit_dimension, m)]
+    for call, arg in refusals:
+        with pytest.raises(NotDensityMatrixError, match="not positive semidefinite"):
+            call(arg)
+    assert is_density(m) is False
+
+
 def test_density_factor_reproduces_the_matrix():
     def padded(seed, rank):  # a Haar-rotated rank-deficient density matrix
         u = haar_unitary(8, seed)

@@ -211,13 +211,19 @@ def test_most_eigenvalues_just_under_rank_tol():
 
 @pytest.mark.parametrize("equal", [True, False], ids=["equal", "random"])
 @pytest.mark.parametrize("rank", [1, 4, 16])
-def test_low_rank_d256_is_solved_on_its_support(hermitian_solves, rank, equal):
-    # one r x r eigh, exact zero null weights, and a lossless round trip
+def test_low_rank_d256_is_solved_on_its_support(hermitian_solves, qr_calls, svd_calls, rank,
+                                                equal):
+    # one SVD of the d x r factor and no other solve, exact zero null weights,
+    # and a lossless round trip
     d = 256
     w = np.zeros(d)
     w[:rank] = 1.0 if equal else np.random.default_rng(rank).uniform(0.05, 1.0, rank)
-    bundle, _, prepared = compile_and_trace(density_with_spectrum(w / w.sum(), rank))
-    assert hermitian_solves == [(rank, rank)]
+    rho = density_with_spectrum(w / w.sum(), rank)
+    qr_calls.clear()  # the Haar unitary's QR
+    bundle, _, prepared = compile_and_trace(rho)
+    assert hermitian_solves == []
+    assert qr_calls == []
+    assert svd_calls == [(d, rank)]
     assert not bundle.spectral.eigenvalues[rank:].any()
     validate_circuit(bundle.circuit)
     assert 1.0 - fidelity(prepared, bundle.target) <= 1e-12

@@ -221,10 +221,11 @@ def random_density_of_rank(d, rank, seed):
      (random_density_of_rank(3, 2, 9), 2)],
     ids=["full-rank", "rank-deficient", "padded", "padded-rank-deficient"],
 )
-def test_compile_solves_on_the_support(monkeypatch, hermitian_solves, qr_calls, rho, rank):
+def test_compile_solves_on_the_support(monkeypatch, hermitian_solves, qr_calls, svd_calls, rho,
+                                       rank):
     # solved in the target's own dimension d, padded or not: full rank, one
-    # d x d eigh and no pivoted Cholesky; rank r < d, one QR of the d x r
-    # factor and one r x r eigh, and nothing of size d x d is solved
+    # d x d eigh and no pivoted Cholesky; rank r < d, one SVD of the d x r
+    # factor, and no eigh and no QR
     from mixedprep import linalg
 
     pivoted = []
@@ -237,13 +238,14 @@ def test_compile_solves_on_the_support(monkeypatch, hermitian_solves, qr_calls, 
     monkeypatch.setattr(linalg, "_pivoted_cholesky", counted)
     build_preparation_circuit(rho)
     d = rho.shape[0]
+    assert qr_calls == []
     if rank == d:
         assert hermitian_solves == [(d, d)]
-        assert qr_calls == []
+        assert svd_calls == []
         assert pivoted == []
     else:
-        assert hermitian_solves == [(rank, rank)]
-        assert qr_calls == [(d, rank)]
+        assert hermitian_solves == []
+        assert svd_calls == [(d, rank)]
         assert pivoted == [(d, d)]
 
 

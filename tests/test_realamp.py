@@ -125,6 +125,8 @@ def test_compile_validation():
         compile_real_state([1.0, 1.0])
     with pytest.raises(NotNormalizedError):
         compile_real_state([np.nan, 1.0])
+    with pytest.raises(NotNormalizedError, match="norm inf"):  # overflows, unwarned
+        compile_real_state(np.array([1e200, 0.0]))
     with pytest.raises(NegativeAmplitudeError):
         compile_real_state([np.sqrt(0.5), -np.sqrt(0.5)])
     with pytest.raises(DimensionMismatchError):
