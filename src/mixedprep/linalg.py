@@ -492,7 +492,8 @@ def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
     ``keep`` is a nonempty set of distinct integer qubit indices; the output
     orders them ascending.  The trace of the input is preserved.  ``total_qubits``
     must be an integer >= 1 (a ``bool`` is not one).  A NaN or infinite entry
-    is a :class:`NotDensityMatrixError`, as in the density check.
+    is a :class:`NotDensityMatrixError`, as in the density check, and so is
+    a finite matrix whose trace sums past the float range.
     """
     if not _is_int(total_qubits) or total_qubits < 1:
         raise DimensionMismatchError(
@@ -514,7 +515,11 @@ def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
     dk = 2 ** len(kept)
     dd = 2 ** len(dropped)
     t = t.transpose(perm).reshape(dk, dd, dk, dd)
-    return t.trace(axis1=1, axis2=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = t.trace(axis1=1, axis2=3)
+    if not np.isfinite(out).all():
+        raise NotDensityMatrixError("the traced entries sum past the float range")
+    return out
 
 
 def _fold(x, mats) -> np.ndarray:

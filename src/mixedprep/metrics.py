@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from functools import reduce
+from itertools import islice
 
 import numpy as np
 
@@ -140,7 +141,9 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     and anything but a mapping is a ``MissingExpectationError``.  Keys are
     read upper-cased; two keys that name one string, and a key that is not an
     ``n``-letter Pauli string (a key that is not a ``str`` included), are a
-    ``BadLabelError``.
+    ``BadLabelError``.  An estimate that is not finite, or lies beyond
+    [-1, 1] by more than ``DEFAULT_TOL``, is an ``OutOfRangeError`` naming
+    its string.
     The raw estimate 2**-n * sum(<P> P) has its negative eigenvalues clamped
     to zero, and the trace is rescaled to 1.
 
@@ -171,15 +174,18 @@ def tomography_reconstruct(expectations: dict, n: int) -> np.ndarray:
     for label in labels:
         if label not in table:
             raise MissingExpectationError(f"no expectation value for pauli string {label!r}")
-        if not math.isfinite(table[label]):
-            raise OutOfRangeError(
-                f"expectation value for pauli string {label!r} is {table[label]}, not finite"
-            )
         coefficients.append(table[label])
     if len(table) != len(coefficients):  # every label is in the table, and more
         extra = next(k for k in table if len(k) != n or k.strip("IXYZ"))
         raise BadLabelError(f"expectation key {_shown(extra)} is not a {n}-letter pauli string")
-    w, v = _eigh(_pauli_density(np.array(coefficients)))
+    coefficients = np.array(coefficients)
+    within = np.abs(coefficients) <= 1.0 + DEFAULT_TOL  # False for NaN
+    if not within.all():
+        label = next(islice(_pauli_strings(n), int(within.argmin()), None))
+        value = table[label]
+        raise OutOfRangeError(f"expectation value for pauli string {label!r} is {value}, "
+                              + ("outside [-1, 1]" if math.isfinite(value) else "not finite"))
+    w, v = _eigh(_pauli_density(coefficients))
     w = np.maximum(w, 0.0)
     total = float(w.sum())
     if total <= 0.0:

@@ -27,12 +27,19 @@ def branch_norms(amps: np.ndarray, level: int) -> np.ndarray:
 
     Returns ``2**(level + 1)`` values; ``level = n - 1`` returns the
     amplitudes themselves.  A nonzero imaginary part raises
-    :class:`NegativeAmplitudeError`.
+    :class:`NegativeAmplitudeError`.  Each branch is scaled by the power of
+    two just above its largest modulus before squaring, so no square
+    overflows, nor underflows unless it is negligible in its sum; the scaling
+    is exact, so the values are those of the unscaled sum wherever that sum
+    fits.  A norm past the float range is inf.
     """
     amps, n = _amplitude_vector(amps)
     if not (_is_int(level) and 0 <= level < n):
         raise LevelOutOfRangeError(f"level {_shown(level)} outside 0..{n - 1}")
-    return _branch_norms(amps ** 2, level)
+    branches = amps.reshape(2 ** (level + 1), -1)
+    _, e = np.frexp(np.abs(branches).max(axis=1))  # 0 for a zero, NaN or infinite max
+    with np.errstate(over="ignore"):
+        return np.ldexp(_branch_norms(np.ldexp(branches, -e[:, None]) ** 2, level), e)
 
 
 def _amplitude_vector(amps) -> tuple:

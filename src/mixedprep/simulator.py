@@ -5,18 +5,18 @@ qubit 0 as the most significant bit.  ``run`` allocates |0...0> once and
 every gate updates that buffer in place through its (2,)*n view; a gate
 with k controls touches only the 2**(n-k) amplitudes it changes, so the
 2**m - 1 loader rotations of a 2m-qubit purification circuit cost
-O(m * 4**m) in all.  Work on exact zeros is skipped, with the same bytes
-out: a rotation by exactly 0 is the identity and costs nothing, so the
-loader of r nonzero weights applies at most r - 1 of its rotations; after
-such a skip ``run`` multiplies the block into the state's nonzero rows
-only (r of 2**m), and ``reduced_density`` contracts only the nonzero
-dropped columns.  A full-rank target skips nothing and pays for no scan
-but one whole-array count in the trace.  The block and the trace use the
-register's view as it is when their qubits are already its leading axes,
-in order, as a compiled block's and the kept system register's are; any
-other qubits are read through one transpose.  The public functions never
-mutate their input: ``apply_gate`` works on one copy, and the readout
-writes only new arrays.
+O(m * 4**m) in all.  Work on exact zeros is skipped, and nothing but the
+amplitudes passes from one gate to the next: a rotation by exactly 0 is
+the identity and costs nothing, so the loader of r nonzero weights applies
+at most r - 1 of its rotations; a block product drops the all-zero rows of
+the operand it reads (all but r of 2**m in a compiled circuit's state),
+and ``reduced_density`` the all-zero dropped columns, each found by one
+``any`` along that axis.  A full-rank state pays for that scan and drops
+nothing.  The block and the trace use the register's view as it is when
+their qubits are already its leading axes, in order, as a compiled block's
+and the kept system register's are; any other qubits are read through one
+transpose.  The public functions never mutate their input: ``apply_gate``
+works on one copy, and the readout writes only new arrays.
 
 ``sample_pauli_expectations`` measures each of the 3**k settings of its k
 qubits once, with ``shots`` shots (the linear-inversion scheme of James et
@@ -134,20 +134,18 @@ def _pair(ten: np.ndarray, target: int, controls) -> tuple:
     return a0, ten[tuple(idx)]
 
 
-def _apply_block(ten: np.ndarray, qubits, matrix, live_rows: bool = False) -> None:
+def _apply_block(ten: np.ndarray, qubits, matrix) -> None:
     """Apply ``matrix`` to ``qubits`` (the first is its most significant bit) in place.
 
-    With ``live_rows`` the product reads only the rows of the block's
-    (2**k, rest) view that hold a nonzero amplitude: an all-zero row adds
-    nothing to any output entry.
+    The product reads only the rows of the block's (2**k, rest) view that
+    hold a nonzero amplitude: an all-zero row adds nothing to any output entry.
     """
     k = len(qubits)
     view = _leading(ten, qubits)
     rows = view.reshape(2 ** k, -1)
-    if live_rows:
-        live = _live(rows)
-        if not live.all():
-            matrix, rows = matrix[:, live], rows[live]
+    live = rows.any(axis=1)
+    if not live.all():
+        matrix, rows = matrix[:, live], rows[live]
     view[...] = (matrix @ rows).reshape(view.shape)
 
 
@@ -163,34 +161,17 @@ def _leading(ten: np.ndarray, qubits) -> np.ndarray:
     return ten.transpose([*qubits, *(a for a in range(ten.ndim) if a not in qubits)])
 
 
-def _live(m: np.ndarray) -> np.ndarray:
-    """Mask of the rows of the 2-d complex ``m`` with a nonzero entry.
-
-    It reads the float views ``m.real`` and ``m.imag``, which exist for any
-    strides: ``m.view(float)`` needs a contiguous last axis, which the view
-    of a block on non-leading qubits does not have.
-    """
-    return m.real.any(axis=1) | m.imag.any(axis=1)
-
-
 def run(circuit: Circuit, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Apply the circuit's gates in order to |0...0>, all in one buffer.
 
-    A rotation by exactly 0 is the identity and is skipped.  A skipped
-    rotation is what leaves exact-zero rows in a compiled circuit's state,
-    so only after one does a block scan for them, and multiply only the
-    live rows; a full-rank target's block never scans.
+    A rotation by exactly 0 is the identity and is skipped, and a block
+    multiplies only the rows that hold a nonzero amplitude.
     """
     validate_circuit(circuit, tol)
     state = zero_state(circuit.num_qubits)
     ten = state.reshape((2,) * circuit.num_qubits)
-    skipped = False
     for gate in circuit.gates:
-        if isinstance(gate, UnitaryBlock):
-            _apply_block(ten, gate.qubits, gate.matrix, skipped)
-        else:
-            skipped = skipped or (not isinstance(gate, Cnot) and gate.theta == 0.0)
-            _apply(ten, gate)
+        _apply(ten, gate)
     return state
 
 
@@ -199,8 +180,7 @@ def reduced_density(state: np.ndarray, keep) -> np.ndarray:
 
     Never materializes the full outer product: the statevector is viewed
     as (kept, dropped) and contracted against its own conjugate, over the
-    dropped columns that hold a nonzero amplitude only.  Those are scanned
-    for only when one whole-array count finds an exact zero.
+    dropped columns that hold a nonzero amplitude only.
     """
     state = _as_complex(state, IndexOutOfRangeError)
     kept = _require_qubits(keep, num_qubits_of(state), IndexOutOfRangeError)
@@ -211,10 +191,9 @@ def _trace(state: np.ndarray, kept: list) -> np.ndarray:
     """:func:`reduced_density` of a checked 1-d ``state`` and its sorted ``kept`` qubits."""
     n = state.size.bit_length() - 1
     m = _leading(state.reshape((2,) * n), kept).reshape(2 ** len(kept), -1)
-    if np.count_nonzero(m) < m.size:
-        live = _live(m.T)
-        if not live.all():
-            m = m[:, live]
+    live = m.any(axis=0)
+    if not live.all():
+        m = m[:, live]
     return m @ m.conj().T
 
 

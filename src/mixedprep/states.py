@@ -154,6 +154,10 @@ def ginibre_density(d: int, seed: int) -> np.ndarray:
     _require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((2, d, d))
-    G = (g[0] + 1j * g[1]) / math.sqrt(2.0)
+    G = np.empty((d, d), dtype=complex)  # built in place: at most three d x d arrays live
+    G.real, G.imag = g
+    del g
+    G /= math.sqrt(2.0)
     m = G @ G.conj().T
-    return m / np.trace(m).real
+    m /= np.trace(m).real
+    return m

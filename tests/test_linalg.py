@@ -486,6 +486,18 @@ def test_partial_trace_refuses_a_non_finite_matrix_as_the_density_check_does(ent
                 call()
 
 
+@pytest.mark.parametrize(
+    "m, keep",
+    [(np.full((4, 4), 1e308), {0}), (np.full((4, 4), -1e308j), {1}),
+     (np.diag([1e308, 0, 1e308, 0, -1e308, 0, -1e308, 0]), {2})],
+    ids=["real", "imaginary", "opposite-signs"],
+)
+def test_partial_trace_refuses_a_trace_past_the_float_range(m, keep):
+    # finite entries summed to an inf matrix, with an overflow warning
+    with pytest.raises(NotDensityMatrixError, match="sum past the float range"):
+        partial_trace(m, keep, m.shape[0].bit_length() - 1)
+
+
 @pytest.mark.parametrize("total_qubits", [True, 1.0, 2.0, "2", 0, -1])
 def test_partial_trace_rejects_a_non_integer_qubit_count(total_qubits):
     # 2 ** True is 2, so a bool count once traced a 2x2 matrix

@@ -1,4 +1,5 @@
 """Metrics: fidelity, coherence, concurrence, Pauli expectations, tomography."""
+import re
 import tracemalloc
 from functools import reduce
 
@@ -377,8 +378,26 @@ def test_tomography_rejects_non_finite(bad, label):
     n = len(label)
     est = {lab: 0.0 for lab in pauli_labels(n)}
     est[label] = bad
-    with pytest.raises(OutOfRangeError, match=repr(label)):
+    with pytest.raises(OutOfRangeError, match=re.escape(f"{label!r} is {bad}, not finite")):
         tomography_reconstruct(est, n)
+
+
+@pytest.mark.parametrize("value", [1e308, 1.5, -1.5, -1e308, 1.0 + 1e-9])
+@pytest.mark.parametrize("label", ["X", "ZZ", "II"])
+def test_tomography_refuses_an_estimate_beyond_plus_or_minus_one(value, label):
+    # each was clamped into some state: X = 1e308 or 1.5 gave |+><+|
+    n = len(label)
+    est = {lab: 0.0 for lab in pauli_labels(n)}
+    est["I" * n] = 1.0
+    est[label] = value
+    with pytest.raises(OutOfRangeError, match=re.escape(f"{label!r} is {value}, outside")):
+        tomography_reconstruct(est, n)
+
+
+def test_tomography_takes_an_estimate_within_tolerance_of_plus_or_minus_one():
+    for value in (1.0, -1.0, 1.0 + 1e-11, -1.0 - 1e-11):
+        rec = tomography_reconstruct({"X": value, "Y": 0.0, "Z": 0.0}, 1)
+        npt.assert_allclose(rec, [[0.5, value / 2], [value / 2, 0.5]], atol=1e-10)
 
 
 def test_unconverged_solve_raises_typed_error(monkeypatch):

@@ -44,6 +44,27 @@ def test_branch_norms_squares_sum_to_one():
             npt.assert_allclose((norms ** 2).sum(), 1.0, atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "amps, want",
+    [([1e200, 1e200], [1e200, 1e200]), ([3e-170, 4e-170, 0.0, 0.0], [5e-170, 0.0]),
+     ([1e200, 0.0, 1e-200, 0.0], [1e200, 1e-200]), ([1.5e308] * 4, [math.inf] * 2)],
+    ids=["overflowing-squares", "underflowing-squares", "both", "past-the-float-range"],
+)
+def test_branch_norms_square_no_amplitude_past_the_float_range(amps, want):
+    # RuntimeWarning is an error here: the squares once overflowed to inf and underflowed to 0
+    npt.assert_array_equal(branch_norms(np.array(amps), 0), want)
+
+
+def test_branch_norms_scaling_keeps_the_unscaled_bytes():
+    rng = np.random.default_rng(31)
+    for n in range(1, 7):
+        for scale in (1e-3, 1.0, 1e3):
+            amps = rng.random(2 ** n) * (rng.random(2 ** n) < 0.7) * scale
+            for level in range(n):
+                want = np.sqrt((amps ** 2).reshape(2 ** (level + 1), -1).sum(axis=1))
+                assert branch_norms(amps, level).tobytes() == want.tobytes(), (n, level)
+
+
 def test_branch_norms_level_out_of_range():
     with pytest.raises(LevelOutOfRangeError):
         branch_norms([1, 0], 1)

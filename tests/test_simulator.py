@@ -235,15 +235,14 @@ def test_reduced_density_matches_partial_trace():
             )
 
 
-def oracle_apply_block(ten, qubits, matrix, live_rows):
-    """The block product, reading the register through ``np.moveaxis`` as it once did."""
+def oracle_apply_block(ten, qubits, matrix):
+    """The block product over the live rows, reading the register through ``np.moveaxis``."""
     k = len(qubits)
     view = np.moveaxis(ten, qubits, range(k))
     rows = view.reshape(2 ** k, -1)
-    if live_rows:
-        live = rows.real.any(axis=1) | rows.imag.any(axis=1)
-        if not live.all():
-            matrix, rows = matrix[:, live], rows[live]
+    live = rows.real.any(axis=1) | rows.imag.any(axis=1)
+    if not live.all():
+        matrix, rows = matrix[:, live], rows[live]
     view[...] = (matrix @ rows).reshape(view.shape)
 
 
@@ -267,9 +266,8 @@ def oracle_states(n):
     return [dense, sparse, half]
 
 
-@pytest.mark.parametrize("live_rows", [False, True], ids=["all-rows", "live-rows"])
 @pytest.mark.parametrize("n", range(1, 5))
-def test_block_on_every_ordered_qubit_subset_has_the_moveaxis_bytes(n, live_rows):
+def test_block_on_every_ordered_qubit_subset_has_the_moveaxis_bytes(n):
     # leading (0, 1, ...), non-leading and unsorted qubits, read as a view or a transpose
     rng = np.random.default_rng(800 + n)
     for k in range(1, n + 1):
@@ -277,9 +275,9 @@ def test_block_on_every_ordered_qubit_subset_has_the_moveaxis_bytes(n, live_rows
         for qubits in permutations(range(n), k):
             for state in oracle_states(n):
                 got, want = state.copy(), state.copy()
-                simulator._apply_block(got.reshape((2,) * n), qubits, matrix, live_rows)
-                oracle_apply_block(want.reshape((2,) * n), qubits, matrix, live_rows)
-                assert got.tobytes() == want.tobytes(), (qubits, live_rows)
+                simulator._apply_block(got.reshape((2,) * n), qubits, matrix)
+                oracle_apply_block(want.reshape((2,) * n), qubits, matrix)
+                assert got.tobytes() == want.tobytes(), qubits
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -694,22 +692,27 @@ def random_unitary(dim, seed):
 
 
 class WorkCount:
-    """Records rotation and CNOT amplitude pairs, live-row scans and block products."""
+    """Records rotation and CNOT amplitude pairs, and the shapes of block and trace products."""
 
     def __init__(self, monkeypatch):
-        self.pairs, self.scans, self.products = [], [], []
-        pair, live = simulator._pair, simulator._live
+        self.pairs, self.products, self.traces = [], [], []
+        pair, leading, traces = simulator._pair, simulator._leading, self.traces
 
         def counted_pair(ten, target, controls):
             self.pairs.append(controls)
             return pair(ten, target, controls)
 
-        def counted_live(m):
-            self.scans.append(m.shape)
-            return live(m)
+        class Traced(np.ndarray):
+            def __matmul__(self, other):
+                traces.append(other.shape)  # (live dropped columns, kept rows)
+                return np.asarray(self) @ np.asarray(other)
+
+        def traced_leading(ten, qubits):
+            # a block's operand is the right-hand side, so only the trace's product is recorded
+            return leading(ten, qubits).view(Traced)
 
         monkeypatch.setattr(simulator, "_pair", counted_pair)
-        monkeypatch.setattr(simulator, "_live", counted_live)
+        monkeypatch.setattr(simulator, "_leading", traced_leading)
 
     def record_products(self, block):
         """Make ``block`` record the shape of every right-hand side it multiplies."""
@@ -785,10 +788,9 @@ def test_rank_one_circuit_applies_no_rotation_and_multiplies_one_row(monkeypatch
     work.record_products(circuit.gates[-1])
     state = run(circuit)
     assert len(work.pairs) == 4  # the CNOTs only
-    assert work.scans == [(16, 16)]
     assert work.products == [(1, 16)]
     traced = reduced_density(state, bundle.system_qubits)
-    assert work.scans == [(16, 16)] * 2  # the trace scans the 16 dropped columns once
+    assert work.traces == [(1, 16)]  # one of the 16 dropped columns is live
     npt.assert_allclose(traced, bundle.target, atol=1e-12)
 
 
@@ -801,20 +803,32 @@ def test_low_rank_block_multiplies_rank_rows(monkeypatch, rank):
     assert work.products == [(rank, 16)]
 
 
-def test_full_rank_circuit_and_sampling_run_no_scan(monkeypatch):
+def test_full_rank_circuit_applies_every_rotation_and_multiplies_every_row(monkeypatch):
     bundle = build_preparation_circuit(ginibre_density(8, 3))
     work = WorkCount(monkeypatch)
     work.record_products(bundle.circuit.gates[-1])
     state = run(bundle.circuit)
     reduced_density(state, bundle.system_qubits)
     reduced_density(state, bundle.ancilla_qubits)
-    assert work.scans == [] and work.products == [(8, 8)]
+    assert work.products == [(8, 8)] and work.traces == [(8, 8)] * 2
     assert len(work.pairs) == 7 + 3  # every rotation and CNOT
-    # the sampler scans only in its one trace, for the state's zero columns
+    # the sampler's one trace multiplies only the state's live columns
     sparse = run(build_preparation_circuit(low_rank(8, 1, 2)).circuit)
-    work.scans.clear()
+    work.traces.clear()
     sample_pauli_expectations(sparse, (0, 1, 2), 10, 0)
-    assert work.scans == [(8, 8)]
+    assert work.traces == [(1, 8)]
+
+
+def test_a_block_on_a_state_no_rotation_made_sparse_multiplies_its_live_rows(monkeypatch):
+    # no rotation by 0 runs before the block, and |00> has one live row on qubit 0
+    circuit = Circuit(2, [UnitaryBlock((0,), H)])
+    work = WorkCount(monkeypatch)
+    work.record_products(circuit.gates[0])
+    state = run(circuit)
+    assert work.products == [(1, 2)]
+    want = zero_state(2)
+    oracle_apply_block(want.reshape(2, 2), (0,), H)
+    assert state.tobytes() == want.tobytes()
 
 
 # -- the batched readout against the per-setting loop --------------------------

@@ -1,4 +1,7 @@
 """State-family generators: X-states, the c1 family, Ginibre sampling."""
+import math
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -222,3 +225,29 @@ def test_ginibre_refuses_a_dimension_past_the_compile_cap():
     cap = 2 ** (MAX_QUBITS // 2)
     with pytest.raises(OutOfRangeError, match=f"dimension {cap + 1} exceeds {cap}"):
         ginibre_density(cap + 1, 0)
+
+
+def oracle_ginibre(d, seed):
+    """The Ginibre formula as four whole-array expressions."""
+    g = np.random.default_rng(seed).standard_normal((2, d, d))
+    G = (g[0] + 1j * g[1]) / math.sqrt(2.0)
+    m = G @ G.conj().T
+    return m / np.trace(m).real
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 64, 512])
+def test_ginibre_built_in_place_has_the_formula_bytes(d):
+    for seed in (0, 7):
+        assert ginibre_density(d, seed).tobytes() == oracle_ginibre(d, seed).tobytes()
+
+
+def test_ginibre_holds_at_most_three_d_by_d_arrays():
+    # the formula held the draw, two complex temporaries and G: four arrays
+    d = 256
+    tracemalloc.start()
+    try:
+        ginibre_density(d, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * 16 * d * d
