@@ -508,6 +508,20 @@ def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NotDensityMatrixError("matrix has NaN or infinite entries")
     kept = sorted(_require_qubits(keep, total_qubits, DimensionMismatchError))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _trace_down(m, kept, total_qubits)
+    if not np.isfinite(out).all():
+        raise NotDensityMatrixError("the traced entries sum past the float range")
+    return out
+
+
+def _trace_down(m: np.ndarray, kept: list, total_qubits: int) -> np.ndarray:
+    """The core of :func:`partial_trace`, with no check: ``m`` is a ``2**total_qubits``
+    square complex array and ``kept`` its qubits to keep, distinct and ascending.
+
+    A caller that has certified ``m`` as a density matrix needs no check:
+    its entries are at most 1 in size, so no sum overflows.
+    """
     dropped = [q for q in range(total_qubits) if q not in kept]
     t = m.reshape([2] * (2 * total_qubits))
     order = kept + dropped
@@ -515,11 +529,7 @@ def partial_trace(state, keep, total_qubits: int) -> np.ndarray:
     dk = 2 ** len(kept)
     dd = 2 ** len(dropped)
     t = t.transpose(perm).reshape(dk, dd, dk, dd)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = t.trace(axis1=1, axis2=3)
-    if not np.isfinite(out).all():
-        raise NotDensityMatrixError("the traced entries sum past the float range")
-    return out
+    return t.trace(axis1=1, axis2=3)
 
 
 def _fold(x, mats) -> np.ndarray:

@@ -6,10 +6,16 @@ each level k = 1..n-1 one multi-controlled Ry per k-bit prefix, controlled
 on qubits 0..k-1 matching that prefix and targeting qubit k.  Each angle
 splits a branch norm between the child whose next bit is 0 and the child
 whose next bit is 1.
+
+The tree is built a level at a time: one array pass for the level's
+branch norms, one list of ``2 * atan2`` angles over them as floats (those
+of :func:`rotation_angle`), and one ``itertools.product`` for the controls
+of its prefixes, whose (qubit, bit) pairs the level's gates share.
 """
 from __future__ import annotations
 
 import math
+from itertools import product, repeat
 
 import numpy as np
 
@@ -60,7 +66,7 @@ def rotation_angle(r0: float, r1: float) -> float:
     Follows atan2 conventions: (0, 0) gives 0, (0, positive) gives pi.  A
     norm that is not a real float is an :class:`OutOfRangeError`.
     """
-    try:  # no cost until it raises on Python 3.11+, where the loader calls it per rotation
+    try:  # no cost until it raises on Python 3.11+
         return 2.0 * math.atan2(r1, r0)
     except (TypeError, OverflowError) as exc:
         raise OutOfRangeError(f"branch norms must be real numbers: {exc}") from exc
@@ -92,22 +98,21 @@ def _ry_tree(amps: np.ndarray) -> Circuit:
 
     No check is repeated: the caller has established a power-of-two length
     of at least 2, non-negative entries and unit norm.  Every level's branch
-    norms come from one array of squares.
+    norms come from one array of squares, its angles from one pass of
+    ``atan2`` over them as floats, and its controls from one
+    ``itertools.product`` of the (qubit, bit) pairs of qubits 0..level-1:
+    the prefixes in ascending order, qubit 0 the most significant bit, with
+    the level's 2 * level pair tuples shared by its gates.
     """
     n = amps.shape[0].bit_length() - 1
     sq = amps ** 2
     circuit = Circuit(num_qubits=n, label="real-amplitude loader")
     for level in range(n):
-        children = _branch_norms(sq, level)
-        for prefix in range(2 ** level):
-            theta = rotation_angle(children[2 * prefix], children[2 * prefix + 1])
-            if level == 0:
-                circuit.gates.append(Ry(target=0, theta=theta))
-            else:
-                controls = tuple(
-                    (q, (prefix >> (level - 1 - q)) & 1) for q in range(level)
-                )
-                circuit.gates.append(
-                    MultiControlledRy(controls=controls, target=level, theta=theta)
-                )
+        norms = _branch_norms(sq, level).tolist()
+        thetas = [2.0 * math.atan2(r1, r0) for r0, r1 in zip(norms[::2], norms[1::2])]
+        if level == 0:
+            circuit.gates.append(Ry(target=0, theta=thetas[0]))
+        else:
+            prefixes = product(*(((q, 0), (q, 1)) for q in range(level)))
+            circuit.gates.extend(map(MultiControlledRy, prefixes, repeat(level), thetas))
     return circuit

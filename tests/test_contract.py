@@ -5,6 +5,7 @@ exit code 2 and an ``error:`` line, with no traceback, and so does every
 subcommand that takes ``--tol`` given one that is not a finite number >= 0.
 """
 import json
+import re
 from collections.abc import Hashable
 
 import numpy as np
@@ -61,6 +62,7 @@ from mixedprep import (
     x_state_eigenvectors,
     zero_state,
 )
+from mixedprep import circuits
 from mixedprep.cli import main
 from mixedprep.linalg import density_factor
 
@@ -247,6 +249,121 @@ def test_a_gates_or_controls_container_of_the_wrong_type_is_refused(name):
             check(build())
     with pytest.raises(FormatError, match="must be a list|unreadable wires"):
         circuit_to_dict(build())
+
+
+# a one-qubit block's field replaced after construction: (field, new value, the
+# refusal); each one passed the gate checks, then run and apply_gate raised an
+# IndexError or a TypeError, or the writer wrote a file its reader refuses
+REPLACED_BLOCKS = {
+    "matrix-4x4": ("matrix", lambda: np.eye(4, dtype=complex),
+                   "unitary block on 1 qubits needs a 2x2 matrix, got (4, 4)"),
+    "matrix-list": ("matrix", lambda: [[1, 0], [0, 1]],
+                    "unitary block on 1 qubits needs a 2x2 matrix, got a list"),
+    "matrix-real": ("matrix", lambda: np.eye(2),
+                    "unitary block on 1 qubits needs a 2x2 matrix, got a float64 array"),
+    "qubits-two": ("qubits", lambda: (0, 1),
+                   "unitary block on 2 qubits needs a 4x4 matrix, got (2, 2)"),
+    "qubits-list": ("qubits", lambda: [0], "UnitaryBlock has unreadable wires: qubits [0]"),
+    "qubits-generator": ("qubits", lambda: (q for q in [0]),
+                         "UnitaryBlock has unreadable wires: qubits <generator"),
+}
+
+
+def replaced_block(name):
+    field, value, _ = REPLACED_BLOCKS[name]
+    block = UnitaryBlock((0,), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    setattr(block, field, value())
+    return block
+
+
+@pytest.mark.parametrize("name", REPLACED_BLOCKS)
+def test_a_block_whose_field_is_replaced_is_refused_by_every_gate_check(name):
+    message = re.escape(REPLACED_BLOCKS[name][2])
+    checks = [lambda block: validate_circuit(Circuit(2, [block])),
+              lambda block: run(Circuit(2, [block])),
+              lambda block: apply_gate(zero_state(2), block)]
+    for check in checks:
+        with pytest.raises(IndexOutOfRangeError, match=message):
+            check(replaced_block(name))
+    with pytest.raises(FormatError, match=message):
+        circuit_to_dict(Circuit(2, [replaced_block(name)]))
+
+
+def test_a_replaced_block_matrix_is_refused_with_the_constructors_message():
+    for name, qubits, matrix in (("matrix-4x4", (0,), np.eye(4)),
+                                 ("qubits-two", (0, 1), np.eye(2))):
+        with pytest.raises(IndexOutOfRangeError) as built:
+            UnitaryBlock(qubits, matrix)
+        assert str(built.value) == REPLACED_BLOCKS[name][2]
+
+
+# gates whose structure the cheap test of _require_gates reads: valid ones it
+# may leave to the full checks, and faulty ones it must never accept
+SHAPED_GATES = {
+    "mcry-descending": MultiControlledRy(((1, 0), (0, 1)), 2, 0.5),
+    "mcry-above-target": MultiControlledRy(((1, 0),), 0, 0.5),
+    "mcry-no-controls": MultiControlledRy((), 1, 0.5),
+    "mcry-repeated": MultiControlledRy(((0, 0), (0, 1)), 1, 0.5),
+    "mcry-on-target": MultiControlledRy(((0, 0), (1, 1)), 1, 0.5),
+    "mcry-bit-2": MultiControlledRy(((0, 2),), 1, 0.5),
+    "mcry-pair-of-3": MultiControlledRy(((0, 1, 1),), 1, 0.5),
+    "mcry-pair-of-1": MultiControlledRy(((0,),), 1, 0.5),
+    "mcry-pair-list": MultiControlledRy(([0, 1],), 1, 0.5),
+    "mcry-controls-list": MultiControlledRy([(0, 1)], 1, 0.5),
+    "mcry-int-angle": MultiControlledRy(((0, 1),), 1, 1),
+    "mcry-inf": MultiControlledRy(((0, 1),), 1, float("inf")),
+    "ry-negative-zero": Ry(0, -0.0),
+    "cnot-same": Cnot(1, 1),
+    "block-repeated": UnitaryBlock((0, 0), np.eye(4)),
+    "block-out-of-range": UnitaryBlock((0, 2), np.eye(4)),
+    "block-view": UnitaryBlock((1, 0), np.eye(4)),
+    **{f"replaced-{name}": replaced_block(name) for name in REPLACED_BLOCKS},
+}
+SHAPED_GATES["block-view"].matrix = SHAPED_GATES["block-view"].matrix.view(np.matrix)
+SOUNDNESS_CASES = ([(f, v) for f, v in GATE_CASES if f != "num_qubits"]
+                   + [("shaped", name) for name in SHAPED_GATES])
+
+
+@pytest.mark.parametrize("field, value", SOUNDNESS_CASES,
+                         ids=[f"{f}-{v}" for f, v in SOUNDNESS_CASES])
+def test_the_cheap_gate_test_accepts_nothing_the_full_checks_refuse(field, value):
+    if field == "shaped":
+        gate, n = SHAPED_GATES[value], 3
+    else:
+        gate, n = GATE_FIELDS[field][0](GATE_VALUES[value]).gates[0], 2
+    accepted = circuits._ACCEPTS[type(gate)](gate, n)
+    checked = verdict(lambda: circuits._require_gate(0, gate, n))
+    assert not accepted or checked is None, checked
+
+
+@pytest.mark.parametrize("field", [f for f in GATE_FIELDS if f != "num_qubits"])
+def test_the_cheap_gate_test_accepts_a_gate_of_plain_valid_fields(field):
+    build, _, valid = GATE_FIELDS[field]
+    gate = build(valid).gates[0]
+    assert circuits._ACCEPTS[type(gate)](gate, 2)
+
+
+def test_compiled_circuits_pass_the_cheap_gate_test_alone(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"a full gate check ran on {args}")
+
+    ints = []
+    monkeypatch.setattr(circuits, "gate_qubits", refuse)
+    monkeypatch.setattr(circuits, "_require_gate", refuse)
+    monkeypatch.setattr(circuits, "_is_int", lambda value: ints.append(value) or True)
+    targets = [(d, low_rank_target(d, 1 + d % 3)) for d in range(2, 257)]
+    targets += [(d, ginibre_density(d, d)) for d in (2, 3, 5, 8, 17, 64, 256)]
+    for d, rho in targets:
+        circuit = build_preparation_circuit(rho).circuit
+        ints.clear()
+        validate_circuit(circuit)
+        assert ints == [circuit.num_qubits], d  # the qubit count is the only integer checked
+
+
+def low_rank_target(d, rank):
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    return g @ g.conj().T / np.vdot(g, g).real
 
 
 QUBIT_SETS = {"repeated": [0, 0], "repeated-later": [1, 0, 1], "empty": [], "negative": [-1],

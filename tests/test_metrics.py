@@ -24,8 +24,10 @@ from mixedprep import (
     l1_coherence,
     local_l1_coherence,
     p00_family,
+    partial_trace,
     pauli_labels,
     pauli_matrix,
+    prepare_density,
     run,
     sample_pauli_expectations,
     tomography_reconstruct,
@@ -276,6 +278,15 @@ def test_local_l1_coherence():
         local_l1_coherence(np.eye(2) / 2, "A")
     with pytest.raises(BadLabelError):
         local_l1_coherence(bell_rho(), "C")
+
+
+def test_local_l1_coherence_has_the_bytes_of_the_checked_partial_trace():
+    # it traces its certified matrix without partial_trace's checks, on figure 2's c1 grid
+    for c1 in np.linspace(-0.32, 0.32, 21):
+        for rho in (c1_state(c1), prepare_density(c1_state(c1))):
+            for qubit, letter in enumerate("AB"):
+                mags = np.abs(partial_trace(rho, {qubit}, 2))
+                assert local_l1_coherence(rho, letter) == float(mags.sum() - mags.trace())
 
 
 def test_a_subsystem_index_names_the_same_qubit_as_its_letter():

@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from mixedprep import (
+    Circuit,
     Cnot,
     DimensionMismatchError,
     LevelOutOfRangeError,
@@ -139,6 +140,45 @@ def test_compile_sparse_vectors():
     for g in c.gates:
         if isinstance(g, MultiControlledRy) and g.controls[0][1] == 1:
             assert g.theta == 0.0
+
+
+def oracle_ry_tree(amps):
+    """The loader built gate by gate: one ``rotation_angle`` of a level's float64
+    norms per prefix, and each prefix's control bits shifted out of its index."""
+    n = amps.shape[0].bit_length() - 1
+    sq = amps ** 2
+    circuit = Circuit(num_qubits=n, label="real-amplitude loader")
+    for level in range(n):
+        children = np.sqrt(sq.reshape(2 ** (level + 1), -1).sum(axis=1))
+        for prefix in range(2 ** level):
+            theta = rotation_angle(children[2 * prefix], children[2 * prefix + 1])
+            if level == 0:
+                circuit.gates.append(Ry(target=0, theta=theta))
+            else:
+                controls = tuple((q, (prefix >> (level - 1 - q)) & 1) for q in range(level))
+                circuit.gates.append(MultiControlledRy(controls, level, theta))
+    return circuit
+
+
+def oracle_vectors(n):
+    """A dense, a sparse and a one-hot amplitude vector of 2**n entries."""
+    rng = np.random.default_rng(n)
+    dense = random_amps(n, 500 + n)
+    sparse = np.zeros(2 ** n)
+    live = rng.choice(2 ** n, size=max(1, 2 ** n // 8), replace=False)
+    sparse[live] = rng.random(live.size)
+    one_hot = np.zeros(2 ** n)
+    one_hot[rng.integers(2 ** n)] = 1.0
+    return {"dense": dense, "sparse": sparse / np.linalg.norm(sparse), "one-hot": one_hot}
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_compile_equals_the_gate_by_gate_loader(n):
+    for name, amps in oracle_vectors(n).items():
+        circuit = compile_real_state(amps)
+        assert circuit == oracle_ry_tree(amps), name
+        assert all(type(g.theta) is float and type(g.target) is int for g in circuit.gates)
+        assert all(type(b) is int for g in circuit.gates[1:] for _, b in g.controls)
 
 
 def test_compile_validation():
