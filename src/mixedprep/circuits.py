@@ -71,7 +71,10 @@ class UnitaryBlock:
         return self.qubits == other.qubits and np.array_equal(self.matrix, other.matrix)
 
     def __repr__(self):
-        return f"UnitaryBlock(qubits={self.qubits}, dim={self.matrix.shape[0]})"
+        m = self.matrix  # a replaced matrix need not be an array: show its type
+        if isinstance(m, np.ndarray) and m.ndim == 2:
+            return f"UnitaryBlock(qubits={self.qubits}, dim={m.shape[0]})"
+        return f"UnitaryBlock(qubits={self.qubits}, matrix={type(m).__name__})"
 
 
 def _require_block_matrix(qubits: tuple, matrix) -> None:

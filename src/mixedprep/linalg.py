@@ -69,7 +69,12 @@ block, whose every column is an eigenvector from compile's one solve: the
 support groups canonical, the rest as the solve returned them.  The block is
 not measured at compile: ``validate_circuit`` checks it once, when it runs.
 It is whole-array work but for the Gram-Schmidt of tied groups: one
-comparison finds the groups and one product fixes every column's phase.
+comparison finds the groups and one product fixes every column's phase.  A
+g-fold group is rebuilt in its own g coordinates, not in C^d: with V its
+d x g columns, the projection of e_i onto the group is V times row i of
+conj(V), so the Gram-Schmidt runs on those g-vectors into one g x g array,
+one projection against the accepted block per pass, and one d x g by g x g
+product gives the group's columns.  No d x d projector is formed.
 Square roots read the raw ``eigh``.
 
 Every Pauli-basis transform acts qubit by qubit, so each is one
@@ -428,20 +433,19 @@ def canonical_eigenvectors(w: np.ndarray, v: np.ndarray, count: int) -> tuple:
     eigenvector columns.  Within any group of eigenvalues that agree to
     :data:`TIE_TOL` and lies wholly inside the first ``count`` columns, the
     eigenvectors are rebuilt by Gram-Schmidt on the projections of the
-    canonical basis vectors (taken in index order); the first group that
-    reaches past ``count``, and every column after it, keeps the column of
-    ``v``.  Every eigenvector's global phase is fixed so that its first
-    component above :data:`DEFAULT_TOL` in modulus is real positive.
+    canonical basis vectors (taken in index order), as V times the g x g
+    coefficients of :func:`_gram_schmidt`, V the group's d x g columns; the
+    first group that reaches past ``count``, and every column after it,
+    keeps the column of ``v``.  Every eigenvector's global phase is fixed so
+    that its first component above :data:`DEFAULT_TOL` in modulus is real
+    positive.
     """
     w = np.ascontiguousarray(w[::-1].real)
     v = v[:, ::-1].copy()  # the tie groups are rebuilt in place
     edges = [0, *((w[:-1] - w[1:] > TIE_TOL).nonzero()[0] + 1).tolist(), w.shape[0]]
     for start, stop in zip(edges[:-1], edges[1:]):
-        if stop > count:
-            break
-        if stop - start > 1:  # Gram-Schmidt on the projections of e_0, e_1, ... onto the group
-            proj = v[:, start:stop] @ v[:, start:stop].conj().T
-            v[:, start:stop] = _gram_schmidt(proj.T.copy(), stop - start)
+        if stop - start > 1 and stop <= count:  # a tie group within the first count columns
+            v[:, start:stop] = v[:, start:stop] @ _gram_schmidt(v[:, start:stop].conj())
     # A unit column has an entry of modulus >= 1/sqrt(d) > DEFAULT_TOL, so every
     # column has a lead.  hypot gives the bits of abs() on a complex scalar, and
     # the 2-d phase row the bits of a per-column product (numpy rounds a 1x1
@@ -450,25 +454,33 @@ def canonical_eigenvectors(w: np.ndarray, v: np.ndarray, count: int) -> tuple:
     return w, v * (lead.conj() / np.hypot(lead.real, lead.imag))[None, :]
 
 
-def _gram_schmidt(candidates, size: int) -> np.ndarray:
-    """Orthonormalize the ``candidates`` in order until there are ``size`` columns.
+def _gram_schmidt(coords: np.ndarray) -> np.ndarray:
+    """The g x g coefficients of the Gram-Schmidt basis of a tie group, from its d x g coordinates.
 
-    Each candidate is orthogonalized twice (the second pass restores
-    precision); residuals no longer than :data:`GS_DROP_TOL` are skipped.
+    Row i of ``coords`` is c_i = conj(V[i, :]), V the group's d x g
+    orthonormal columns, so the projection P e_i = V V^dagger e_i is V c_i,
+    and V is an isometry: Gram-Schmidt of the c_i in index order, times V,
+    is the Gram-Schmidt of P e_0, P e_1, ..., with the same residual norms.
+    Each candidate is projected off the whole accepted block twice, one
+    matrix-vector product for its coefficients and one for their sum per
+    pass (classical Gram-Schmidt twice keeps orthogonality as the modified
+    form does: Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 1069
+    (2005)).  Residuals no longer than :data:`GS_DROP_TOL` are skipped, and
+    the g-th accepted column ends the loop.
     """
-    basis = []
-    for vec in candidates:
-        if len(basis) == size:
-            break
-        for _ in range(2):
-            for b in basis:
-                vec = vec - b * (b.conj() @ vec)
+    g = coords.shape[1]
+    rows = np.empty((g, g), dtype=coords.dtype)  # row k is accepted column k
+    k = 0
+    for vec in coords:
+        for _ in range(2):  # contiguous rows and a conjugated vector: no k x g copy
+            vec = vec - (rows[:k] @ vec.conj()).conj() @ rows[:k]
         nrm = float(np.linalg.norm(vec))
         if nrm > GS_DROP_TOL:
-            basis.append(vec / nrm)
-    if len(basis) != size:  # pragma: no cover - the candidates span the space
-        raise NotOrthonormalError("failed to complete an orthonormal basis")
-    return np.column_stack(basis)
+            rows[k] = vec / nrm
+            k += 1
+            if k == g:
+                return rows.T
+    raise NotOrthonormalError("failed to complete an orthonormal basis")  # pragma: no cover
 
 
 def matrix_sqrt_psd(m, tol: float = DEFAULT_TOL) -> np.ndarray:

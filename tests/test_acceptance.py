@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end criteria, one printed verdict line each.
+"""Acceptance gate: ten end-to-end criteria, one printed verdict line each.
 
 Run with plain pytest; the verdict lines bypass output capture so every
 criterion reports PASS or FAIL on the terminal regardless of flags.
@@ -10,6 +10,7 @@ import pytest
 
 from mixedprep import (
     Circuit,
+    UnitaryBlock,
     build_preparation_circuit,
     c1_state,
     compile_real_state,
@@ -25,6 +26,7 @@ from mixedprep import (
     run,
     sample_pauli_expectations,
     tomography_reconstruct,
+    validate_circuit,
 )
 from mixedprep.cli import main
 
@@ -191,3 +193,23 @@ def test_criterion_9_determinism(verdict, tmp_path):
         pairs.append((circ.read_bytes(), fig2.read_bytes(), fig3.read_bytes()))
     ok = pairs[0] == pairs[1]
     verdict(9, "identical seeds give bitwise-identical circuit files and CSVs", ok)
+
+
+def test_criterion_10_degenerate_spectra(verdict):
+    # every eigenvalue tied (I/256), and two 128-fold groups on a Haar basis:
+    # each tie group is rebuilt canonically, and the block must stay unitary
+    d = 256
+    rng = np.random.default_rng(10)
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    two_groups = (u * np.repeat([0.75, 0.25], d // 2) / (d // 2)) @ u.conj().T
+    worst_loss = worst_gram = 0.0
+    for target in (np.eye(d) / d, (two_groups + two_groups.conj().T) / 2):
+        bundle = build_preparation_circuit(target)
+        validate_circuit(bundle.circuit)
+        (block,) = [g.matrix for g in bundle.circuit.gates if isinstance(g, UnitaryBlock)]
+        worst_gram = max(worst_gram, np.abs(block.conj().T @ block - np.eye(d)).max())
+        traced = reduced_density(run(bundle.circuit), bundle.system_qubits)
+        worst_loss = max(worst_loss, 1 - fidelity(traced, target))
+    ok = worst_loss <= 1e-9 and worst_gram <= 1e-12
+    verdict(10, "I/256 and two 128-fold groups at d = 256: fidelity loss <= 1e-9, unitary block",
+            ok, f"loss {worst_loss:.1e}, max |U^dagger U - I| {worst_gram:.1e}")

@@ -395,7 +395,7 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv):
 # sha256 of the 1000-shot CSVs (numpy 2.4, OpenBLAS): a change to the draws,
 # the estimates or the tomography shows here
 SHOT_CSV_SHA256 = {
-    "2": "d754aef26922c074c24dd9297f85801a2274b18b94b7364046f7a2a51d9a5c4a",
+    "2": "aecce8137337d921a070837ae89e713cdf0203dff5d46f2c2055413e66bbee7e",
     "3": "1cea25b0b792421f7d3b6badb2f17c531b5fb88501aa54f036d34320edb5705d",
 }
 
@@ -414,7 +414,7 @@ CIRCUIT_SHA256 = {
     "ginibre:d=3,seed=2": "ab1e74dfa1fe841045751cfc8bf49429a5724a13c94bc684d5cd7c74cfcc6a24",  # padded
     "ginibre:d=8,seed=7": "811ef3d030fab9912595eb3a97ba5e83ffe0534d1875924032b8b79d0ecd9ae7",
     "xstate:p00=0": "81bb2c1151074cd4d700d6bb54564c2f13be2655e544fc29100f6b86608a52c7",  # null space
-    "xstate:p00=0.5": "0245f91147457052b2820c2f50466d4d4630ea8941875e62711bf1b35e755dcc",
+    "xstate:p00=0.5": "ac970bb97132bc201c144d9294e1f612b1e60a086ebea0611edd9461fbca3c1a",
 }
 
 

@@ -34,6 +34,7 @@ from mixedprep import (
 from mixedprep import linalg
 from mixedprep.linalg import (
     DEFAULT_TOL,
+    GS_DROP_TOL,
     TIE_TOL,
     _gram_schmidt,
     canonical_eigenvectors,
@@ -265,11 +266,34 @@ def test_canonical_basis_built_only_for_the_compile_block(monkeypatch):
         assert len(calls) == 0
 
 
-def _reference_canonical_eigenvectors(w, v, count):
+def _g_coordinate_rebuild(group):
+    """A tie group's canonical columns as ``canonical_eigenvectors`` builds them."""
+    return group @ _gram_schmidt(group.conj())
+
+
+def _projector_rebuild(group):
+    """The oracle: modified Gram-Schmidt, twice, of the columns P e_0, P e_1, ... of
+    the d x d projector P = V V^dagger onto the group, one basis vector at a time."""
+    basis = []
+    for vec in (group @ group.conj().T).T:
+        if len(basis) == group.shape[1]:
+            break
+        for _ in range(2):
+            for b in basis:
+                vec = vec - b * (b.conj() @ vec)
+        nrm = float(np.linalg.norm(vec))
+        if nrm > GS_DROP_TOL:
+            basis.append(vec / nrm)
+    assert len(basis) == group.shape[1]
+    return np.column_stack(basis)
+
+
+def _reference_canonical_eigenvectors(w, v, count, rebuild=_g_coordinate_rebuild):
     """The column-at-a-time form of ``canonical_eigenvectors``: a tie scan, one phase fix per column.
 
-    All d columns come back; tie groups are rebuilt up to the first one that
-    reaches past ``count``, which keeps the columns of ``v`` from there on.
+    All d columns come back; tie groups are rebuilt by ``rebuild`` up to the
+    first one that reaches past ``count``, which keeps the columns of ``v``
+    from there on.
     """
     w = np.ascontiguousarray(w[::-1].real)
     v = np.ascontiguousarray(v[:, ::-1])
@@ -283,8 +307,7 @@ def _reference_canonical_eigenvectors(w, v, count):
         if stop > count:
             break
         if stop - start > 1:
-            proj = v[:, start:stop] @ v[:, start:stop].conj().T
-            out[:, start:stop] = _gram_schmidt(proj.T.copy(), stop - start)
+            out[:, start:stop] = rebuild(v[:, start:stop])
         start = stop
     for j in range(d):
         col = out[:, j]
@@ -346,6 +369,90 @@ def test_canonical_eigenvectors_bytes_equal_column_loop(name):
         assert got_w.tobytes() == ref_w.tobytes()
         assert got_v.shape == ref_v.shape == (len(w), len(w)), count
         assert got_v.tobytes() == ref_v.tobytes(), count
+
+
+def _oracle_cases():
+    """(w, v, count) inputs whose tie groups the projector oracle rebuilds too."""
+    rng = np.random.default_rng(33)
+    cases = {f"canonical-{name}": (w, v, len(w)) for name, (w, v) in CANONICAL_CASES.items()}
+    for d in range(2, 65):  # I/d: one d-fold group, in eigh's basis and in a Haar one
+        w = np.full(d, 1 / d)
+        cases[f"identity-{d}"] = (w, np.linalg.eigh(np.eye(d) / d)[1], d)
+        cases[f"identity-{d}-haar"] = (w, _haar(d, rng), d)
+    w, v = np.linalg.eigh(np.diag([0.5, 0, 0.25, 0.25]).astype(complex))
+    cases["diag-0.5-0-0.25-0.25"] = (w, _phased(v, rng), 4)
+    # an 8-fold group on e_8 ... e_15: its first eight coordinates are zero
+    v = np.zeros((16, 16), dtype=complex)
+    v[:8, :8], v[8:, 8:] = _haar(8, rng), _haar(8, rng)
+    cases["high-indices"] = (np.r_[np.linspace(0.01, 0.05, 8), np.full(8, 0.06)], v, 16)
+    # I (x) |+><+| / 32 at d = 64: coordinates 2k and 2k + 1 of each group are equal
+    plus = np.full((2, 2), 0.5)
+    cases["identity-x-plus"] = (*np.linalg.eigh(np.kron(np.eye(32), plus) / 32), 64)
+    for g in (4, 16):  # a g-fold group on a Haar subspace at d = 256, the rest distinct
+        w = np.r_[np.linspace(0.001, 0.002, 256 - g), np.full(g, 0.003)]
+        cases[f"haar-{g}-of-256"] = (w, _haar(256, rng), 256)
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_canonical_eigenvectors_agree_with_the_projector_oracle(name):
+    w, v, count = ORACLE_CASES[name]
+    got_w, got_v = canonical_eigenvectors(w, v, count)
+    ref_w, ref_v = _reference_canonical_eigenvectors(w, v, count, _projector_rebuild)
+    assert got_w.tobytes() == ref_w.tobytes()
+    assert np.abs(got_v - ref_v).max() <= 1e-12
+    assert np.abs(got_v.conj().T @ got_v - np.eye(len(w))).max() <= 1e-13
+
+
+def test_the_null_group_of_eig_hermitian_agrees_with_the_projector_oracle():
+    # rank 4 at d = 256: a 4-fold support group and a 252-fold null group
+    d = 256
+    u = haar_unitary(d, 33)[:, :4]
+    m = (u * 0.25) @ u.conj().T
+    m = (m + m.conj().T) / 2
+    got = eig_hermitian(m)
+    ref_w, ref_v = _reference_canonical_eigenvectors(*np.linalg.eigh(m), d, _projector_rebuild)
+    assert got.eigenvalues.tobytes() == ref_w.tobytes()
+    assert np.abs(got.eigenvectors - ref_v).max() <= 1e-12
+    assert np.abs(got.eigenvectors.conj().T @ got.eigenvectors - np.eye(d)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_near_dependent_coordinates_keep_the_drop_rule_and_orthogonality(seed):
+    # an 8-fold group at d = 16 whose coordinate row 1 is row 0 within 1e-10
+    # (dropped: below GS_DROP_TOL) and row 3 is row 2 within 1e-7 (kept: one
+    # projection pass would leave it about 1e-9 off the columns before it)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
+    a[1] = a[0] + 1e-10 * a[1]
+    a[3] = a[2] + 1e-7 * a[3]
+    q = np.linalg.qr(a, mode="complete")[0]  # its first 8 columns span a's
+    w, v = np.r_[np.linspace(0.01, 0.02, 8), np.full(8, 0.1)], np.hstack([q[:, 8:], q[:, :8]])
+    got = canonical_eigenvectors(w, v, 16)[1]
+    ref = _reference_canonical_eigenvectors(w, v, 16, _projector_rebuild)[1]
+    assert np.abs(got.conj().T @ got - np.eye(16)).max() <= 1e-13
+    # the kept column is fixed only to about eps / 1e-7, and so is the choice
+    # of a lead entry near DEFAULT_TOL: compare the columns up to their phase
+    overlap = (ref.conj() * got).sum(axis=0)
+    assert np.abs(got * (overlap.conj() / np.abs(overlap)) - ref).max() <= 1e-6
+
+
+def test_a_support_tie_is_rebuilt_without_a_d_by_d_projector():
+    # one 8-fold support group at d = 512: the reversed copy and the phased
+    # result are the two d x d arrays; the projector and its copy made 3.04
+    d = 512
+    u = haar_unitary(d, 8)
+    w, v = np.linalg.eigh((u[:, :8] / 8) @ u[:, :8].conj().T)
+    tracemalloc.start()
+    try:
+        canonical_eigenvectors(w, v, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * v.nbytes
 
 
 def test_require_density_messages():

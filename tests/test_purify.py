@@ -365,3 +365,23 @@ def test_the_paper_path_calls_none_of_the_removed_numpy_helpers(monkeypatch):
         if rho.shape == (4, 4):
             assert concurrence(prepared) >= 0.0
             assert local_l1_coherence(prepared, "A") >= 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_tie_group_with_near_dependent_projections_compiles_to_a_unitary_block(seed):
+    # an 8-fold support tie at d = 16 whose projections of e_2 and e_3 differ
+    # by about 1e-7: rebuilt from the d x d projector, the column kept from e_3
+    # left the group by about eps / 1e-7, and `run` refused the block
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
+    a[1] = a[0] + 1e-10 * a[1]
+    a[3] = a[2] + 1e-7 * a[3]
+    q = np.linalg.qr(a, mode="complete")[0]
+    rest = np.linspace(1, 4, 8)
+    rho = (q * np.r_[np.full(8, 0.1), 0.2 * rest / rest.sum()]) @ q.conj().T
+    rho = (rho + rho.conj().T) / 2
+    bundle = build_preparation_circuit(rho)
+    (block,) = [g.matrix for g in bundle.circuit.gates if isinstance(g, UnitaryBlock)]
+    assert np.abs(block.conj().T @ block - np.eye(16)).max() <= 1e-13
+    traced = reduced_density(run(bundle.circuit), bundle.system_qubits)
+    assert 1 - fidelity(traced, rho) <= 1e-12

@@ -132,6 +132,15 @@ def test_a_unitary_block_equals_only_a_block():
     assert (block == 5) is False and (block != Ry(0, 0.1)) is True
 
 
+@pytest.mark.parametrize("matrix", [[[1, 0], [0, 1]], np.array(1.0), None],
+                         ids=["list", "0-d", "none"])
+def test_a_block_with_a_replaced_matrix_still_has_a_repr(matrix):
+    block = UnitaryBlock((0,), H)
+    assert repr(block) == "UnitaryBlock(qubits=(0,), dim=2)"
+    block.matrix = matrix
+    assert repr(block) == f"UnitaryBlock(qubits=(0,), matrix={type(matrix).__name__})"
+
+
 @pytest.mark.parametrize("matrix", [[[1, 0], [0]], [1, 2]], ids=["ragged", "1-d"])
 def test_unitary_block_refuses_a_matrix_it_cannot_read(matrix):
     with pytest.raises(IndexOutOfRangeError):
