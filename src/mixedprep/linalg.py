@@ -4,15 +4,27 @@ Matrices are plain numpy arrays with complex entries.  Qubit 0 is always
 the most significant bit of a basis-state index, so the first tensor
 factor of a Kronecker product owns the leading block of the matrix.
 
-Density matrices are checked in one place: shape, finite entries,
-Hermiticity and trace, then positivity.  :func:`density_factor` reads
-positivity off a Cholesky factorization; where that fails or a pivot is
-at the rounding level, off a pivoted Cholesky that stops at the numerical
-rank and one residual that certifies it.  It solves only for a matrix that
-fails the certificate, to name its least eigenvalue.  It is the check of
-every caller, compile included, and compile reads the spectrum off its
-factor: one d x d ``eigh`` for a full-rank matrix, one SVD of the d x r
-factor for a rank-r one.
+Density matrices are checked in one place, :func:`density_factor`, and a
+refusal names the first violated invariant of shape, finite entries,
+Hermiticity, trace and positivity, in that order.  The checks run in
+another order, so that the matrix is read as few times as possible: shape,
+then the trace from the diagonal alone, then the factorization.  The d x d
+Hermitian test runs before the calls that read one triangle, the full
+Cholesky and ``eigh``, and on every refusal; a failed shape or trace check
+runs the named order and raises its first failure.  On the pivoted path a
+certified residual S = G - m, G = fl(a a^dagger), stands in for the test:
+m - m^dagger = (G - G^dagger) - (S - S^dagger), and where the rounding of
+G is within a quarter of ``tol`` (see :func:`density_factor`) that is at
+most 3/8 of ``tol``.  A rank-deficient matrix the leading-block probe
+refuses is then read in full once, by the residual.
+
+:func:`density_factor` reads positivity off a Cholesky factorization;
+where that fails or a pivot is at the rounding level, off a pivoted
+Cholesky that stops at the numerical rank and one residual that certifies
+it.  It solves only for a matrix that fails the certificate, to name its
+least eigenvalue.  It is the check of every caller, compile included, and
+compile reads the spectrum off its factor: one d x d ``eigh`` for a
+full-rank matrix, one SVD of the d x r factor for a rank-r one.
 
 Each matrix is certified at its own rank and size.  From d = 16 on, the
 leading (d // 8) x (d // 8) block is factored first, at most 1/512 of the
@@ -32,7 +44,8 @@ rho, and its factor gains the d - p zero rows.
 Each certificate costs less than the answer it certifies, and keeps its
 decision.  Three of them are whole-array passes:
 
-- The Hermitian test writes conj(m^T) - m into one d x d scratch array, and
+- The Hermitian test writes conj(m^T) - m into one d x d scratch array in
+  ``m``'s memory order, and
   :func:`_deviation` measures it in place: the largest |Re| or |Im| of its
   entries first.  |z| <= sqrt(2) * max(|Re z|, |Im z|), so 1.5 times that
   largest part at or below ``tol`` accepts (the 1.5 leaves room for the
@@ -150,21 +163,30 @@ _GRAM_LEAF = 128
 def _require_hermitian(m, tol: float, error: type) -> np.ndarray:
     """``m`` as a complex array once it is square, finite and Hermitian within ``tol``.
 
-    One d x d scratch array holds m^dagger - m, and :func:`_deviation` measures
-    it in place; a refusal names the finite test or max |m - m^dagger|, as
-    the module docstring says.
+    One d x d scratch array, in ``m``'s memory order, holds m^dagger - m, and
+    :func:`_deviation` measures it in place; a refusal names the finite test
+    or max |m - m^dagger|, as the module docstring says.  A ufunc that reads
+    two operands of different layouts allocates a buffer of up to 128 KiB,
+    so m^T is copied, not conjugated, into it, and a matrix that is neither
+    C- nor Fortran-contiguous, such as a slice, is subtracted a row at a time.
     """
     m = _as_complex(m, error)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise error(f"expected a nonempty square matrix, got shape {m.shape}")
-    diff = m.T.copy()  # the one d x d scratch array, C-ordered
+    diff = m.T.copy(order="F" if m.flags.f_contiguous else "C")  # the one d x d scratch array
+    # z is the scratch array as a C-ordered view, x is m in the same axes
+    z, x = (diff, m) if diff.flags.c_contiguous else (diff.T, m.T)
     with np.errstate(invalid="ignore", over="ignore"):
-        np.conjugate(diff, out=diff)
-        np.subtract(diff, m, out=diff)
-        asym = _deviation(diff, tol)  # NaN or inf for a NaN or inf entry
+        np.conjugate(z, out=z)
+        if z.strides == x.strides:
+            np.subtract(z, x, out=z)
+        else:  # a slice: one contiguous row pair at a time
+            for out, row in zip(z, x):
+                np.subtract(out, row, out=out)
+        asym = _deviation(z, tol)  # NaN or inf for a NaN or inf entry
     if asym <= tol:
         return m
-    del diff  # freed before the finite test's d x d mask is allocated
+    del diff, z  # freed before the finite test's d x d mask is allocated
     if not np.isfinite(m).all():
         raise error("matrix has NaN or infinite entries")
     raise error(f"matrix is not Hermitian: max |m - m^dagger| = {asym:.3e} > {tol:g}")
@@ -196,11 +218,16 @@ def _eigh(m: np.ndarray) -> tuple:
 def _require_unit_trace(m, tol: float) -> np.ndarray:
     """``m`` as a complex array once it is square, finite, Hermitian and of trace 1."""
     m = _require_hermitian(m, tol, NotDensityMatrixError)
-    # Python's complex sum goes past the float range to inf or NaN with no warning, and is refused
-    dev = abs(sum(m.diagonal().tolist()) - 1.0)
+    dev = _trace_deviation(m)
     if not dev <= tol:
         raise NotDensityMatrixError(f"trace deviates from 1 by {dev:.3e} > {tol:g}")
     return m
+
+
+def _trace_deviation(m: np.ndarray) -> float:
+    """|Tr m - 1| of a square ``m``, from its diagonal only; NaN for a NaN there."""
+    # Python's complex sum goes past the float range to inf or NaN with no warning, and is refused
+    return abs(sum(m.diagonal().tolist()) - 1.0)
 
 
 def density_factor(m, tol: float = DEFAULT_TOL) -> tuple:
@@ -234,6 +261,26 @@ def density_factor(m, tol: float = DEFAULT_TOL) -> tuple:
     m = rho (+) 0 is checked and factored at rho's size p, and ``a`` gains
     d - p zero rows; a NaN in the zero block makes it not padded, and it is
     refused whole.
+
+    The checks run in the order shape, trace (from the diagonal), probe,
+    then factorization; a failed shape or trace check runs the named order
+    above and raises its first failure.  The d x d Hermitian test runs
+    before the full Cholesky and ``eigh``, which read one triangle, and
+    wherever the pivoted residual does not stand in for it.  It stands in
+    where the residual is certified and the rounding margin is small: with
+    G = fl(a a^dagger) and S = fl(G - m), m - m^dagger = (G - G^dagger) -
+    (S - S^dagger) up to the rounding of the subtraction, u * |S|.  The
+    certificate bounds max |S_ij| by tol / d, so the second term is at most
+    2 tol / d <= tol / 8, d >= 16 wherever a probe runs.  a a^dagger is
+    Hermitian, so the first term is the rounding of two entries of G, each
+    a length-r complex inner product within gamma_{r+2} ||a_i|| ||a_j|| of
+    the exact one (Higham, ch. 3), a_i row i of ``a``: at most 2 gamma_{r+2}
+    max_i ||a_i||^2, to first order the margin (r + 2) * eps * max_i G_ii.
+    Where the margin is at most tol / 4, max |m - m^dagger| <= 3 tol / 8,
+    which the test, to within its own few ulps of rounding, accepts, and it
+    is skipped.  At a smaller ``tol``, below 4 (r + 2) eps max_i G_ii (at
+    most 5.3e-15 for a rank-4 matrix of trace 1), it runs.  Neither the
+    order nor the skip changes a decision, a factor's bytes or a message.
 
     Up to 64 KiB the factor is memoized and read-only (see the module
     docstring): a repeated input is checked and factored once.
@@ -285,19 +332,32 @@ def _padding_start(m: np.ndarray) -> int:
 
 
 def _certified_factor(m: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`_factor` for a matrix that is not exactly padded."""
-    m = _require_unit_trace(m, tol)
+    """:func:`_factor` for a matrix that is not exactly padded.
+
+    The Hermitian test runs before the full Cholesky and ``eigh``, which read
+    one triangle, and on every refusal, so the first violated invariant is
+    named; a rank-deficient matrix whose residual certifies it skips the test
+    (see :func:`density_factor`).
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size or not _trace_deviation(m) <= tol:
+        _require_unit_trace(m, tol)  # raises: shape, finite entries, Hermiticity, then trace
     d = m.shape[0]
     floor = d * _EPS
     k = d // 8  # a leading block: at most 1/512 of the full Cholesky's flops
-    if k < 2 or _cholesky(m[:k, :k], k * _EPS) is not None:
+    checked = k < 2 or _cholesky(m[:k, :k], k * _EPS) is not None  # the probe reads m unchecked
+    if checked:
+        _require_hermitian(m, tol, NotDensityMatrixError)
         a = _cholesky(m, floor)
         if a is not None:
             return a
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the residual
         a = _pivoted_cholesky(m, floor)
         resid = a @ a.conj().T
+        # max |G - G^dagger| of G = fl(a a^dagger) <= 2 gamma_{r+2} max_i ||a_i||^2, to first order
+        margin = (a.shape[1] + 2) * _EPS * resid.diagonal().real.max()
         certified = _deviation(np.subtract(resid, m, out=resid), tol, d) <= tol  # not for NaN
+    if not (checked or (certified and margin <= tol / 4)):  # else the residual stands in
+        _require_hermitian(m, tol, NotDensityMatrixError)
     if not certified:
         w, v = _eigh(m)
         if w[0] < -tol:

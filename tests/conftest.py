@@ -42,6 +42,22 @@ def cholesky_calls(monkeypatch):
 
 
 @pytest.fixture
+def hermitian_passes(monkeypatch):
+    """The shapes of the matrices passed to ``linalg._require_hermitian``, the
+    d x d Hermitian test; ``density_factor``'s memo is emptied first."""
+    linalg._memo.cache_clear()
+    calls = []
+    real = linalg._require_hermitian
+
+    def counted(m, *args):
+        calls.append(np.shape(m))
+        return real(m, *args)
+
+    monkeypatch.setattr(linalg, "_require_hermitian", counted)
+    return calls
+
+
+@pytest.fixture
 def svd_calls(monkeypatch):
     """The shapes of the matrices passed to ``np.linalg.svd``."""
     return _counted(monkeypatch, "svd")

@@ -864,7 +864,8 @@ def full_cholesky_rule(m, tol=DEFAULT_TOL):
         return a
     w, v = np.linalg.eigh(m)
     if w[0] < -tol:
-        raise NotDensityMatrixError(f"minimum eigenvalue {w[0]:.3e}")
+        raise NotDensityMatrixError(
+            f"matrix is not positive semidefinite: minimum eigenvalue {w[0]:.3e} < -{tol:g}")
     keep = w > floor
     return v[:, keep] * np.sqrt(w[keep])
 
@@ -908,7 +909,7 @@ def oracle_cases(d):
     return cases
 
 
-@pytest.mark.parametrize("d", [64, 256])
+@pytest.mark.parametrize("d", [16, 32, 64, 256])
 def test_the_factor_has_the_bytes_of_the_full_cholesky_rule(d):
     for name, rho in oracle_cases(d).items():
         a, old = linalg._factor(rho, DEFAULT_TOL), full_cholesky_rule(rho)
@@ -934,6 +935,62 @@ def test_no_probe_at_the_paper_sizes(cholesky_calls, d):
         cholesky_calls.clear()
         density_factor(rho)
         assert cholesky_calls == [(d, d)]
+
+
+def exact_rank_four(d):
+    """Weights 1/4 on four basis states, the last one d - 1 so that the matrix
+    is not padded: the pivoted Cholesky and its residual are exact."""
+    m = np.zeros((d, d), dtype=complex)
+    for i in (0, 1, d // 2, d - 1):
+        m[i, i] = 0.25
+    return m
+
+
+def test_a_certified_residual_stands_in_for_the_hermitian_test(hermitian_passes):
+    for rho in (of_rank(256, 4, 4), of_rank(256, 4, 5, equal=True), exact_rank_four(256)):
+        hermitian_passes.clear()
+        density_factor(rho)
+        assert hermitian_passes == []
+
+
+def test_a_matrix_the_probe_accepts_makes_the_hermitian_test(hermitian_passes):
+    # the full Cholesky reads one triangle: a full-rank matrix, a rank the probe
+    # cannot see, and every matrix without a probe (d <= 15) are tested first
+    cases = [random_density(256, 2), of_rank(256, 64, 3)]
+    cases += [rho for d in (2, 8, 15) for rho in (random_density(d, d), of_rank(d, 1, d))]
+    for rho in cases:
+        linalg._memo.cache_clear()
+        hermitian_passes.clear()
+        density_factor(rho)
+        assert hermitian_passes == [rho.shape]
+
+
+def test_a_tolerance_below_the_rounding_margin_makes_the_hermitian_test(hermitian_passes):
+    # the residual of exact_rank_four is exactly 0, so it certifies at every tol;
+    # the margin (r + 2) * eps * max_i G_ii = 6 * eps / 4 must be within tol / 4
+    rho = exact_rank_four(256)
+    margin = 6 * linalg._EPS * 0.25
+    for tol, passes in ((0.0, 1), (1e-15, 1), (4 * margin, 0), (1e-14, 0), (DEFAULT_TOL, 0)):
+        hermitian_passes.clear()
+        a = density_factor(rho, tol)[1]
+        assert len(hermitian_passes) == passes, tol
+        assert a.tobytes() == full_cholesky_rule(rho, tol).tobytes()
+
+
+def test_a_lowrank_round_trip_makes_no_hermitian_test(hermitian_passes):
+    from mixedprep import simulator
+
+    # the lowrank-n8 targets: compile's factor and fidelity's two are certified
+    # by their residuals, so the d x d Hermitian test runs on none of them
+    for rank in (1, 4, 16):
+        for equal in (True, False):
+            rho = of_rank(256, rank, rank, equal)
+            hermitian_passes.clear()
+            bundle = build_preparation_circuit(rho)
+            state = simulator.run(bundle.circuit)
+            prepared = simulator.reduced_density(state, bundle.system_qubits)
+            assert 1.0 - fidelity(prepared, rho) <= 1e-12
+            assert hermitian_passes == [], (rank, equal)
 
 
 def padded(rho, d):
@@ -1038,15 +1095,17 @@ def outcome(call, *args):
     return None
 
 
-def asymmetric_cases(d):
+def asymmetric_cases(d, bases=None):
     """Exactly Hermitian bases with one entry moved, keyed by a name.
 
     On the diagonal base every moved entry is exact, so the asymmetry is the
     step itself (or twice it, on the diagonal) and lands on either side of
-    ``tol``; on the dense base it is rounded, and the oracle decides.
+    ``tol``; on the dense base, and on any ``bases`` given, it is rounded,
+    and the oracle decides.  Entry (0, d - 1) is in the upper triangle only.
     """
     tol = DEFAULT_TOL
-    bases = {"diagonal": np.eye(d, dtype=complex) / d, "dense": random_density(d, d)}
+    if bases is None:
+        bases = {"diagonal": np.eye(d, dtype=complex) / d, "dense": random_density(d, d)}
     steps = {"tol(1+1e-9)": tol * (1 + 1e-9), "tol(1-1e-9)": tol * (1 - 1e-9),
              "tol/sqrt2": tol / math.sqrt(2), "tol/1.5": tol / 1.5, "2tol": 2 * tol}
     phases = {"re": 1, "im": 1j, "diag": (1 + 1j) / math.sqrt(2)}
@@ -1113,9 +1172,12 @@ def test_a_non_finite_entry_never_takes_the_fast_accept():
                         linalg._require_hermitian(m, tol, NotHermitianError)
 
 
-def test_the_hermitian_test_allocates_one_scratch_array():
+@pytest.mark.parametrize("layout", ["C", "F", "slice"])
+def test_the_hermitian_test_allocates_one_scratch_array(layout):
+    # the scratch array takes m's memory order: a ufunc reading two layouts
+    # allocated a 128 KiB buffer on top of it, 1.13 arrays at d = 256
     d = 256
-    m = random_density(d, 3)
+    m = layouts(random_density(d, 3))[layout]
     linalg._require_hermitian(m, DEFAULT_TOL, NotHermitianError)
     tracemalloc.start()
     try:
@@ -1142,6 +1204,61 @@ def test_a_refused_hermitian_test_allocates_one_scratch_array(entry):
     finally:
         tracemalloc.stop()
     assert peak <= m.nbytes + 4096
+
+
+def old_order(m, tol=DEFAULT_TOL):
+    """density_factor's checks in their order before a certified residual could
+    stand in for the Hermitian test: that test first, then the full Cholesky rule."""
+    old_hermitian_test(m, tol, NotDensityMatrixError)
+    return full_cholesky_rule(m, tol)
+
+
+def decision(call, *args):
+    """The shape and bytes of an accepted call's factor, else its refusal's type and message."""
+    try:
+        a = call(*args)
+    except Exception as exc:  # noqa: BLE001 - the oracle compares any refusal
+        return type(exc), str(exc)
+    return a.shape, a.tobytes()
+
+
+def order_cases(d):
+    """Rank-deficient matrices with one entry moved, a non-Hermitian one whose
+    trace is off 1 too, and indefinite ones within and beyond ``tol``."""
+    tol = DEFAULT_TOL
+    bases = {"rank1": of_rank(d, 1, d), "rank4": of_rank(d, 4, d + 1)}
+    cases = asymmetric_cases(d, bases)
+    for name, base in bases.items():
+        m = base * (1 + 1e-3)
+        m[0, d - 1] += 1e-3
+        cases[f"{name}-asymmetric-trace"] = m
+        # the top eigenvector u gains the weight the null vector v loses: trace 1,
+        # least eigenvalue -step, and a residual the pivoted Cholesky cannot certify
+        vecs = np.linalg.eigh(base)[1]
+        u, v = vecs[:, -1], vecs[:, 0]
+        for step in (tol / 2, 2 * tol):
+            m = base + step * (np.outer(u, u.conj()) - np.outer(v, v.conj()))
+            cases[f"{name}-indefinite-{step:g}"] = (m + m.conj().T) / 2
+    return cases
+
+
+@pytest.mark.parametrize("d", [16, 32, 64, 256])
+def test_a_certified_residual_keeps_the_old_order_of_checks(d):
+    # every accepted matrix keeps its factor's bytes, every refused one the first
+    # failed check's type and message, on every memory layout
+    kinds = {}
+    for name, m in order_cases(d).items():
+        old = decision(old_order, m)
+        for layout, view in layouts(m).items():
+            assert decision(linalg._factor, view, DEFAULT_TOL) == old, (name, layout)
+        refused = old[0] is NotDensityMatrixError
+        kinds[name] = old[1].split(":")[0].split(" by ")[0] if refused else "accepted"
+    for name in ("rank1", "rank4", "rank4-indefinite-5e-11"):
+        assert kinds[name] == "accepted"
+    assert kinds["rank4-asymmetric-trace"] == "matrix is not Hermitian"  # not the trace
+    assert kinds[f"rank1-inf-0,{d - 1}"] == "matrix has NaN or infinite entries"  # upper only
+    assert kinds["rank4-indefinite-2e-10"] == "matrix is not positive semidefinite"
+    assert "trace deviates from 1" in kinds.values()
 
 
 def residual_case(d, step, entry):
